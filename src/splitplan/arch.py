@@ -13,7 +13,6 @@ All counters are Python ints, so multi-GFLOP totals never wrap.
 from __future__ import annotations
 
 import json
-import math
 from dataclasses import dataclass
 from enum import Enum
 from importlib import resources
@@ -476,11 +475,6 @@ def architecture_to_dict(arch: Architecture) -> dict:
             for m in arch.modules
         ],
     }
-
-
-def default_pool_index_bits(kw: int, kh: int) -> int:
-    """Bits needed to address one argmax position inside a kw x kh window."""
-    return max(1, math.ceil(math.log2(kw * kh))) if kw * kh > 1 else 0
 
 
 def packaged_config_text(name: str) -> str:

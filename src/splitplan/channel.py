@@ -101,19 +101,21 @@ class LinkParams:
         return self.snr_hz() / LN2
 
 
-def achievable_rate(bandwidth_hz: float, link: LinkParams) -> float:
+def shannon_rate(snr_hz: float, bandwidth_hz: float) -> float:
     """B * log2(1 + snr_hz / B) in bits/s; zero bandwidth or power gives zero."""
+    if bandwidth_hz <= 0.0 or snr_hz <= 0.0:
+        return 0.0
+    x = snr_hz / bandwidth_hz
+    if math.isinf(x):  # (sub)denormal bandwidth: fall back to log identities
+        return bandwidth_hz * (math.log2(snr_hz) - math.log2(bandwidth_hz))
+    return bandwidth_hz * math.log2(1.0 + x)
+
+
+def achievable_rate(bandwidth_hz: float, link: LinkParams) -> float:
+    """Shannon rate of ``link`` over ``bandwidth_hz``; negative bandwidth raises."""
     if bandwidth_hz < 0:
         raise DomainError("bandwidth must be >= 0")
-    if bandwidth_hz == 0.0:
-        return 0.0
-    g = link.snr_hz()
-    if g == 0.0:
-        return 0.0
-    x = g / bandwidth_hz
-    if math.isinf(x):  # (sub)denormal bandwidth: fall back to log identities
-        return bandwidth_hz * (math.log2(g) - math.log2(bandwidth_hz))
-    return bandwidth_hz * math.log2(1.0 + x)
+    return shannon_rate(link.snr_hz(), bandwidth_hz)
 
 
 def fading_stream(seed: int, trial: int = 0):

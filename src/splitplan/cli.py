@@ -30,10 +30,8 @@ def _read_arch_text(spec: str) -> str:
 def _config_from_args(args) -> ExperimentConfig:
     from dataclasses import replace
 
-    cfg = {}
-    if getattr(args, "config", None):
-        cfg = json.loads(Path(args.config).read_text())
-    base = ExperimentConfig.from_dict(cfg)
+    text = Path(args.config).read_text() if getattr(args, "config", None) else "{}"
+    base = ExperimentConfig.from_json(text)
     overrides = {}
     for name in ("seed", "trials", "devices"):
         value = getattr(args, name, None)

@@ -27,7 +27,7 @@ from . import serial
 from .arch import Architecture, load_architecture, packaged_config_text, propagate
 from .channel import LinkParams, trial_fading
 from .delay import Device, NetworkInstance
-from .errors import SplitPlanError, ValidationError
+from .errors import ParseError, SplitPlanError, ValidationError
 from .parallel import (SolverSettings, first_layer_policy, min_data_layer_policy,
                        solve_p1, solve_p2)
 
@@ -107,7 +107,10 @@ class ExperimentConfig:
         chan = default_channel()
         chan.update(cfg.get("channel", {}))
         sweep = cfg.get("sweep", {})
-        solver = SolverSettings(**cfg.get("solver", {}))
+        try:
+            solver = SolverSettings(**cfg.get("solver", {}))
+        except TypeError as exc:
+            raise ValidationError(f"bad solver settings: {exc}") from None
         return cls(
             arch=cfg.get("arch", "reference"),
             devices=int(cfg.get("devices", 10)),
@@ -125,7 +128,11 @@ class ExperimentConfig:
 
     @classmethod
     def from_json(cls, text: str) -> "ExperimentConfig":
-        return cls.from_dict(json.loads(text))
+        try:
+            cfg = json.loads(text)
+        except json.JSONDecodeError as exc:
+            raise ParseError(f"config is not valid JSON: {exc}") from None
+        return cls.from_dict(cfg)
 
 
 def load_experiment_architecture(cfg: ExperimentConfig) -> Architecture:

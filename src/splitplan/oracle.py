@@ -12,9 +12,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .channel import shannon_rate
 from .delay import NetworkInstance, serial_total_delay
 from .errors import NoBracket, TooLarge, ValidationError
-from .parallel import CutTable, EqualDelayProblem, equal_delay_allocation, _rate_scalar
+from .parallel import CutTable, EqualDelayProblem, equal_delay_allocation
 
 
 @dataclass(frozen=True)
@@ -61,7 +62,7 @@ def _bandwidth_grid(total: float, k: int, points: int):
 def _arrivals(table: CutTable, cuts, bw):
     out = np.empty(len(cuts))
     for i, c in enumerate(cuts):
-        rate = _rate_scalar(table.snr[i], bw[i])
+        rate = shannon_rate(table.snr[i], bw[i])
         bits = table.bits[i][c]
         out[i] = table.local_s[i][c]
         if bits > 0:

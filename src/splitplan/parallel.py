@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channel import LN2, LinkParams, achievable_rate
+from .channel import LN2, LinkParams, achievable_rate, shannon_rate
 from .delay import AllocationPlan, NetworkInstance
 from .errors import Infeasible, NonConvergence, Unreachable, ValidationError
 
@@ -277,11 +277,6 @@ def _required_bandwidth_u(snr_hz: float, rate: float):
     return snr_hz / u, u
 
 
-def required_bandwidth(snr_hz: float, rate: float) -> float:
-    """Closed-form counterpart of :func:`bandwidth_for_rate` (solver hot path)."""
-    return _required_bandwidth_u(snr_hz, rate)[0]
-
-
 # ---------------------------------------------------------------------------
 # per-cut views of a network
 
@@ -331,9 +326,11 @@ class CutTable:
             return self.random_cuts(settings.rng_seed)
         return self.min_data_cuts()
 
-    def rates(self, bandwidth) -> np.ndarray:
-        return np.array([achievable_rate(float(b), d.link)
-                         for b, d in zip(bandwidth, self.net.devices)])
+    def transmit_s(self, i: int, bandwidth_hz: float) -> np.ndarray:
+        """Upload seconds of device ``i`` at every cut over ``bandwidth_hz``."""
+        rate = shannon_rate(self.snr[i], bandwidth_hz)
+        return np.where(self.bits[i] > 0,
+                        self.bits[i] / rate if rate > 0 else math.inf, 0.0)
 
 
 @dataclass
@@ -343,6 +340,15 @@ class _CutView:
     resid: np.ndarray
     snr: np.ndarray
     rate_limit: np.ndarray
+
+    def arrivals(self, bandwidth) -> np.ndarray:
+        """Local seconds plus upload seconds; ``inf`` where bits meet a zero rate."""
+        out = self.local_s.copy()
+        for i, bits in enumerate(self.bits):
+            if bits > 0:
+                r = shannon_rate(self.snr[i], bandwidth[i])
+                out[i] += bits / r if r > 0 else math.inf
+        return out
 
 
 # ---------------------------------------------------------------------------
@@ -564,27 +570,17 @@ def resource_subproblem(view, bandwidth_budget, compute_budget, settings,
     if busy.any():
         f[busy] *= compute_budget / f[busy].sum()
     _, totals = _plan_delays(view, bw, f)
-    return float(np.max(totals)), bw, f, totals
+    return float(np.max(totals)), bw, f
 
 
 def _plan_delays(view, bandwidth, shares):
     """(arrivals, totals) for an explicit allocation on one cut view."""
-    arrivals = view.local_s.copy()
-    totals = np.empty(len(bandwidth))
-    for i in range(len(bandwidth)):
-        if view.bits[i] > 0:
-            r = _rate_scalar(view.snr[i], bandwidth[i])
-            arrivals[i] += view.bits[i] / r if r > 0 else math.inf
-        totals[i] = arrivals[i]
-        if view.resid[i] > 0:
-            totals[i] += view.resid[i] / shares[i] if shares[i] > 0 else math.inf
+    arrivals = view.arrivals(bandwidth)
+    totals = arrivals.copy()
+    for i, resid in enumerate(view.resid):
+        if resid > 0:
+            totals[i] += resid / shares[i] if shares[i] > 0 else math.inf
     return arrivals, totals
-
-
-def _rate_scalar(snr_hz: float, bandwidth: float) -> float:
-    if bandwidth <= 0.0 or snr_hz <= 0.0:
-        return 0.0
-    return bandwidth * math.log2(1.0 + snr_hz / bandwidth)
 
 
 # ---------------------------------------------------------------------------
@@ -594,14 +590,9 @@ def _reselect_parallel(table: CutTable, bandwidth, shares) -> tuple[int, ...]:
     """Per-device cut minimizing its own delay at frozen resources."""
     cuts = []
     for i in range(table.num_devices):
-        rate = _rate_scalar(table.snr[i], bandwidth[i])
-        with np.errstate(divide="ignore"):
-            tx = np.where(table.bits[i] > 0,
-                          table.bits[i] / rate if rate > 0 else math.inf, 0.0)
-            serve = np.where(table.resid[i] > 0,
-                             table.resid[i] / shares[i] if shares[i] > 0 else math.inf,
-                             0.0)
-        j = table.local_s[i] + tx + serve
+        serve = np.where(table.resid[i] > 0,
+                         table.resid[i] / shares[i] if shares[i] > 0 else math.inf, 0.0)
+        j = table.local_s[i] + table.transmit_s(i, bandwidth[i]) + serve
         cuts.append(int(np.argmin(j)))
     return tuple(cuts)
 
@@ -632,7 +623,6 @@ def solve_p2(net: NetworkInstance, settings: SolverSettings | None = None) -> Al
     table = CutTable(net)
     k = table.num_devices
     bw = np.full(k, net.total_bandwidth_hz / k)
-    rates = table.rates(bw)
     cuts = table.initial_cuts(settings)
     best = None
     history = []
@@ -641,8 +631,8 @@ def solve_p2(net: NetworkInstance, settings: SolverSettings | None = None) -> Al
     for _ in range(settings.max_alternations):
         iterations += 1
         view = table.view(cuts)
-        arr = view.local_s + np.where(view.bits > 0, view.bits / rates, 0.0)
-        shares, obj = equal_delay_allocation(arr, view.resid, net.server_flops)
+        shares, obj = equal_delay_allocation(
+            view.arrivals(bw), view.resid, net.server_flops)
         if best is None or obj < best[0]:
             best = (obj, cuts, shares)
         history.append(best[0])
@@ -672,7 +662,7 @@ class _P1State:
         cuts = tuple(int(c) for c in cuts)
         if cuts not in self.seen:
             view = self.table.view(cuts)
-            obj, bw, f, _ = resource_subproblem(
+            obj, bw, f = resource_subproblem(
                 view, self.net.total_bandwidth_hz, self.net.server_flops,
                 self.settings, t_seed=seed)
             self.seen[cuts] = (obj, bw, f)
@@ -680,14 +670,9 @@ class _P1State:
                 self.best = (obj, cuts, bw, f)
         return self.seen[cuts]
 
-    def alternate(self, cuts):
-        # seed the first target-delay bracket with the equal-split heuristic
-        bw_eq = np.full(self.table.num_devices,
-                        self.net.total_bandwidth_hz / self.table.num_devices)
-        rates = self.table.rates(bw_eq)
-        view0 = self.table.view(cuts)
-        arr0 = view0.local_s + np.where(view0.bits > 0, view0.bits / rates, 0.0)
-        _, seed_obj = equal_delay_allocation(arr0, view0.resid, self.net.server_flops)
+    def alternate(self, cuts, seed_obj):
+        """Alternate convex steps and cut re-selection from ``cuts``; the first
+        target-delay bracket is seeded with ``seed_obj``."""
         prev = math.inf
         for _ in range(self.settings.max_alternations):
             self.iterations += 1
@@ -710,8 +695,9 @@ def solve_p1(net: NetworkInstance, settings: SolverSettings | None = None) -> Al
     settings = settings or SolverSettings()
     table = CutTable(net)
     state = _P1State(table, net, settings)
-    state.alternate(table.initial_cuts(settings))
+    # the equal-split heuristic's first objective seeds the first bracket
     p2 = solve_p2(net, settings)
+    state.alternate(table.initial_cuts(settings), p2.objective_history[0])
     state.price(p2.cuts)
     state.price(tuple(0 for _ in range(table.num_devices)))
     obj, cuts, bw, f = state.best
@@ -723,7 +709,7 @@ def _fixed_cut_policy(name, net, settings, cuts):
     settings = settings or SolverSettings()
     table = CutTable(net)
     view = table.view(cuts)
-    obj, bw, f, _ = resource_subproblem(
+    obj, bw, f = resource_subproblem(
         view, net.total_bandwidth_hz, net.server_flops, settings)
     return _parallel_plan(name, table, cuts, bw, f, 1, [obj])
 

@@ -17,7 +17,7 @@ import numpy as np
 
 from .delay import AllocationPlan, NetworkInstance, QueueState, serial_total_delay
 from .errors import NoExcess, NonConvergence, StalledBreak
-from .parallel import CutTable, SolverSettings, _rate_scalar, bandwidth_for_rate
+from .parallel import CutTable, SolverSettings, bandwidth_for_rate
 
 
 @dataclass(frozen=True)
@@ -37,11 +37,7 @@ class BreakReallocation:
 
 def _serial_eval(table: CutTable, cuts, bandwidth):
     view = table.view(cuts)
-    arrivals = view.local_s.copy()
-    for i in range(table.num_devices):
-        if view.bits[i] > 0:
-            r = _rate_scalar(table.snr[i], bandwidth[i])
-            arrivals[i] += view.bits[i] / r if r > 0 else math.inf
+    arrivals = view.arrivals(bandwidth)
     objective, state = serial_total_delay(arrivals, view.resid,
                                           table.net.server_flops)
     return objective, state, arrivals, view
@@ -139,16 +135,12 @@ def _reselect_serial(table: CutTable, cuts, bandwidth, settings: SolverSettings)
     """
     f_max = table.net.server_flops
     k = table.num_devices
-    rates = [_rate_scalar(table.snr[i], bandwidth[i]) for i in range(k)]
     arr = np.empty(k)
     res = np.empty(k)
     cand_arr = []
     cand_res = []
     for i in range(k):
-        bits = table.bits[i]
-        with np.errstate(divide="ignore"):
-            tx = np.where(bits > 0, bits / rates[i] if rates[i] > 0 else math.inf, 0.0)
-        a = table.local_s[i] + tx
+        a = table.local_s[i] + table.transmit_s(i, bandwidth[i])
         cand_arr.append(a)
         cand_res.append(table.resid[i])
         arr[i] = a[cuts[i]]

@@ -39,6 +39,21 @@ class TestSimulate:
         err = json.loads(capsys.readouterr().err)
         assert err["error"] == "ValidationError"
 
+    def test_malformed_config_json_exits_2(self, capsys, tmp_path):
+        path = tmp_path / "bad.json"
+        path.write_text('{"trials": 1,')
+        assert main(["simulate", "--config", str(path)]) == 2
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"] == "ParseError"
+
+    def test_unknown_solver_key_exits_2(self, capsys, tmp_path):
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps({"trials": 1, "solver": {"bisect_tol": 1e-9}}))
+        assert main(["simulate", "--config", str(path)]) == 2
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"] == "ValidationError"
+        assert "bisect_tol" in err["message"]
+
 
 class TestSweep:
     def test_writes_tables(self, capsys, tmp_path):

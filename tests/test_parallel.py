@@ -7,13 +7,14 @@ import pytest
 
 from conftest import (link_with_snr, profile_from_lists, random_network,
                       toy_network)
-from splitplan.errors import Infeasible, Unreachable
+from splitplan.delay import Device, NetworkInstance, arrival_delay
+from splitplan.errors import Infeasible, Unreachable, ZeroRate
 from splitplan.oracle import GridSpec, dense_root_scan, oracle_parallel
 from splitplan.parallel import (CutTable, EqualDelayProblem, SolverSettings,
                                 bandwidth_for_rate, equal_delay_allocation,
                                 first_layer_policy, equal_delay_split,
-                                min_data_layer_policy, required_bandwidth,
-                                solve_p1, solve_p2, _lambert_wm1)
+                                min_data_layer_policy, solve_p1, solve_p2,
+                                _lambert_wm1, _required_bandwidth_u)
 from splitplan.channel import achievable_rate
 
 ANALYTIC_ROOT = (15.0 - math.sqrt(125.0)) * 1e9  # worked two-device split
@@ -135,9 +136,36 @@ class TestBandwidthForRate:
         link = link_with_snr(3.3e6)
         snr = link.snr_hz()
         for rate in (1e3, 1e5, 1e6, 0.6 * link.rate_limit(), 0.995 * link.rate_limit()):
-            fast = required_bandwidth(snr, rate)
+            fast = _required_bandwidth_u(snr, rate)[0]
             slow = bandwidth_for_rate(link, rate, rel_tol=1e-12)
             assert fast == pytest.approx(slow, rel=1e-8)
+
+
+class TestArrivalKernel:
+    def test_matches_reference_arrival_delay(self):
+        """Kernel against ``delay.arrival_delay`` device by device. Device 0
+        gets a subnormal share, a one-bit device stays finite over another,
+        and a zero-SNR device arrives at inf where the reference raises."""
+        rng = np.random.default_rng(17)
+        whisper = Device(link=link_with_snr(6e8), compute_flops=3e10,
+                         profile=profile_from_lists([1e9], [1], raw_bits=1))
+        for _ in range(20):
+            net = random_network(rng, devices=4)
+            mute = Device(link=link_with_snr(0.0), compute_flops=3e10,
+                          profile=net.devices[0].profile)
+            net = NetworkInstance(net.devices + (whisper, mute), net.server_flops,
+                                  net.total_bandwidth_hz)
+            table = CutTable(net)
+            cuts = table.random_cuts(int(rng.integers(1 << 30)))
+            bw = rng.uniform(0.0, net.total_bandwidth_hz, net.num_devices)
+            bw[0], bw[4] = 5e-324, 1e-308
+            got = table.view(cuts).arrivals(bw)
+            for i, dev in enumerate(net.devices[:-1]):
+                assert got[i] == arrival_delay(dev, cuts[i], bw[i])
+            assert 1e300 < got[4] < math.inf
+            assert got[-1] == math.inf
+            with pytest.raises(ZeroRate):
+                arrival_delay(mute, cuts[-1], bw[-1])
 
 
 def _symmetric_net(k=3):
