@@ -66,6 +66,11 @@ class LinkParams:
         if self.fading_power < 0:
             raise DomainError("fading power must be >= 0")
 
+    #: Every key :meth:`from_config` reads.
+    CONFIG_KEYS = ("power_w", "gain_tx", "gain_rx", "gain_tx_dbi", "gain_rx_dbi",
+                   "wavelength_m", "distance_m", "pathloss_exp", "noise_dbm_per_hz",
+                   "fading_power")
+
     @classmethod
     def from_config(cls, cfg: dict) -> "LinkParams":
         """Build from config keys; antenna gains accept dBi (default reading)
@@ -102,7 +107,11 @@ class LinkParams:
 
 
 def shannon_rate(snr_hz: float, bandwidth_hz: float) -> float:
-    """B * log2(1 + snr_hz / B) in bits/s; zero bandwidth or power gives zero."""
+    """B * log2(1 + snr_hz / B) in bits/s; zero bandwidth or power gives zero.
+
+    Takes Python floats: on numpy scalars the subnormal-bandwidth ratio below
+    overflows with a ``RuntimeWarning``.
+    """
     if bandwidth_hz <= 0.0 or snr_hz <= 0.0:
         return 0.0
     x = snr_hz / bandwidth_hz

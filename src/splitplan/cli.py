@@ -12,11 +12,12 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 from .arch import load_architecture, packaged_config_text, propagate
 from .errors import SplitPlanError
-from .harness import (ALL_POLICIES, ExperimentConfig, bench_scaling,
+from .harness import (ALL_POLICIES, SWEEP_PARAMS, ExperimentConfig, bench_scaling,
                       build_network, run_sweep, write_tables)
 from .oracle import GridSpec, oracle_parallel, oracle_serial
 
@@ -28,8 +29,6 @@ def _read_arch_text(spec: str) -> str:
 
 
 def _config_from_args(args) -> ExperimentConfig:
-    from dataclasses import replace
-
     text = Path(args.config).read_text() if getattr(args, "config", None) else "{}"
     base = ExperimentConfig.from_json(text)
     overrides = {}
@@ -53,7 +52,6 @@ def _config_from_args(args) -> ExperimentConfig:
 
 def _cmd_simulate(args) -> int:
     cfg = _config_from_args(args)
-    from dataclasses import replace
     cfg = replace(cfg, sweep_param=None, sweep_values=())
     result = run_sweep(cfg)
     print(f"policies over {cfg.trials} trials (seed {cfg.seed}, {cfg.devices} devices):")
@@ -68,7 +66,6 @@ def _cmd_simulate(args) -> int:
 
 def _cmd_sweep(args) -> int:
     cfg = _config_from_args(args)
-    from dataclasses import replace
     values = tuple(float(v) for v in args.values.split(","))
     cfg = replace(cfg, sweep_param=args.param, sweep_values=values)
     result = run_sweep(cfg)
@@ -97,7 +94,6 @@ def _cmd_profile(args) -> int:
 
 def _cmd_oracle(args) -> int:
     cfg = _config_from_args(args)
-    from dataclasses import replace
     cfg = replace(cfg, arch=args.arch)
     net = build_network(cfg, args.trial)
     grid = GridSpec(bandwidth_points=args.grid_points)
@@ -145,8 +141,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("sweep", help="sweep one parameter and write data tables")
     common(p)
-    p.add_argument("--param", required=True,
-                   choices=["devices", "power", "bandwidth", "fdev", "fserver", "iters"])
+    p.add_argument("--param", required=True, choices=SWEEP_PARAMS)
     p.add_argument("--values", required=True, help="comma-separated values")
     p.add_argument("--out", default="results", help="output directory")
     p.set_defaults(func=_cmd_sweep)

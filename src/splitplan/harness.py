@@ -52,6 +52,26 @@ ALL_POLICIES = tuple(POLICIES)
 SWEEP_PARAMS = ("devices", "power", "bandwidth", "fdev", "fserver", "iters")
 
 
+_CONFIG_KEYS = ("arch", "devices", "device_flops", "server_flops", "bandwidth_hz",
+                "trials", "seed", "policies", "channel", "sweep", "solver")
+
+
+def _known_keys(obj, keys, where: str) -> dict:
+    """``obj`` itself, once it is a JSON object holding only ``keys``."""
+    if not isinstance(obj, dict):
+        raise ValidationError(f"{where} must be a JSON object")
+    unknown = set(obj) - set(keys)
+    if unknown:
+        raise ValidationError(f"unknown {where} keys {sorted(unknown)}")
+    return obj
+
+
+def _whole(value) -> int:
+    if value != int(value):
+        raise ValueError(f"{value!r} is not an integer")
+    return int(value)
+
+
 def default_channel() -> dict:
     return {
         "power_w": 1.0,
@@ -101,30 +121,33 @@ class ExperimentConfig:
                 raise ValidationError("sweep values must be non-empty")
             if any(v <= 0 for v in self.sweep_values):
                 raise ValidationError("sweep values must be positive")
+            if self.sweep_param in ("devices", "iters") and not all(
+                    float(v).is_integer() for v in self.sweep_values):
+                raise ValidationError(f"{self.sweep_param} sweep values must be integers")
 
     @classmethod
     def from_dict(cls, cfg: dict) -> "ExperimentConfig":
+        _known_keys(cfg, _CONFIG_KEYS, "config")
         chan = default_channel()
-        chan.update(cfg.get("channel", {}))
-        sweep = cfg.get("sweep", {})
+        chan.update(_known_keys(cfg.get("channel", {}), LinkParams.CONFIG_KEYS, "channel"))
+        sweep = _known_keys(cfg.get("sweep", {}), ("param", "values"), "sweep")
         try:
-            solver = SolverSettings(**cfg.get("solver", {}))
-        except TypeError as exc:
-            raise ValidationError(f"bad solver settings: {exc}") from None
-        return cls(
-            arch=cfg.get("arch", "reference"),
-            devices=int(cfg.get("devices", 10)),
-            device_flops=float(cfg.get("device_flops", 30e9)),
-            server_flops=float(cfg.get("server_flops", 300e9)),
-            bandwidth_hz=float(cfg.get("bandwidth_hz", 200e6)),
-            trials=int(cfg.get("trials", 100)),
-            seed=int(cfg.get("seed", 7)),
-            policies=tuple(cfg.get("policies", ALL_POLICIES)),
-            channel=chan,
-            sweep_param=sweep.get("param"),
-            sweep_values=tuple(sweep.get("values", ())),
-            solver=solver,
-        )
+            return cls(
+                arch=cfg.get("arch", "reference"),
+                devices=_whole(cfg.get("devices", 10)),
+                device_flops=float(cfg.get("device_flops", 30e9)),
+                server_flops=float(cfg.get("server_flops", 300e9)),
+                bandwidth_hz=float(cfg.get("bandwidth_hz", 200e6)),
+                trials=_whole(cfg.get("trials", 100)),
+                seed=_whole(cfg.get("seed", 7)),
+                policies=tuple(cfg.get("policies", ALL_POLICIES)),
+                channel={key: float(value) for key, value in chan.items()},
+                sweep_param=sweep.get("param"),
+                sweep_values=tuple(float(v) for v in sweep.get("values", ())),
+                solver=SolverSettings(**cfg.get("solver", {})),
+            )
+        except (TypeError, ValueError, OverflowError) as exc:
+            raise ValidationError(f"bad config value: {exc}") from None
 
     @classmethod
     def from_json(cls, text: str) -> "ExperimentConfig":

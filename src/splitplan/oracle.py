@@ -72,12 +72,9 @@ def _arrivals(table: CutTable, cuts, bw):
     return out
 
 
-def oracle_parallel(net: NetworkInstance, grid: GridSpec | None = None) -> OracleResult:
-    """Grid minimum of the parallel max-delay over cuts x bandwidth simplex.
-
-    Every grid point gets the exact equal-delay compute split, so the result
-    upper-bounds the true optimum by the grid resolution only.
-    """
+def _grid_min(net: NetworkInstance, grid: GridSpec | None, score) -> OracleResult:
+    """Minimum of ``score(arrivals, residuals, server_flops)`` over every cut
+    vector crossed with the bandwidth-simplex grid."""
     grid = grid or GridSpec()
     _guard(net, grid)
     table = CutTable(net)
@@ -91,35 +88,26 @@ def oracle_parallel(net: NetworkInstance, grid: GridSpec | None = None) -> Oracl
             arr = _arrivals(table, cuts, bw)
             if arr is None:
                 continue
-            _, obj = equal_delay_allocation(arr, resid, net.server_flops)
+            obj = score(arr, resid, net.server_flops)
             if best is None or obj < best[0]:
                 best = (obj, cuts, bw.copy())
     if best is None:
         raise TooLarge("no finite grid point (all rates zero?)")
     return OracleResult(float(best[0]), tuple(best[1]), tuple(best[2]))
+
+
+def oracle_parallel(net: NetworkInstance, grid: GridSpec | None = None) -> OracleResult:
+    """Grid minimum of the parallel max-delay over cuts x bandwidth simplex.
+
+    Every grid point gets the exact equal-delay compute split, so the result
+    upper-bounds the true optimum by the grid resolution only.
+    """
+    return _grid_min(net, grid, lambda *point: equal_delay_allocation(*point)[1])
 
 
 def oracle_serial(net: NetworkInstance, grid: GridSpec | None = None) -> OracleResult:
     """Grid minimum of the exact serial queue total over cuts x bandwidth."""
-    grid = grid or GridSpec()
-    _guard(net, grid)
-    table = CutTable(net)
-    k = net.num_devices
-    best = None
-    cut_ranges = [range(d.profile.num_cuts + 1) for d in net.devices]
-    bw_points = list(_bandwidth_grid(net.total_bandwidth_hz, k, grid.bandwidth_points))
-    for cuts in itertools.product(*cut_ranges):
-        resid = [table.resid[i][cuts[i]] for i in range(k)]
-        for bw in bw_points:
-            arr = _arrivals(table, cuts, bw)
-            if arr is None:
-                continue
-            obj, _ = serial_total_delay(arr, resid, net.server_flops)
-            if best is None or obj < best[0]:
-                best = (obj, cuts, bw.copy())
-    if best is None:
-        raise TooLarge("no finite grid point (all rates zero?)")
-    return OracleResult(float(best[0]), tuple(best[1]), tuple(best[2]))
+    return _grid_min(net, grid, lambda *point: serial_total_delay(*point)[0])
 
 
 def dense_root_scan(problem: EqualDelayProblem, points: int | None = None):

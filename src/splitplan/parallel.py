@@ -55,6 +55,34 @@ class SolverSettings:
 
 
 # ---------------------------------------------------------------------------
+# one-dimensional monotone searches
+
+def _grow(ok, x, factor, max_iter, what):
+    """First point of ``x, x*factor, x*factor**2, ...`` at which ``ok`` holds;
+    raises :class:`NonConvergence` with message ``what`` after ``max_iter`` misses."""
+    for _ in range(max_iter):
+        if ok(x):
+            return x
+        x *= factor
+    raise NonConvergence(what)
+
+
+def _bisect(ok, lo, hi, rel_tol):
+    """Narrow ``(lo, hi]`` around the switch of ``ok`` (false below, true above;
+    ``hi`` stays the smallest probed point where it holds) to relative width
+    ``rel_tol`` or float resolution, and return ``(lo, hi)``."""
+    while hi - lo > rel_tol * hi:
+        mid = 0.5 * (lo + hi)
+        if mid <= lo or mid >= hi:
+            break  # interval exhausted at float resolution
+        if ok(mid):
+            hi = mid
+        else:
+            lo = mid
+    return lo, hi
+
+
+# ---------------------------------------------------------------------------
 # equal-delay server split (fixed bandwidth)
 
 @dataclass(frozen=True)
@@ -156,18 +184,8 @@ def equal_delay_split(problem: EqualDelayProblem, rel_tol: float = 1e-13) -> np.
     ub = problem.upper_bound
     if not ub > 0:
         raise Infeasible("empty share interval: anchor is not the earliest arrival")
-    hi = min(ub, problem.budget)
-    lo = 0.0
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        if mid <= lo or mid >= hi:
-            break  # interval exhausted at float resolution
-        if problem.q_value(mid) >= problem.budget:
-            hi = mid
-        else:
-            lo = mid
-        if hi - lo <= rel_tol * hi:
-            break
+    lo, hi = _bisect(lambda x: problem.q_value(x) >= problem.budget,
+                     0.0, min(ub, problem.budget), rel_tol)
     x0 = 0.5 * (lo + hi)
     shares = problem.shares_from_anchor(x0)
     if np.any(shares <= 0):
@@ -216,23 +234,12 @@ def bandwidth_for_rate(link: LinkParams, required_rate: float,
     if required_rate >= limit * (1.0 - 1e-12):
         raise Unreachable(
             f"rate {required_rate:.6g} b/s exceeds the wide-band limit {limit:.6g} b/s")
-    hi = required_rate  # R(B) >= B exactly when in-band SNR >= 1
-    for _ in range(200):
-        if achievable_rate(hi, link) >= required_rate:
-            break
-        hi *= 2.0
-    else:
-        raise NonConvergence("bracket growth failed in bandwidth_for_rate")
-    lo = 0.0
-    while hi - lo > rel_tol * hi:
-        mid = 0.5 * (lo + hi)
-        if mid <= lo or mid >= hi:
-            break
-        if achievable_rate(mid, link) >= required_rate:
-            hi = mid
-        else:
-            lo = mid
-    return hi
+    def meets(bandwidth):
+        return achievable_rate(bandwidth, link) >= required_rate
+
+    # R(B) >= B exactly when in-band SNR >= 1
+    hi = _grow(meets, required_rate, 2.0, 200, "bracket growth failed in bandwidth_for_rate")
+    return _bisect(meets, 0.0, hi, rel_tol)[1]
 
 
 def _lambert_wm1(a: float) -> float:
@@ -328,7 +335,7 @@ class CutTable:
 
     def transmit_s(self, i: int, bandwidth_hz: float) -> np.ndarray:
         """Upload seconds of device ``i`` at every cut over ``bandwidth_hz``."""
-        rate = shannon_rate(self.snr[i], bandwidth_hz)
+        rate = shannon_rate(float(self.snr[i]), float(bandwidth_hz))
         return np.where(self.bits[i] > 0,
                         self.bits[i] / rate if rate > 0 else math.inf, 0.0)
 
@@ -344,9 +351,9 @@ class _CutView:
     def arrivals(self, bandwidth) -> np.ndarray:
         """Local seconds plus upload seconds; ``inf`` where bits meet a zero rate."""
         out = self.local_s.copy()
-        for i, bits in enumerate(self.bits):
+        for i, bits in enumerate(self.bits.tolist()):
             if bits > 0:
-                r = shannon_rate(self.snr[i], bandwidth[i])
+                r = shannon_rate(float(self.snr[i]), float(bandwidth[i]))
                 out[i] += bits / r if r > 0 else math.inf
         return out
 
@@ -496,12 +503,8 @@ def _bandwidth_floor(view, budget, slack, warm):
             target = budget - f[silent].sum()
             mu_lo = float(np.min(m_hi)) * 0.999  # everyone clamps: surplus >= target
             mu_hi = warm["mu"] if warm["mu"] and warm["mu"] > mu_lo else float(np.max(m_hi)) * 8.0
-            for _ in range(120):
-                if surplus(mu_hi) <= target:
-                    break
-                mu_hi *= 8.0
-            else:
-                raise NonConvergence("multiplier bracket growth failed")
+            mu_hi = _grow(lambda mu: surplus(mu) <= target, mu_hi, 8.0, 120,
+                          "multiplier bracket growth failed")
             mu = _root_decreasing(surplus, mu_lo, mu_hi, target,
                                   warm=warm["mu"], rel_tol=1e-10, log_x=True)
             warm["mu"] = mu
@@ -549,13 +552,8 @@ def resource_subproblem(view, bandwidth_budget, compute_budget, settings,
 
     if t_seed is None or not t_seed > t_floor:
         t_seed = 2.0 * t_floor
-    t_hi = t_seed
-    for _ in range(200):
-        if deficit(t_hi) >= 0:
-            break
-        t_hi *= 2.0
-    else:
-        raise NonConvergence("no feasible target delay found")
+    t_hi = _grow(lambda t: deficit(t) >= 0, t_seed, 2.0, 200,
+                 "no feasible target delay found")
 
     _root_decreasing(lambda t: -deficit(t), t_floor, t_hi, 0.0,
                      rel_tol=settings.bisect_rel_tol)

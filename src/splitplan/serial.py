@@ -16,8 +16,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .delay import AllocationPlan, NetworkInstance, QueueState, serial_total_delay
-from .errors import NoExcess, NonConvergence, StalledBreak
-from .parallel import CutTable, SolverSettings, bandwidth_for_rate
+from .errors import NoExcess, StalledBreak
+from .parallel import CutTable, SolverSettings, _bisect, _grow, bandwidth_for_rate
 
 
 @dataclass(frozen=True)
@@ -81,49 +81,34 @@ def _common_arrival_bandwidth(table: CutTable, cuts, settings: SolverSettings):
     talk = [i for i in range(k) if view.bits[i] > 0]
     t_floor = float(np.max(view.local_s))
 
-    def requirement(t):
+    if not talk:
+        return t_floor, np.full(k, budget / k)
+
+    best = None  # requirement vector at the smallest feasible target probed
+
+    def fits(t):
+        nonlocal best
         need = np.zeros(k)
         for i in talk:
             room = t - view.local_s[i]
             if room <= 0:
-                return None
+                return False
             rate = view.bits[i] / room
             if rate >= view.rate_limit[i] * (1.0 - 1e-12):
-                return None
+                return False
             need[i] = bandwidth_for_rate(links[i], rate, settings.bisect_rel_tol)
-        return need
+        if not need.sum() <= budget:
+            return False
+        best = need
+        return True
 
-    if not talk:
-        return t_floor, np.full(k, budget / k)
-
-    t_hi = t_floor if t_floor > 0 else 1e-9
-    need_hi = None
-    for _ in range(200):
-        t_hi *= 2.0
-        need_hi = requirement(t_hi)
-        if need_hi is not None and need_hi.sum() <= budget:
-            break
-    else:
-        raise NonConvergence("no common arrival target is feasible")
-
-    lo, hi = t_floor, t_hi
-    best = need_hi
-    while hi - lo > settings.bisect_rel_tol * hi:
-        mid = 0.5 * (lo + hi)
-        if mid <= lo or mid >= hi:
-            break
-        need = requirement(mid)
-        if need is not None and need.sum() <= budget:
-            hi, best = mid, need
-        else:
-            lo = mid
-    bw = best
-    used = bw.sum()
+    t_hi = _grow(fits, 2.0 * (t_floor if t_floor > 0 else 1e-9), 2.0, 200,
+                 "no common arrival target is feasible")
+    _, hi = _bisect(fits, t_floor, t_hi, settings.bisect_rel_tol)
+    used = best.sum()
     if used > 0:
-        bw = bw * (budget / used)  # hand spare spectrum out pro rata
-    else:
-        bw = np.full(k, budget / k)
-    return hi, bw
+        return hi, best * (budget / used)  # hand spare spectrum out pro rata
+    return hi, np.full(k, budget / k)
 
 
 def _reselect_serial(table: CutTable, cuts, bandwidth, settings: SolverSettings):
@@ -254,15 +239,14 @@ def reallocate_once(table: CutTable, cuts, bandwidth, state: QueueState,
     return realloc, new_bandwidth, new_state
 
 
-def queue_heuristic(net: NetworkInstance, settings: SolverSettings | None = None,
-                    iters: int | None = None) -> AllocationPlan:
+def queue_heuristic(net: NetworkInstance,
+                    settings: SolverSettings | None = None) -> AllocationPlan:
     """Outer loop: equal bandwidth, close queue gaps by reallocation, then
     re-pick cuts; keep the best allocation seen anywhere."""
     settings = settings or SolverSettings()
     table = CutTable(net)
     k = table.num_devices
     cuts = table.initial_cuts(settings)
-    outer = settings.outer_iters if iters is None else int(iters)
     min_gaps = 1 if settings.strict_breaks else 2
     best = None
     history = []
@@ -272,7 +256,7 @@ def queue_heuristic(net: NetworkInstance, settings: SolverSettings | None = None
         if best is None or obj < best[0]:
             best = (obj, tuple(cuts_now), np.array(bw_now))
 
-    for _ in range(outer):
+    for _ in range(settings.outer_iters):
         bw = np.full(k, net.total_bandwidth_hz / k)
         obj, state, arrivals, view = _serial_eval(table, cuts, bw)
         consider(obj, cuts, bw)
@@ -301,4 +285,4 @@ def queue_heuristic(net: NetworkInstance, settings: SolverSettings | None = None
         history.append(best[0])
 
     _, cuts, bw = best
-    return _serial_plan("queue-heuristic", table, cuts, bw, outer, history)
+    return _serial_plan("queue-heuristic", table, cuts, bw, settings.outer_iters, history)

@@ -2,6 +2,8 @@
 
 import json
 
+import pytest
+
 from splitplan.cli import main
 
 
@@ -46,13 +48,25 @@ class TestSimulate:
         err = json.loads(capsys.readouterr().err)
         assert err["error"] == "ParseError"
 
-    def test_unknown_solver_key_exits_2(self, capsys, tmp_path):
+    @pytest.mark.parametrize("cfg, named", [
+        ({"solver": {"bisect_tol": 1e-9}}, "bisect_tol"),
+        ([1], "object"),
+        ({"devices": "abc"}, "abc"),
+        ({"devices": 2.5}, "2.5"),
+        ({"devcies": 2}, "devcies"),
+        ({"channel": {"noise_dbm_per_Hz": -150}}, "noise_dbm_per_Hz"),
+        ({"sweep": {"param": "devices", "valuez": [2]}}, "valuez"),
+    ], ids=["unknown-solver-key", "not-an-object", "non-numeric", "fractional-count",
+            "unknown-key", "unknown-channel-key", "unknown-sweep-key"])
+    def test_invalid_config_exits_2(self, capsys, tmp_path, cfg, named):
+        if isinstance(cfg, dict):  # keep the run short should the config be accepted
+            cfg = {"trials": 1, "devices": 2, "policies": ["p2"], **cfg}
         path = tmp_path / "cfg.json"
-        path.write_text(json.dumps({"trials": 1, "solver": {"bisect_tol": 1e-9}}))
+        path.write_text(json.dumps(cfg))
         assert main(["simulate", "--config", str(path)]) == 2
         err = json.loads(capsys.readouterr().err)
         assert err["error"] == "ValidationError"
-        assert "bisect_tol" in err["message"]
+        assert named in err["message"]
 
 
 class TestSweep:

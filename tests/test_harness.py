@@ -2,6 +2,7 @@
 
 import dataclasses
 import json
+import math
 import time
 
 import pytest
@@ -40,10 +41,11 @@ class TestConfig:
             ExperimentConfig(policies=("p1", "magic"))
 
     def test_rejects_bad_sweep(self):
-        with pytest.raises(ValidationError):
-            ExperimentConfig(sweep_param="voltage", sweep_values=(1.0,))
-        with pytest.raises(ValidationError):
-            ExperimentConfig(sweep_param="devices", sweep_values=())
+        for param, values in [("voltage", (1.0,)), ("devices", ()),
+                              ("devices", (2.0, 2.5)), ("iters", (1.5,)),
+                              ("devices", (math.inf,))]:
+            with pytest.raises(ValidationError):
+                ExperimentConfig(sweep_param=param, sweep_values=values)
 
     def test_sweep_application(self):
         cfg = dataclasses.replace(FAST, sweep_param="iters", sweep_values=(2.0,))

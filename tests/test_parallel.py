@@ -8,13 +8,13 @@ import pytest
 from conftest import (link_with_snr, profile_from_lists, random_network,
                       toy_network)
 from splitplan.delay import Device, NetworkInstance, arrival_delay
-from splitplan.errors import Infeasible, Unreachable, ZeroRate
+from splitplan.errors import Infeasible, NonConvergence, Unreachable, ZeroRate
 from splitplan.oracle import GridSpec, dense_root_scan, oracle_parallel
 from splitplan.parallel import (CutTable, EqualDelayProblem, SolverSettings,
                                 bandwidth_for_rate, equal_delay_allocation,
                                 first_layer_policy, equal_delay_split,
                                 min_data_layer_policy, solve_p1, solve_p2,
-                                _lambert_wm1, _required_bandwidth_u)
+                                _bisect, _grow, _lambert_wm1, _required_bandwidth_u)
 from splitplan.channel import achievable_rate
 
 ANALYTIC_ROOT = (15.0 - math.sqrt(125.0)) * 1e9  # worked two-device split
@@ -141,6 +141,7 @@ class TestBandwidthForRate:
             assert fast == pytest.approx(slow, rel=1e-8)
 
 
+@pytest.mark.filterwarnings("error")
 class TestArrivalKernel:
     def test_matches_reference_arrival_delay(self):
         """Kernel against ``delay.arrival_delay`` device by device. Device 0
@@ -161,11 +162,44 @@ class TestArrivalKernel:
             bw[0], bw[4] = 5e-324, 1e-308
             got = table.view(cuts).arrivals(bw)
             for i, dev in enumerate(net.devices[:-1]):
-                assert got[i] == arrival_delay(dev, cuts[i], bw[i])
+                assert got[i] == arrival_delay(dev, cuts[i], float(bw[i]))
             assert 1e300 < got[4] < math.inf
             assert got[-1] == math.inf
             with pytest.raises(ZeroRate):
                 arrival_delay(mute, cuts[-1], bw[-1])
+
+
+class TestMonotoneSearch:
+    @staticmethod
+    def step(at, probes):
+        def ok(x):
+            probes.append(x)
+            return x >= at
+        return ok
+
+    def test_grow_returns_first_passing_point(self):
+        probes = []
+        assert _grow(self.step(100.0, probes), 1.0, 2.0, 10, "unused") == 128.0
+        assert probes == [2.0 ** n for n in range(8)]
+        assert _grow(self.step(0.5, []), 3.0, 8.0, 1, "unused") == 3.0
+
+    def test_grow_raises_once_its_cap_is_spent(self):
+        probes = []
+        with pytest.raises(NonConvergence, match="no bracket here"):
+            _grow(self.step(100.0, probes), 1.0, 2.0, 5, "no bracket here")
+        assert len(probes) == 5
+
+    def test_bisect_stops_at_relative_width(self):
+        probes = []
+        lo, hi = _bisect(self.step(0.3, probes), 0.0, 1.0, 1e-6)
+        assert lo < 0.3 <= hi and hi - lo <= 1e-6 * hi
+        assert 2 * (hi - lo) > 1e-6 * hi  # one probe fewer would not do
+        assert hi == min(x for x in probes if x >= 0.3)
+
+    def test_bisect_stops_at_float_resolution(self):
+        for at in (0.3, 1e-200, 5e-324):
+            lo, hi = _bisect(self.step(at, []), 0.0, 1.0, 0.0)
+            assert hi == at and lo == np.nextafter(at, 0.0)
 
 
 def _symmetric_net(k=3):

@@ -273,8 +273,8 @@ class TestQueueHeuristic:
     def test_explicit_iteration_override(self):
         rng = np.random.default_rng(32)
         net = random_network(rng, devices=5)
-        one = queue_heuristic(net, iters=1)
-        four = queue_heuristic(net, iters=4)
+        one = queue_heuristic(net, SolverSettings(outer_iters=1))
+        four = queue_heuristic(net, SolverSettings(outer_iters=4))
         assert four.objective <= one.objective * (1 + 1e-12)
         assert one.iterations == 1 and four.iterations == 4
 
