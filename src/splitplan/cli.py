@@ -16,7 +16,7 @@ from dataclasses import replace
 from pathlib import Path
 
 from .arch import load_architecture, packaged_config_text, propagate
-from .errors import SplitPlanError
+from .errors import SplitPlanError, ValidationError
 from .harness import (ALL_POLICIES, SWEEP_PARAMS, ExperimentConfig, bench_scaling,
                       build_network, run_sweep, write_tables)
 from .oracle import GridSpec, oracle_parallel, oracle_serial
@@ -26,6 +26,14 @@ def _read_arch_text(spec: str) -> str:
     if spec in ("reference", "toy"):
         return packaged_config_text(spec)
     return Path(spec).read_text()
+
+
+def _number_list(text: str, convert, option: str) -> list:
+    try:
+        return [convert(v) for v in text.split(",")]
+    except ValueError:
+        raise ValidationError(
+            f"{option} takes comma-separated numbers, got {text!r}") from None
 
 
 def _config_from_args(args) -> ExperimentConfig:
@@ -66,7 +74,7 @@ def _cmd_simulate(args) -> int:
 
 def _cmd_sweep(args) -> int:
     cfg = _config_from_args(args)
-    values = tuple(float(v) for v in args.values.split(","))
+    values = tuple(_number_list(args.values, float, "--values"))
     cfg = replace(cfg, sweep_param=args.param, sweep_values=values)
     result = run_sweep(cfg)
     paths = write_tables(result, args.out)
@@ -110,7 +118,7 @@ def _cmd_oracle(args) -> int:
 
 def _cmd_bench(args) -> int:
     cfg = _config_from_args(args)
-    k_list = [int(v) for v in args.k.split(",")]
+    k_list = _number_list(args.k, int, "--k")
     out = bench_scaling(cfg, k_list, trials=args.trials or 5)
     print(json.dumps(out, indent=1))
     return 0

@@ -331,7 +331,8 @@ def bench_scaling(cfg: ExperimentConfig, k_list, trials: int = 5) -> dict:
     """Median policy wall times versus device count, plus growth ratios.
 
     Only orderings are meaningful; the returned ``ordering`` flags compare
-    the joint solvers' growth against their lightweight counterparts.
+    the joint solvers' growth against their lightweight counterparts. A
+    failed solve is not a timing: its ``SplitPlanError`` propagates.
     """
     k_list = [int(k) for k in k_list]
     if k_list != sorted(k_list):
@@ -345,10 +346,7 @@ def bench_scaling(cfg: ExperimentConfig, k_list, trials: int = 5) -> dict:
             for trial in range(trials):
                 net = build_network(sub, trial, profile=profile)
                 t0 = time.perf_counter()
-                try:
-                    POLICIES[policy](net, sub.solver)
-                except SplitPlanError:
-                    pass
+                POLICIES[policy](net, sub.solver)
                 walls.append(time.perf_counter() - t0)
             table[policy][k] = float(np.median(walls))
 

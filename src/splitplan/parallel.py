@@ -336,8 +336,10 @@ class CutTable:
     def transmit_s(self, i: int, bandwidth_hz: float) -> np.ndarray:
         """Upload seconds of device ``i`` at every cut over ``bandwidth_hz``."""
         rate = shannon_rate(float(self.snr[i]), float(bandwidth_hz))
-        return np.where(self.bits[i] > 0,
-                        self.bits[i] / rate if rate > 0 else math.inf, 0.0)
+        if rate == 0.0:
+            return np.where(self.bits[i] > 0, math.inf, 0.0)
+        with np.errstate(over="ignore"):  # a subnormal rate: inf is the answer
+            return self.bits[i] / rate
 
 
 @dataclass
@@ -360,7 +362,8 @@ class _CutView:
 
 # ---------------------------------------------------------------------------
 # convex resource subproblem (fixed cuts): epigraph bisection over the target
-# delay, with a multiplier search equalizing the bandwidth/compute marginals
+# delay, with a water-filling multiplier equalizing the bandwidth/compute
+# marginals
 
 def _marginal(snr, bits, resid, slack, f):
     """-d(bandwidth)/d(compute share) at share ``f`` for one device."""
@@ -443,13 +446,91 @@ def _share_for_price(snr, bits, resid, slack, f_lo, f_hi, mu, warm=None):
         lambda x: _marginal(snr, bits, resid, slack, x), lo, f_hi, mu, warm=f)
 
 
+def _water_fill(view, game, slack, f_lo, target, warm):
+    """Shares of the ``game`` devices at one common marginal price, or ``None``.
+
+    Stationarity gives f_i = r_i/S_i + A_i/sqrt(mu) with
+    A_i = sqrt(LN2*b_i*r_i / D_i) / S_i, where only the spectral-efficiency
+    factor D_i depends (weakly) on f_i. With the D_i frozen at the current
+    shares, sum(f) = target fixes 1/sqrt(mu) in closed form: KKT
+    water-filling (Boyd & Vandenberghe, Convex Optimization, 5.5.3). The
+    rounds refresh the D_i until no share moves by more than 1e-11 relative.
+
+    No share is clamped at its cap f_lo + (target - sum(f_lo)): a capped
+    device leaves the others no more than their floors, where the bandwidth
+    is infinite. A round that puts some share at or below its floor (the
+    capacity edge) therefore covers the clamped case too; it returns
+    ``None``, as does a round that stops contracting.
+    """
+    snr, bits, resid = (view.snr[game].tolist(), view.bits[game].tolist(),
+                        view.resid[game].tolist())
+    slack = slack[game].tolist()
+    lo = [v * (1.0 + 1e-13) + 1e-300 for v in f_lo[game].tolist()]
+    base = [r / s for r, s in zip(resid, slack)]
+    even = (target - f_lo[game].sum()) / len(lo)
+    f = []
+    for i, lo_i in zip(game.tolist(), lo):
+        w = warm["f"].get(i)
+        f.append(w if w is not None and w > lo_i else lo_i + even)
+    spare = target - sum(base)
+    prev_move = math.inf
+    for _ in range(40):
+        amp = []
+        for sn, b, r, s, fi in zip(snr, bits, resid, slack, f):
+            bw, u = _required_bandwidth_u(sn, b / (s - r / fi))
+            if not math.isfinite(bw):
+                return None
+            amp.append(math.sqrt(LN2 * b * r / (math.log1p(u) - u / (1.0 + u))) / s)
+        level = spare / sum(amp)
+        nf = [c + a * level for c, a in zip(base, amp)]
+        if any(v <= lo_i for v, lo_i in zip(nf, lo)):
+            return None
+        move = max(abs(a - b) / b for a, b in zip(nf, f))
+        if move <= 1e-11:
+            return nf
+        if move >= prev_move:
+            return None
+        prev_move, f = move, nf
+    return None
+
+
+def _price_search(view, game, slack, f_lo, f_hi, m_hi, target, warm):
+    """Shares of the ``game`` devices at one common marginal price, found by
+    searching the price itself (one scalar fixed point per device and
+    probe). Slower than :func:`_water_fill`, but it stays inside the
+    capacity region, so it is the safeguard where the water-filling fails."""
+    def share(i, fh, mh, mu):
+        if mh >= mu:
+            return fh
+        return _share_for_price(view.snr[i], view.bits[i], view.resid[i],
+                                slack[i], f_lo[i], fh, mu, warm=warm["f"].get(i))
+
+    def surplus(mu):
+        tot = 0.0
+        for i, fh, mh in zip(game, f_hi, m_hi):
+            fi = share(i, fh, mh, mu)
+            warm["f"][i] = fi
+            tot += fi
+        return tot
+
+    mu_lo = float(np.min(m_hi)) * 0.999  # everyone clamps: surplus >= target
+    mu_hi = warm["mu"] if warm["mu"] and warm["mu"] > mu_lo else float(np.max(m_hi)) * 8.0
+    mu_hi = _grow(lambda mu: surplus(mu) <= target, mu_hi, 8.0, 120,
+                  "multiplier bracket growth failed")
+    mu = _root_decreasing(surplus, mu_lo, mu_hi, target,
+                          warm=warm["mu"], rel_tol=1e-10, log_x=True)
+    warm["mu"] = mu
+    return [share(i, fh, mh, mu) for i, fh, mh in zip(game, f_hi, m_hi)]
+
+
 def _bandwidth_floor(view, budget, slack, warm):
     """Minimal total bandwidth meeting per-device deadlines ``slack``.
 
-    Splits the compute budget so that all marginal bandwidth savings agree,
-    then prices the resulting per-device rates. Returns (total, B, f) or
-    ``None`` when no compute split fits. ``warm`` carries the multiplier and
-    shares across calls.
+    Splits the compute budget so that all marginal bandwidth savings agree
+    (:func:`_water_fill`, with :func:`_price_search` as its safeguard), then
+    prices the resulting per-device rates. Returns (total, B, f) or ``None``
+    when no compute split fits. ``warm`` carries the multiplier and shares
+    across calls.
     """
     k = len(slack)
     bw = np.zeros(k)
@@ -483,33 +564,15 @@ def _bandwidth_floor(view, budget, slack, warm):
         if not np.all(np.isfinite(m_hi)):
             return None  # some device cannot reach its deadline even maxed out
 
-        def share(i, fh, mh, mu):
-            if mh >= mu:
-                return fh
-            return _share_for_price(view.snr[i], view.bits[i], view.resid[i],
-                                    slack[i], f_lo[i], fh, mu, warm=warm["f"].get(i))
-
         if game.size == 1:
             f[game[0]] = f_lo[game[0]] + head
         else:
-            def surplus(mu):
-                tot = 0.0
-                for i, fh, mh in zip(game, f_hi, m_hi):
-                    fi = share(i, fh, mh, mu)
-                    warm["f"][i] = fi
-                    tot += fi
-                return tot
-
             target = budget - f[silent].sum()
-            mu_lo = float(np.min(m_hi)) * 0.999  # everyone clamps: surplus >= target
-            mu_hi = warm["mu"] if warm["mu"] and warm["mu"] > mu_lo else float(np.max(m_hi)) * 8.0
-            mu_hi = _grow(lambda mu: surplus(mu) <= target, mu_hi, 8.0, 120,
-                          "multiplier bracket growth failed")
-            mu = _root_decreasing(surplus, mu_lo, mu_hi, target,
-                                  warm=warm["mu"], rel_tol=1e-10, log_x=True)
-            warm["mu"] = mu
-            for i, fh, mh in zip(game, f_hi, m_hi):
-                f[i] = share(i, fh, mh, mu)
+            shares = _water_fill(view, game, slack, f_lo, target, warm)
+            if shares is None:
+                shares = _price_search(view, game, slack, f_lo, f_hi, m_hi, target, warm)
+            f[game] = shares
+            warm["f"].update(zip(game.tolist(), shares))
 
     for i in np.flatnonzero(talk):
         s = slack[i] - (view.resid[i] / f[i] if f[i] > 0 else 0.0)

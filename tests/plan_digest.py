@@ -1,9 +1,12 @@
 """Fixed-seed plan digest: one SHA-256 over every plan of a fixed instance set.
 
 A refactor that must keep plans bit-identical prints the same digest before
-and after. Not collected by pytest; run it as
+and after. One that is not bit-identical dumps the objectives on both sides
+and states the largest relative difference as its tolerance. Not collected
+by pytest; run it as
 
-    PYTHONPATH=src:tests python tests/plan_digest.py
+    PYTHONPATH=src:tests python tests/plan_digest.py [--dump OUT.json]
+    PYTHONPATH=src:tests python tests/plan_digest.py --compare BEFORE.json AFTER.json
 
 Each plan hashes ``repr((cuts, bandwidth_hz, server_flops, delays, objective,
 objective_history))``; an oracle result hashes ``(objective, cuts,
@@ -17,7 +20,10 @@ both 21-point oracles, and 20 random fleets of 5-9 devices under ``p1``,
 
 from __future__ import annotations
 
+import argparse
 import hashlib
+import json
+import math
 
 import numpy as np
 
@@ -65,13 +71,51 @@ def plan_keys():
             yield _key(POLICIES[name], net)
 
 
-def main():
+def _objective(key):
+    """The objective of a key, or the error's name for a failed solve."""
+    if key[0] == "err":
+        return key[1]
+    return key[4] if len(key) == 6 else key[0]
+
+
+def largest_rel_diff(before, after):
+    """Largest ``|a - b| / |a|`` over two objective dumps; ``inf`` when the
+    dumps differ in length or a solve fails on one side only."""
+    if len(before) != len(after):
+        return math.inf
+    worst = 0.0
+    for a, b in zip(before, after):
+        if isinstance(a, str) or isinstance(b, str):
+            if a != b:
+                return math.inf
+        elif a != b:
+            worst = max(worst, abs(a - b) / abs(a))
+    return worst
+
+
+def main(argv=None):
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--dump", metavar="OUT.json",
+                        help="also write every objective to this JSON file")
+    parser.add_argument("--compare", nargs=2, metavar=("BEFORE.json", "AFTER.json"),
+                        help="print the largest relative objective difference "
+                             "between two dumps and exit")
+    args = parser.parse_args(argv)
+    if args.compare:
+        before, after = (json.load(open(path)) for path in args.compare)
+        diffs = sum(a != b for a, b in zip(before, after))
+        print(f"{len(before)} vs {len(after)} objectives, {diffs} differ, "
+              f"largest relative difference {largest_rel_diff(before, after):.3g}")
+        return
     digest = hashlib.sha256()
-    count = 0
+    objectives = []
     for key in plan_keys():
         digest.update(repr(key).encode())
-        count += 1
-    print(count, digest.hexdigest())
+        objectives.append(_objective(key))
+    print(len(objectives), digest.hexdigest())
+    if args.dump:
+        with open(args.dump, "w") as out:
+            json.dump(objectives, out)
 
 
 if __name__ == "__main__":

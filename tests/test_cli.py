@@ -4,7 +4,9 @@ import json
 
 import pytest
 
+from splitplan import harness
 from splitplan.cli import main
+from splitplan.errors import Infeasible
 
 
 class TestProfile:
@@ -79,6 +81,21 @@ class TestSweep:
         assert (tmp_path / "devices_p2.dat").exists()
 
 
+    @pytest.mark.parametrize("argv, named", [
+        (["sweep", "--param", "devices", "--values", "abc"], "abc"),
+        (["bench", "--k", "4,abc"], "4,abc"),
+        (["bench", "--k", "2.5"], "2.5"),
+    ], ids=["sweep-values", "bench-k", "bench-fractional-k"])
+    def test_invalid_number_list_exits_2(self, capsys, tmp_path, argv, named):
+        argv = argv + ["--trials", "1", "--devices", "2", "--policy", "p2"]
+        if argv[0] == "sweep":
+            argv += ["--out", str(tmp_path)]
+        assert main(argv) == 2
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"] == "ValidationError"
+        assert named in err["message"]
+
+
 class TestOracle:
     def test_parallel_toy(self, capsys):
         code = main(["oracle", "--mode", "parallel", "--devices", "2",
@@ -103,3 +120,12 @@ class TestBench:
         assert code == 0
         data = json.loads(capsys.readouterr().out)
         assert data["k_list"] == [2, 3]
+
+    def test_failed_solve_exits_2(self, capsys, monkeypatch):
+        def failing(net, settings=None):
+            raise Infeasible("no split fits")
+
+        monkeypatch.setitem(harness.POLICIES, "p2", failing)
+        assert main(["bench", "--k", "2,3", "--trials", "1", "--policy", "p2"]) == 2
+        err = json.loads(capsys.readouterr().err)
+        assert err == {"error": "Infeasible", "message": "no split fits"}

@@ -5,8 +5,9 @@ import math
 import numpy as np
 import pytest
 
-from conftest import (link_with_snr, profile_from_lists, random_network,
-                      toy_network)
+from conftest import (link_with_snr, oracle_benchmark_network, profile_from_lists,
+                      random_network, toy_network)
+from splitplan import parallel
 from splitplan.delay import Device, NetworkInstance, arrival_delay
 from splitplan.errors import Infeasible, NonConvergence, Unreachable, ZeroRate
 from splitplan.oracle import GridSpec, dense_root_scan, oracle_parallel
@@ -168,6 +169,12 @@ class TestArrivalKernel:
             with pytest.raises(ZeroRate):
                 arrival_delay(mute, cuts[-1], bw[-1])
 
+    def test_transmit_seconds_over_a_subnormal_share(self):
+        table = CutTable(random_network(np.random.default_rng(18), 2))
+        for bw in (5e-324, 1e-310, 0.0):
+            got = table.transmit_s(0, bw)
+            assert np.array_equal(got, np.where(table.bits[0] > 0, math.inf, 0.0))
+
 
 class TestMonotoneSearch:
     @staticmethod
@@ -300,6 +307,77 @@ class TestJointPolicy:
             net = random_network(rng, devices=5)
             hist = solve_p1(net).objective_history
             assert all(b <= a * (1 + 1e-9) for a, b in zip(hist, hist[1:]))
+
+
+class TestWaterFill:
+    """The closed-form multiplier of the convex resource step against the KKT
+    conditions and against the multiplier search it replaces."""
+
+    @staticmethod
+    def nets():
+        rng = np.random.default_rng(31)
+        for _ in range(4):
+            yield random_network(rng, devices=int(rng.integers(3, 9)))
+        for _ in range(4):
+            yield oracle_benchmark_network(rng)
+
+    @staticmethod
+    def solve_all(net):
+        return [policy(net).objective
+                for policy in (solve_p1, min_data_layer_policy, first_layer_policy)]
+
+    @staticmethod
+    def caps(view, game, slack, f_lo, target):
+        """Each device's share cap and its bandwidth marginal there, as
+        ``_bandwidth_floor`` hands them to the multiplier search."""
+        f_hi = f_lo[game] + (target - f_lo[game].sum())
+        m_hi = np.array([parallel._marginal(view.snr[i], view.bits[i], view.resid[i],
+                                            slack[i], fh) for i, fh in zip(game, f_hi)])
+        return f_hi, m_hi
+
+    def test_shares_meet_kkt_and_match_multiplier_search(self, monkeypatch):
+        calls = []
+        fill = parallel._water_fill
+
+        def spy(view, game, slack, f_lo, target, warm):
+            out = fill(view, game, slack, f_lo, target, warm)
+            calls.append((view, game, slack, f_lo, target, out))
+            return out
+
+        monkeypatch.setattr(parallel, "_water_fill", spy)
+        for net in self.nets():
+            self.solve_all(net)
+        solved = [c for c in calls if c[-1] is not None]
+        assert len(solved) > 100
+        for view, game, slack, f_lo, target, out in solved:
+            out = np.array(out)
+            assert abs(out.sum() - target) <= 1e-12 * target
+            marg = np.array([parallel._marginal(view.snr[i], view.bits[i], view.resid[i],
+                                                slack[i], fi) for i, fi in zip(game, out)])
+            assert marg.max() <= marg.min() * (1 + 1e-9)
+            # no device is clamped: each share is below its cap, whose
+            # marginal is below the common price
+            f_hi, m_hi = self.caps(view, game, slack, f_lo, target)
+            assert np.all(out < f_hi) and np.all(m_hi < marg.min())
+            searched = parallel._price_search(view, game, slack, f_lo, f_hi, m_hi,
+                                              target, {"mu": None, "f": {}})
+            assert np.allclose(out, searched, rtol=1e-9, atol=0.0)
+
+    def test_forced_safeguard_gives_the_same_plans(self, monkeypatch):
+        nets = list(self.nets())
+        joint = [self.solve_all(net) for net in nets]
+        searches = []
+        search = parallel._price_search
+
+        def counted(*args):
+            searches.append(1)
+            return search(*args)
+
+        monkeypatch.setattr(parallel, "_water_fill", lambda *args: None)
+        monkeypatch.setattr(parallel, "_price_search", counted)
+        forced = [self.solve_all(net) for net in nets]
+        assert len(searches) > 100
+        np.testing.assert_allclose(forced, joint, rtol=1e-9, atol=0.0)
 
 
 class TestBaselinePolicies:
