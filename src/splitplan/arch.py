@@ -16,6 +16,7 @@ import json
 from dataclasses import dataclass
 from enum import Enum
 from importlib import resources
+from pathlib import Path
 
 from .errors import (
     NonPositiveOutput,
@@ -477,13 +478,27 @@ def architecture_to_dict(arch: Architecture) -> dict:
     }
 
 
+_BUNDLED = {"reference": "enet_reference.json", "toy": "toy_arch.json"}
+
+
 def packaged_config_text(name: str) -> str:
     """Text of a bundled architecture config ('reference' or 'toy')."""
-    fname = {"reference": "enet_reference.json", "toy": "toy_arch.json"}.get(name, name)
+    fname = _BUNDLED.get(name, name)
     try:
         return resources.files("splitplan.data").joinpath(fname).read_text()
     except FileNotFoundError:
         raise ParseError(f"no bundled config named {name!r}") from None
+
+
+def resolve_architecture(spec) -> Architecture:
+    """The architecture an ``--arch`` / ``"arch"`` value names: a bundled
+    name ('reference' or 'toy') or the path of a JSON config file."""
+    if not isinstance(spec, str):
+        raise ValidationError(
+            f"arch must be a bundled name or a file path, got {spec!r}")
+    if spec in _BUNDLED:
+        return load_architecture(packaged_config_text(spec))
+    return load_architecture(Path(spec).read_text())
 
 
 _REFERENCE_CACHE: dict[str, Architecture] = {}

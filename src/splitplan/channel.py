@@ -128,7 +128,14 @@ def achievable_rate(bandwidth_hz: float, link: LinkParams) -> float:
 
 
 def fading_stream(seed: int, trial: int = 0):
-    """Philox generator for one (seed, trial) pair; draw k-th device as k-th sample."""
+    """Philox generator for one (seed, trial) pair; draw k-th device as k-th sample.
+
+    The seed is the 128-bit key and the trial the upper half of the 256-bit
+    counter, so each must lie in [0, 2**128).
+    """
+    for name, value in (("seed", seed), ("trial", trial)):
+        if not 0 <= value < 1 << 128:
+            raise DomainError(f"{name} {value} is outside [0, 2**128)")
     return np.random.Philox(key=seed, counter=trial << 128)
 
 

@@ -15,17 +15,11 @@ import sys
 from dataclasses import replace
 from pathlib import Path
 
-from .arch import load_architecture, packaged_config_text, propagate
+from .arch import propagate, resolve_architecture
 from .errors import SplitPlanError, ValidationError
 from .harness import (ALL_POLICIES, SWEEP_PARAMS, ExperimentConfig, bench_scaling,
                       build_network, run_sweep, write_tables)
 from .oracle import GridSpec, oracle_parallel, oracle_serial
-
-
-def _read_arch_text(spec: str) -> str:
-    if spec in ("reference", "toy"):
-        return packaged_config_text(spec)
-    return Path(spec).read_text()
 
 
 def _number_list(text: str, convert, option: str) -> list:
@@ -84,8 +78,7 @@ def _cmd_sweep(args) -> int:
 
 
 def _cmd_profile(args) -> int:
-    arch = load_architecture(_read_arch_text(args.arch))
-    profile = propagate(arch)
+    profile = propagate(resolve_architecture(args.arch))
     if args.json:
         print(json.dumps({
             "cum_workload_flops": profile.cum_workload,
@@ -184,8 +177,8 @@ def main(argv=None) -> int:
         json.dump({"error": type(exc).__name__, "message": str(exc)}, sys.stderr)
         sys.stderr.write("\n")
         return 2
-    except FileNotFoundError as exc:
-        json.dump({"error": "FileNotFound", "message": str(exc)}, sys.stderr)
+    except OSError as exc:  # a missing or unreadable --arch / --config file
+        json.dump({"error": type(exc).__name__, "message": str(exc)}, sys.stderr)
         sys.stderr.write("\n")
         return 2
 

@@ -18,13 +18,13 @@ from __future__ import annotations
 import json
 import math
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 from pathlib import Path
 
 import numpy as np
 
 from . import serial
-from .arch import Architecture, load_architecture, packaged_config_text, propagate
+from .arch import Architecture, propagate, resolve_architecture
 from .channel import LinkParams, trial_fading
 from .delay import Device, NetworkInstance
 from .errors import ParseError, SplitPlanError, ValidationError
@@ -54,6 +54,8 @@ SWEEP_PARAMS = ("devices", "power", "bandwidth", "fdev", "fserver", "iters")
 
 _CONFIG_KEYS = ("arch", "devices", "device_flops", "server_flops", "bandwidth_hz",
                 "trials", "seed", "policies", "channel", "sweep", "solver")
+
+_SOLVER_KEYS = tuple(f.name for f in fields(SolverSettings))
 
 
 def _known_keys(obj, keys, where: str) -> dict:
@@ -131,7 +133,11 @@ class ExperimentConfig:
         chan = default_channel()
         chan.update(_known_keys(cfg.get("channel", {}), LinkParams.CONFIG_KEYS, "channel"))
         sweep = _known_keys(cfg.get("sweep", {}), ("param", "values"), "sweep")
+        solver = dict(_known_keys(cfg.get("solver", {}), _SOLVER_KEYS, "solver"))
         try:
+            for cap in ("max_alternations", "outer_iters"):
+                if cap in solver:
+                    solver[cap] = _whole(solver[cap])
             return cls(
                 arch=cfg.get("arch", "reference"),
                 devices=_whole(cfg.get("devices", 10)),
@@ -144,7 +150,7 @@ class ExperimentConfig:
                 channel={key: float(value) for key, value in chan.items()},
                 sweep_param=sweep.get("param"),
                 sweep_values=tuple(float(v) for v in sweep.get("values", ())),
-                solver=SolverSettings(**cfg.get("solver", {})),
+                solver=SolverSettings(**solver),
             )
         except (TypeError, ValueError, OverflowError) as exc:
             raise ValidationError(f"bad config value: {exc}") from None
@@ -159,9 +165,7 @@ class ExperimentConfig:
 
 
 def load_experiment_architecture(cfg: ExperimentConfig) -> Architecture:
-    if cfg.arch in ("reference", "toy"):
-        return load_architecture(packaged_config_text(cfg.arch))
-    return load_architecture(Path(cfg.arch).read_text())
+    return resolve_architecture(cfg.arch)
 
 
 def apply_sweep_value(cfg: ExperimentConfig, value: float) -> ExperimentConfig:

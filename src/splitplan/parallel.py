@@ -9,6 +9,7 @@ closed form, and the min-data / raw-input baselines.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -20,38 +21,39 @@ from .errors import Infeasible, NonConvergence, Unreachable, ValidationError
 _INV_E = math.exp(-1.0)
 
 
+#: Relative width at which the target-delay and rate bisections stop.
+_BISECT_REL_TOL = 1e-9
+#: An alternation stops once its objective moves by at most this, relative.
+_STALL_REL_TOL = 1e-6
+
+
 @dataclass(frozen=True)
 class SolverSettings:
     """Shared solver knobs.
 
-    ``bisect_rel_tol`` drives every scalar bisection / root-find;
-    ``max_alternations`` caps the cut/resource alternation; ``stall_rel_tol``
-    stops it early once the objective stops moving. ``outer_iters`` is the
-    serial heuristic's outer loop count. ``cut_init`` selects the starting
-    slicing ("min-data" or seeded "random"). ``p3_layer_rule`` picks the
-    serial coordinate step ("full" objective or arrival-only "c-only");
-    ``strict_breaks`` switches the serial heuristic to keep reallocating
-    down to a single queue gap.
+    ``max_alternations`` caps the cut/resource alternation of ``p1``, ``p2``
+    and ``p3``; ``outer_iters`` is the serial heuristic's outer loop count.
+    ``p3_layer_rule`` picks the serial coordinate step ("full" objective or
+    arrival-only "c-only"); ``strict_breaks`` switches the serial heuristic
+    to keep reallocating down to a single queue gap.
     """
 
-    bisect_rel_tol: float = 1e-9
     max_alternations: int = 20
-    stall_rel_tol: float = 1e-6
     outer_iters: int = 4
-    cut_init: str = "min-data"
-    rng_seed: int = 0
     p3_layer_rule: str = "full"
     strict_breaks: bool = False
 
     def __post_init__(self):
-        if self.bisect_rel_tol <= 0 or self.stall_rel_tol <= 0:
-            raise ValidationError("tolerances must be positive")
-        if self.max_alternations < 1 or self.outer_iters < 1:
-            raise ValidationError("iteration caps must be >= 1")
-        if self.cut_init not in ("min-data", "random"):
-            raise ValidationError("cut_init must be 'min-data' or 'random'")
+        for cap in (self.max_alternations, self.outer_iters):
+            if isinstance(cap, bool) or not isinstance(cap, numbers.Integral):
+                raise ValidationError(f"iteration caps must be integers, got {cap!r}")
+            if cap < 1:
+                raise ValidationError("iteration caps must be >= 1")
         if self.p3_layer_rule not in ("full", "c-only"):
             raise ValidationError("p3_layer_rule must be 'full' or 'c-only'")
+        if not isinstance(self.strict_breaks, bool):
+            raise ValidationError(
+                f"strict_breaks must be true or false, got {self.strict_breaks!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -220,7 +222,7 @@ def equal_delay_allocation(arrivals, residuals, budget):
 # rate inversion
 
 def bandwidth_for_rate(link: LinkParams, required_rate: float,
-                       rel_tol: float = 1e-9) -> float:
+                       rel_tol: float = _BISECT_REL_TOL) -> float:
     """Minimal bandwidth whose achievable rate meets ``required_rate``.
 
     Geometric bracket growth followed by bisection; the rate is strictly
@@ -304,7 +306,6 @@ class CutTable:
             self.resid.append(prof.total_workload - cum)
         self.snr = np.array([dev.link.snr_hz() for dev in net.devices])
         self.rate_limit = self.snr / LN2
-        self.num_cuts = [p.num_cuts for p in (d.profile for d in net.devices)]
 
     @property
     def num_devices(self) -> int:
@@ -323,15 +324,6 @@ class CutTable:
     def min_data_cuts(self) -> tuple[int, ...]:
         """Per device, the first cut with the smallest transmit payload."""
         return tuple(int(np.argmin(b)) for b in self.bits)
-
-    def random_cuts(self, seed: int) -> tuple[int, ...]:
-        rng = np.random.default_rng(seed)
-        return tuple(int(rng.integers(0, n + 1)) for n in self.num_cuts)
-
-    def initial_cuts(self, settings: SolverSettings) -> tuple[int, ...]:
-        if settings.cut_init == "random":
-            return self.random_cuts(settings.rng_seed)
-        return self.min_data_cuts()
 
     def transmit_s(self, i: int, bandwidth_hz: float) -> np.ndarray:
         """Upload seconds of device ``i`` at every cut over ``bandwidth_hz``."""
@@ -585,8 +577,7 @@ def _bandwidth_floor(view, budget, slack, warm):
     return bw.sum(), bw, f
 
 
-def resource_subproblem(view, bandwidth_budget, compute_budget, settings,
-                        t_seed=None):
+def resource_subproblem(view, bandwidth_budget, compute_budget, t_seed=None):
     """Min-max delay over joint (bandwidth, compute) splits for fixed cuts.
 
     Bisects the target delay; a target is feasible when the minimal total
@@ -619,7 +610,7 @@ def resource_subproblem(view, bandwidth_budget, compute_budget, settings,
                  "no feasible target delay found")
 
     _root_decreasing(lambda t: -deficit(t), t_floor, t_hi, 0.0,
-                     rel_tol=settings.bisect_rel_tol)
+                     rel_tol=_BISECT_REL_TOL)
     if not best:
         raise NonConvergence("epigraph bisection retained no feasible point")
     bw, f = best["bw"].copy(), best["f"].copy()
@@ -677,6 +668,33 @@ def _parallel_plan(policy, table, cuts, bandwidth, shares, iterations, history):
     )
 
 
+def _alternate(cuts, evaluate, reselect, max_iter):
+    """Alternate a resource step with cut re-selection, starting from ``cuts``.
+
+    ``evaluate(cuts)`` returns ``(objective, allocation)`` and
+    ``reselect(cuts, allocation)`` the next cut vector. Stops on a fixed cut
+    vector, on a stall (the objective moved by at most ``_STALL_REL_TOL``
+    relative) or after ``max_iter`` rounds. Returns ``(best, history,
+    rounds)``: ``best`` is the ``(objective, cuts, allocation)`` of the first
+    round with the lowest objective, ``history`` the best objective after
+    each round.
+    """
+    best = None
+    history = []
+    prev = math.inf
+    for rounds in range(1, max_iter + 1):
+        obj, alloc = evaluate(cuts)
+        if best is None or obj < best[0]:
+            best = (obj, cuts, alloc)
+        history.append(best[0])
+        new_cuts = reselect(cuts, alloc)
+        if new_cuts == cuts or abs(prev - obj) <= _STALL_REL_TOL * obj:
+            break
+        prev = obj
+        cuts = new_cuts
+    return best, history, rounds
+
+
 def solve_p2(net: NetworkInstance, settings: SolverSettings | None = None) -> AllocationPlan:
     """Fixed equal bandwidth; alternate the closed-form server split with
     per-device cut re-selection."""
@@ -684,66 +702,18 @@ def solve_p2(net: NetworkInstance, settings: SolverSettings | None = None) -> Al
     table = CutTable(net)
     k = table.num_devices
     bw = np.full(k, net.total_bandwidth_hz / k)
-    cuts = table.initial_cuts(settings)
-    best = None
-    history = []
-    prev = math.inf
-    iterations = 0
-    for _ in range(settings.max_alternations):
-        iterations += 1
+
+    def evaluate(cuts):
         view = table.view(cuts)
         shares, obj = equal_delay_allocation(
             view.arrivals(bw), view.resid, net.server_flops)
-        if best is None or obj < best[0]:
-            best = (obj, cuts, shares)
-        history.append(best[0])
-        new_cuts = _reselect_parallel(table, bw, shares)
-        if new_cuts == cuts or abs(prev - obj) <= settings.stall_rel_tol * obj:
-            break
-        prev = obj
-        cuts = new_cuts
-    _, cuts, shares = best
-    return _parallel_plan("p2", table, cuts, bw, shares, iterations, history)
+        return obj, shares
 
-
-class _P1State:
-    """Bookkeeping for the joint alternation: memoized convex steps, best plan."""
-
-    def __init__(self, table, net, settings):
-        self.table = table
-        self.net = net
-        self.settings = settings
-        self.seen = {}
-        self.best = None  # (obj, cuts, bandwidth, shares)
-        self.history = []
-        self.iterations = 0
-
-    def price(self, cuts, seed=None):
-        """Solve the convex resource step for one cut vector (memoized)."""
-        cuts = tuple(int(c) for c in cuts)
-        if cuts not in self.seen:
-            view = self.table.view(cuts)
-            obj, bw, f = resource_subproblem(
-                view, self.net.total_bandwidth_hz, self.net.server_flops,
-                self.settings, t_seed=seed)
-            self.seen[cuts] = (obj, bw, f)
-            if self.best is None or obj < self.best[0]:
-                self.best = (obj, cuts, bw, f)
-        return self.seen[cuts]
-
-    def alternate(self, cuts, seed_obj):
-        """Alternate convex steps and cut re-selection from ``cuts``; the first
-        target-delay bracket is seeded with ``seed_obj``."""
-        prev = math.inf
-        for _ in range(self.settings.max_alternations):
-            self.iterations += 1
-            obj, bw, f = self.price(cuts, seed=seed_obj if self.iterations == 1 else None)
-            self.history.append(self.best[0])
-            new_cuts = _reselect_parallel(self.table, bw, f)
-            if new_cuts == cuts or abs(prev - obj) <= self.settings.stall_rel_tol * obj:
-                break
-            prev = obj
-            cuts = new_cuts
+    (_, cuts, shares), history, rounds = _alternate(
+        table.min_data_cuts(), evaluate,
+        lambda cuts, shares: _reselect_parallel(table, bw, shares),
+        settings.max_alternations)
+    return _parallel_plan("p2", table, cuts, bw, shares, rounds, history)
 
 
 def solve_p1(net: NetworkInstance, settings: SolverSettings | None = None) -> AllocationPlan:
@@ -755,23 +725,36 @@ def solve_p1(net: NetworkInstance, settings: SolverSettings | None = None) -> Al
     """
     settings = settings or SolverSettings()
     table = CutTable(net)
-    state = _P1State(table, net, settings)
-    # the equal-split heuristic's first objective seeds the first bracket
     p2 = solve_p2(net, settings)
-    state.alternate(table.initial_cuts(settings), p2.objective_history[0])
-    state.price(p2.cuts)
-    state.price(tuple(0 for _ in range(table.num_devices)))
-    obj, cuts, bw, f = state.best
-    history = [min(h, obj) for h in state.history] or [obj]
-    return _parallel_plan("p1", table, cuts, bw, f, state.iterations, history)
+    memo = {}
+
+    def price(cuts):
+        """Convex resource step for one cut vector (memoized); the first one
+        seeds its target-delay bracket with p2's first objective."""
+        if cuts not in memo:
+            seed = None if memo else p2.objective_history[0]
+            obj, bw, f = resource_subproblem(
+                table.view(cuts), net.total_bandwidth_hz, net.server_flops, t_seed=seed)
+            memo[cuts] = (obj, (bw, f))
+        return memo[cuts]
+
+    best, history, rounds = _alternate(
+        table.min_data_cuts(), price,
+        lambda cuts, alloc: _reselect_parallel(table, *alloc),
+        settings.max_alternations)
+    for cuts in (p2.cuts, tuple(0 for _ in range(table.num_devices))):
+        obj, alloc = price(cuts)
+        if obj < best[0]:
+            best = (obj, cuts, alloc)
+    obj, cuts, (bw, f) = best
+    history = [min(h, obj) for h in history]
+    return _parallel_plan("p1", table, cuts, bw, f, rounds, history)
 
 
-def _fixed_cut_policy(name, net, settings, cuts):
-    settings = settings or SolverSettings()
-    table = CutTable(net)
-    view = table.view(cuts)
+def _fixed_cut_policy(name, table, cuts):
+    net = table.net
     obj, bw, f = resource_subproblem(
-        view, net.total_bandwidth_hz, net.server_flops, settings)
+        table.view(cuts), net.total_bandwidth_hz, net.server_flops)
     return _parallel_plan(name, table, cuts, bw, f, 1, [obj])
 
 
@@ -779,11 +762,10 @@ def min_data_layer_policy(net: NetworkInstance,
                           settings: SolverSettings | None = None) -> AllocationPlan:
     """Cut at the first minimum-payload stage, then one convex resource step."""
     table = CutTable(net)
-    return _fixed_cut_policy("min-data", net, settings, table.min_data_cuts())
+    return _fixed_cut_policy("min-data", table, table.min_data_cuts())
 
 
 def first_layer_policy(net: NetworkInstance,
                        settings: SolverSettings | None = None) -> AllocationPlan:
     """Transmit raw inputs (no local processing), then one convex resource step."""
-    return _fixed_cut_policy("first-layer", net, settings,
-                             tuple(0 for _ in net.devices))
+    return _fixed_cut_policy("first-layer", CutTable(net), tuple(0 for _ in net.devices))

@@ -17,7 +17,8 @@ import numpy as np
 
 from .delay import AllocationPlan, NetworkInstance, QueueState, serial_total_delay
 from .errors import NoExcess, StalledBreak
-from .parallel import CutTable, SolverSettings, _bisect, _grow, bandwidth_for_rate
+from .parallel import (_BISECT_REL_TOL, CutTable, SolverSettings, _alternate, _bisect,
+                       _grow, bandwidth_for_rate)
 
 
 @dataclass(frozen=True)
@@ -67,7 +68,7 @@ def _serial_plan(policy, table, cuts, bandwidth, iterations, history):
 # ---------------------------------------------------------------------------
 # simultaneous arrival
 
-def _common_arrival_bandwidth(table: CutTable, cuts, settings: SolverSettings):
+def _common_arrival_bandwidth(table: CutTable, cuts):
     """Smallest common arrival time T and the bandwidth split achieving it.
 
     Bisects T; a target is feasible when the summed per-device bandwidth
@@ -96,7 +97,7 @@ def _common_arrival_bandwidth(table: CutTable, cuts, settings: SolverSettings):
             rate = view.bits[i] / room
             if rate >= view.rate_limit[i] * (1.0 - 1e-12):
                 return False
-            need[i] = bandwidth_for_rate(links[i], rate, settings.bisect_rel_tol)
+            need[i] = bandwidth_for_rate(links[i], rate)
         if not need.sum() <= budget:
             return False
         best = need
@@ -104,7 +105,7 @@ def _common_arrival_bandwidth(table: CutTable, cuts, settings: SolverSettings):
 
     t_hi = _grow(fits, 2.0 * (t_floor if t_floor > 0 else 1e-9), 2.0, 200,
                  "no common arrival target is feasible")
-    _, hi = _bisect(fits, t_floor, t_hi, settings.bisect_rel_tol)
+    _, hi = _bisect(fits, t_floor, t_hi, _BISECT_REL_TOL)
     used = best.sum()
     if used > 0:
         return hi, best * (budget / used)  # hand spare spectrum out pro rata
@@ -151,41 +152,31 @@ def solve_p3(net: NetworkInstance, settings: SolverSettings | None = None) -> Al
     returned allocation."""
     settings = settings or SolverSettings()
     table = CutTable(net)
-    cuts = table.initial_cuts(settings)
-    best = None
-    history = []
-    iterations = 0
-    for _ in range(settings.max_alternations):
-        iterations += 1
-        _, bw = _common_arrival_bandwidth(table, cuts, settings)
-        obj, _, _, _ = _serial_eval(table, cuts, bw)
-        if best is None or obj < best[0]:
-            best = (obj, cuts, bw)
-        history.append(best[0])
-        new_cuts = _reselect_serial(table, cuts, bw, settings)
-        if new_cuts == cuts:
-            break
-        cuts = new_cuts
-    _, cuts, bw = best
-    return _serial_plan("p3", table, cuts, bw, iterations, history)
+
+    def evaluate(cuts):
+        _, bw = _common_arrival_bandwidth(table, cuts)
+        return _serial_eval(table, cuts, bw)[0], bw
+
+    (_, cuts, bw), history, rounds = _alternate(
+        table.min_data_cuts(), evaluate,
+        lambda cuts, bw: _reselect_serial(table, cuts, bw, settings),
+        settings.max_alternations)
+    return _serial_plan("p3", table, cuts, bw, rounds, history)
 
 
 def queue_first_layer_policy(net: NetworkInstance,
                              settings: SolverSettings | None = None) -> AllocationPlan:
     """Raw-input cuts with simultaneous-arrival bandwidth shaping."""
-    settings = settings or SolverSettings()
     table = CutTable(net)
     cuts = tuple(0 for _ in range(table.num_devices))
-    _, bw = _common_arrival_bandwidth(table, cuts, settings)
-    plan = _serial_plan("queue-first-layer", table, cuts, bw, 1, [])
-    return plan
+    _, bw = _common_arrival_bandwidth(table, cuts)
+    return _serial_plan("queue-first-layer", table, cuts, bw, 1, [])
 
 
 # ---------------------------------------------------------------------------
 # gap-elimination heuristic
 
 def reallocate_once(table: CutTable, cuts, bandwidth, state: QueueState,
-                    settings: SolverSettings | None = None,
                     donor_break: int = 0):
     """Move spectrum from one sub-queue tail to the last-gap device.
 
@@ -197,7 +188,6 @@ def reallocate_once(table: CutTable, cuts, bandwidth, state: QueueState,
 
     Returns ``(BreakReallocation, new_bandwidth, new_state)``.
     """
-    settings = settings or SolverSettings()
     breaks = state.breaks
     if len(breaks) < 2:
         raise ValueError("needs a queue with at least two gaps")
@@ -221,7 +211,7 @@ def reallocate_once(table: CutTable, cuts, bandwidth, state: QueueState,
             f"donor {donor} cannot delay its arrival to {target:.6g}s")
     else:
         link = table.net.devices[donor].link
-        new_bw = bandwidth_for_rate(link, bits / budget_s, settings.bisect_rel_tol)
+        new_bw = bandwidth_for_rate(link, bits / budget_s)
     moved = bandwidth[donor] - new_bw
     if moved <= 0:
         raise NoExcess(f"donor {donor} has no spare bandwidth to give")
@@ -246,7 +236,7 @@ def queue_heuristic(net: NetworkInstance,
     settings = settings or SolverSettings()
     table = CutTable(net)
     k = table.num_devices
-    cuts = table.initial_cuts(settings)
+    cuts = table.min_data_cuts()
     min_gaps = 1 if settings.strict_breaks else 2
     best = None
     history = []
@@ -271,7 +261,7 @@ def queue_heuristic(net: NetworkInstance,
             for donor_break in range(len(state.breaks) - 1):
                 try:
                     _, bw, state = reallocate_once(
-                        table, cuts, bw, state, settings, donor_break=donor_break)
+                        table, cuts, bw, state, donor_break=donor_break)
                     moved = True
                     break
                 except (StalledBreak, NoExcess):

@@ -9,13 +9,14 @@ by pytest; run it as
     PYTHONPATH=src:tests python tests/plan_digest.py --compare BEFORE.json AFTER.json
 
 Each plan hashes ``repr((cuts, bandwidth_hz, server_flops, delays, objective,
-objective_history))``; an oracle result hashes ``(objective, cuts,
-bandwidth_hz)`` and a ``SplitPlanError`` hashes ``("err", type name,
+objective_history, iterations))``; an oracle result hashes ``(objective,
+cuts, bandwidth_hz)`` and a ``SplitPlanError`` hashes ``("err", type name,
 message)``. Inputs, in order: all policies on trials 0-5 of
 ``ExperimentConfig(devices=k)`` for k = 4, 10, 16; then, from
 ``default_rng(2024)``, 8 oracle-benchmark networks under all policies and
 both 21-point oracles, and 20 random fleets of 5-9 devices under ``p1``,
-``p3``, ``queue-heuristic`` and ``queue-first-layer``.
+``p3``, ``queue-heuristic`` and ``queue-first-layer``; then the same 20
+fleets under the non-default settings in ``FLEET_SETTINGS``.
 """
 
 from __future__ import annotations
@@ -33,8 +34,19 @@ from splitplan.errors import SplitPlanError
 from splitplan.harness import (POLICIES, ExperimentConfig, build_network,
                                load_experiment_architecture)
 from splitplan.oracle import GridSpec, oracle_parallel, oracle_serial
+from splitplan.parallel import SolverSettings
 
 FLEET_POLICIES = ("p1", "p3", "queue-heuristic", "queue-first-layer")
+
+#: (policy, settings) pairs that run a loop away from its default: a short
+#: alternation cap for the three alternating policies, and each serial rule.
+FLEET_SETTINGS = (
+    ("p1", SolverSettings(max_alternations=2)),
+    ("p2", SolverSettings(max_alternations=2)),
+    ("p3", SolverSettings(max_alternations=2)),
+    ("p3", SolverSettings(p3_layer_rule="c-only")),
+    ("queue-heuristic", SolverSettings(strict_breaks=True)),
+)
 
 
 def _key(solve, net):
@@ -44,7 +56,7 @@ def _key(solve, net):
         return ("err", type(exc).__name__, str(exc))
     if hasattr(plan, "delays"):
         return (plan.cuts, plan.bandwidth_hz, plan.server_flops, plan.delays,
-                plan.objective, plan.objective_history)
+                plan.objective, plan.objective_history, plan.iterations)
     return (plan.objective, plan.cuts, plan.bandwidth_hz)
 
 
@@ -65,17 +77,20 @@ def plan_keys():
             yield _key(solve, net)
         yield _key(lambda n: oracle_parallel(n, grid), net)
         yield _key(lambda n: oracle_serial(n, grid), net)
-    for _ in range(20):
-        net = random_network(rng, devices=int(rng.integers(5, 10)))
+    fleets = [random_network(rng, devices=int(rng.integers(5, 10))) for _ in range(20)]
+    for net in fleets:
         for name in FLEET_POLICIES:
             yield _key(POLICIES[name], net)
+    for net in fleets:
+        for name, settings in FLEET_SETTINGS:
+            yield _key(lambda n: POLICIES[name](n, settings), net)
 
 
 def _objective(key):
     """The objective of a key, or the error's name for a failed solve."""
     if key[0] == "err":
         return key[1]
-    return key[4] if len(key) == 6 else key[0]
+    return key[4] if len(key) == 7 else key[0]
 
 
 def largest_rel_diff(before, after):

@@ -58,8 +58,15 @@ class TestSimulate:
         ({"devcies": 2}, "devcies"),
         ({"channel": {"noise_dbm_per_Hz": -150}}, "noise_dbm_per_Hz"),
         ({"sweep": {"param": "devices", "valuez": [2]}}, "valuez"),
+        ({"solver": {"cut_init": "random"}}, "cut_init"),
+        ({"solver": {"max_alternations": 2.5}}, "2.5"),
+        ({"solver": {"outer_iters": 0.5}}, "0.5"),
+        ({"solver": {"strict_breaks": "no"}}, "strict_breaks"),
+        ({"arch": 5}, "5"),
     ], ids=["unknown-solver-key", "not-an-object", "non-numeric", "fractional-count",
-            "unknown-key", "unknown-channel-key", "unknown-sweep-key"])
+            "unknown-key", "unknown-channel-key", "unknown-sweep-key", "removed-solver-key",
+            "fractional-alternation-cap", "fractional-outer-iters", "string-strict-breaks",
+            "non-string-arch"])
     def test_invalid_config_exits_2(self, capsys, tmp_path, cfg, named):
         if isinstance(cfg, dict):  # keep the run short should the config be accepted
             cfg = {"trials": 1, "devices": 2, "policies": ["p2"], **cfg}
@@ -69,6 +76,30 @@ class TestSimulate:
         err = json.loads(capsys.readouterr().err)
         assert err["error"] == "ValidationError"
         assert named in err["message"]
+
+    @pytest.mark.parametrize("argv, named", [
+        (["simulate", "--seed", "-1"], "seed -1"),
+        (["oracle", "--trial", "-1"], "trial -1"),
+    ], ids=["negative-seed", "negative-trial"])
+    def test_seed_and_trial_out_of_range_exit_2(self, capsys, argv, named):
+        assert main(argv + ["--trials", "1", "--devices", "2", "--policy", "p2"]) == 2
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"] == "DomainError"
+        assert named in err["message"]
+
+    @pytest.mark.parametrize("argv", [
+        ["profile", "--arch", "{dir}"],
+        ["simulate", "--config", "{dir}"],
+        ["simulate", "--config", "{cfg}"],
+    ], ids=["arch-flag", "config-flag", "config-arch"])
+    def test_directory_as_a_file_exits_2(self, capsys, tmp_path, argv):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"arch": str(tmp_path), "trials": 1, "devices": 2,
+                                   "policies": ["p2"]}))
+        argv = [a.format(dir=tmp_path, cfg=cfg) for a in argv]
+        assert main(argv) == 2
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"] == "IsADirectoryError"
 
 
 class TestSweep:

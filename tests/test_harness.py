@@ -30,8 +30,12 @@ class TestConfig:
             "devices": 4, "trials": 3,
             "channel": {"noise_dbm_per_hz": -150.0},
             "sweep": {"param": "bandwidth", "values": [1e8, 2e8]},
+            "solver": {"max_alternations": 2.0, "outer_iters": 3.0},
         }))
         assert cfg.devices == 4
+        # whole-float caps are taken as ints, the way devices is
+        assert (cfg.solver.max_alternations, cfg.solver.outer_iters) == (2, 3)
+        assert isinstance(cfg.solver.max_alternations, int)
         assert cfg.channel["noise_dbm_per_hz"] == -150.0
         assert cfg.channel["power_w"] == 1.0  # untouched defaults remain
         assert cfg.sweep_param == "bandwidth"

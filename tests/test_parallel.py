@@ -15,7 +15,8 @@ from splitplan.parallel import (CutTable, EqualDelayProblem, SolverSettings,
                                 bandwidth_for_rate, equal_delay_allocation,
                                 first_layer_policy, equal_delay_split,
                                 min_data_layer_policy, solve_p1, solve_p2,
-                                _bisect, _grow, _lambert_wm1, _required_bandwidth_u)
+                                _alternate, _bisect, _grow, _lambert_wm1,
+                                _required_bandwidth_u)
 from splitplan.channel import achievable_rate
 
 ANALYTIC_ROOT = (15.0 - math.sqrt(125.0)) * 1e9  # worked two-device split
@@ -158,7 +159,8 @@ class TestArrivalKernel:
             net = NetworkInstance(net.devices + (whisper, mute), net.server_flops,
                                   net.total_bandwidth_hz)
             table = CutTable(net)
-            cuts = table.random_cuts(int(rng.integers(1 << 30)))
+            draw = np.random.default_rng(int(rng.integers(1 << 30)))
+            cuts = tuple(int(draw.integers(0, len(bits))) for bits in table.bits)
             bw = rng.uniform(0.0, net.total_bandwidth_hz, net.num_devices)
             bw[0], bw[4] = 5e-324, 1e-308
             got = table.view(cuts).arrivals(bw)
@@ -207,6 +209,50 @@ class TestMonotoneSearch:
         for at in (0.3, 1e-200, 5e-324):
             lo, hi = _bisect(self.step(at, []), 0.0, 1.0, 0.0)
             assert hi == at and lo == np.nextafter(at, 0.0)
+
+
+class TestAlternate:
+    """The one alternation loop of p1, p2 and p3, on synthetic steps: round
+    ``n`` evaluates cut vector ``(n,)`` to ``objectives[n]``."""
+
+    @staticmethod
+    def run(objectives, max_iter, fixed_at=None):
+        def evaluate(cuts):
+            return objectives[cuts[0]], f"alloc{cuts[0]}"
+
+        def reselect(cuts, alloc):
+            assert alloc == f"alloc{cuts[0]}"
+            return cuts if cuts[0] == fixed_at else (cuts[0] + 1,)
+
+        return _alternate((0,), evaluate, reselect, max_iter)
+
+    def test_stops_on_fixed_cuts(self):
+        best, history, rounds = self.run([5.0, 4.0, 3.0, 2.0, 1.0], 10, fixed_at=2)
+        assert rounds == 3
+        assert best == (3.0, (2,), "alloc2")
+        assert history == [5.0, 4.0, 3.0]
+
+    def test_stops_on_stall_within_relative_tolerance(self):
+        best, history, rounds = self.run([5.0, 4.0, 4.0 * (1 + 0.9e-6), 1.0], 10)
+        assert rounds == 3
+        assert best == (4.0, (1,), "alloc1")
+        # a move just above the tolerance does not stop it
+        _, _, rounds = self.run([5.0, 4.0, 4.0 * (1 + 2e-6), 1.0, 0.5], 4)
+        assert rounds == 4
+
+    def test_stops_at_the_cap(self):
+        best, history, rounds = self.run([9.0, 1.0, 7.0, 3.0, 8.0, 2.0], 4)
+        assert rounds == 4
+        assert best == (1.0, (1,), "alloc1")
+        assert history == [9.0, 1.0, 1.0, 1.0]
+
+    def test_first_of_equal_objectives_wins_and_history_never_rises(self):
+        objectives = [6.0, 2.0, 5.0, 2.0, 3.0, 2.0]
+        best, history, rounds = self.run(objectives, len(objectives))
+        assert rounds == len(objectives)
+        assert best == (2.0, (1,), "alloc1")
+        assert history == [6.0, 2.0, 2.0, 2.0, 2.0, 2.0]
+        assert all(b <= a for a, b in zip(history, history[1:]))
 
 
 def _symmetric_net(k=3):
