@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import json
 import math
+import numbers
 import time
 from dataclasses import dataclass, field, fields, replace
 from pathlib import Path
@@ -68,10 +69,20 @@ def _known_keys(obj, keys, where: str) -> dict:
     return obj
 
 
-def _whole(value) -> int:
-    if value != int(value):
+def _number(value, whole: bool = False):
+    """A config number as a float, or as an int when ``whole``; booleans,
+    non-numbers, non-finite values and (when ``whole``) fractions raise
+    ``ValueError`` or ``TypeError``."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise TypeError(f"{value!r} is not a number")
+    if whole and isinstance(value, numbers.Integral):
+        return int(value)
+    value = float(value)
+    if not math.isfinite(value):
+        raise ValueError(f"{value!r} is not finite")
+    if whole and not value.is_integer():
         raise ValueError(f"{value!r} is not an integer")
-    return int(value)
+    return int(value) if whole else value
 
 
 def default_channel() -> dict:
@@ -110,19 +121,24 @@ class ExperimentConfig:
             raise ValidationError("trial count must be >= 1")
         if self.devices < 1:
             raise ValidationError("device count must be >= 1")
-        if min(self.device_flops, self.server_flops, self.bandwidth_hz) <= 0:
-            raise ValidationError("physical budgets must be positive")
+        if not all(0 < v < math.inf
+                   for v in (self.device_flops, self.server_flops, self.bandwidth_hz)):
+            raise ValidationError("physical budgets must be positive and finite")
+        if not self.policies:
+            raise ValidationError("the policy list is empty")
         bad = [p for p in self.policies if p not in POLICIES]
         if bad:
             raise ValidationError(f"unknown policies {bad}; choose from {sorted(POLICIES)}")
+        if self.sweep_param is None and self.sweep_values:
+            raise ValidationError("sweep values given without a sweep param")
         if self.sweep_param is not None:
             if self.sweep_param not in SWEEP_PARAMS:
                 raise ValidationError(
                     f"unknown sweep parameter {self.sweep_param!r}; choose from {SWEEP_PARAMS}")
             if not self.sweep_values:
                 raise ValidationError("sweep values must be non-empty")
-            if any(v <= 0 for v in self.sweep_values):
-                raise ValidationError("sweep values must be positive")
+            if not all(0 < v < math.inf for v in self.sweep_values):
+                raise ValidationError("sweep values must be positive and finite")
             if self.sweep_param in ("devices", "iters") and not all(
                     float(v).is_integer() for v in self.sweep_values):
                 raise ValidationError(f"{self.sweep_param} sweep values must be integers")
@@ -137,19 +153,21 @@ class ExperimentConfig:
         try:
             for cap in ("max_alternations", "outer_iters"):
                 if cap in solver:
-                    solver[cap] = _whole(solver[cap])
+                    solver[cap] = _number(solver[cap], whole=True)
+            channel = {key: _number(value) for key, value in chan.items()}
+            LinkParams.from_config(channel)  # overflows in the dB conversions
             return cls(
                 arch=cfg.get("arch", "reference"),
-                devices=_whole(cfg.get("devices", 10)),
-                device_flops=float(cfg.get("device_flops", 30e9)),
-                server_flops=float(cfg.get("server_flops", 300e9)),
-                bandwidth_hz=float(cfg.get("bandwidth_hz", 200e6)),
-                trials=_whole(cfg.get("trials", 100)),
-                seed=_whole(cfg.get("seed", 7)),
+                devices=_number(cfg.get("devices", 10), whole=True),
+                device_flops=_number(cfg.get("device_flops", 30e9)),
+                server_flops=_number(cfg.get("server_flops", 300e9)),
+                bandwidth_hz=_number(cfg.get("bandwidth_hz", 200e6)),
+                trials=_number(cfg.get("trials", 100), whole=True),
+                seed=_number(cfg.get("seed", 7), whole=True),
                 policies=tuple(cfg.get("policies", ALL_POLICIES)),
-                channel={key: float(value) for key, value in chan.items()},
+                channel=channel,
                 sweep_param=sweep.get("param"),
-                sweep_values=tuple(float(v) for v in sweep.get("values", ())),
+                sweep_values=tuple(_number(v) for v in sweep.get("values", ())),
                 solver=SolverSettings(**solver),
             )
         except (TypeError, ValueError, OverflowError) as exc:

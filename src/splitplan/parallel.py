@@ -370,24 +370,20 @@ def _marginal(snr, bits, resid, slack, f):
     return LN2 * bits * resid / ((s * f) ** 2 * dissip)
 
 
-def _root_decreasing(fn, lo, hi, target, warm=None, rel_tol=1e-9, max_iter=90,
-                     log_x=False):
+def _root_decreasing(fn, lo, hi, target, warm=None, rel_tol=1e-9, max_iter=90):
     """Root of a decreasing ``fn`` on (lo, hi] with fn(lo+) >= target >= fn(hi).
 
     Illinois-damped regula falsi; the left endpoint value may be infinite
-    (treated as a pure bracket until a finite value lands there). ``log_x``
-    interpolates on log-abscissa, which suits power-law-shaped functions
-    whose bracket spans decades. ``warm`` seeds the first probe.
+    (treated as a pure bracket until a finite value lands there). ``warm``
+    seeds the first probe.
     """
-    tx = math.log if log_x else (lambda v: v)
-    ix = math.exp if log_x else (lambda v: v)
     a, b = lo, hi
     ga = math.inf
     gb = fn(b) - target
     if gb >= 0.0:
         return b
     side = 0
-    x = warm if (warm is not None and a < warm < b) else ix(0.5 * (tx(a) + tx(b)))
+    x = warm if (warm is not None and a < warm < b) else 0.5 * (a + b)
     for _ in range(max_iter):
         g = fn(x) - target
         if g >= 0.0:
@@ -400,14 +396,12 @@ def _root_decreasing(fn, lo, hi, target, warm=None, rel_tol=1e-9, max_iter=90,
             b, gb, side = x, g, -1
         if b - a <= rel_tol * max(abs(b), 1e-300):
             break
-        ta, tb = tx(a), tx(b)
         if math.isfinite(ga) and ga != gb:
-            t = tb - gb * (tb - ta) / (gb - ga)
-            span = tb - ta
-            t = min(max(t, ta + 1e-3 * span), tb - 1e-3 * span)
-            x = ix(t)
+            x = b - gb * (b - a) / (gb - ga)
+            span = b - a
+            x = min(max(x, a + 1e-3 * span), b - 1e-3 * span)
         else:
-            x = ix(0.5 * (ta + tb))
+            x = 0.5 * (a + b)
     return 0.5 * (a + b)
 
 
@@ -438,21 +432,35 @@ def _share_for_price(snr, bits, resid, slack, f_lo, f_hi, mu, warm=None):
         lambda x: _marginal(snr, bits, resid, slack, x), lo, f_hi, mu, warm=f)
 
 
+def _step_inside(f, df, lo):
+    """Largest of 1, 1/2, 1/4, ... at which every ``f + step*df`` stays above
+    its floor ``lo``."""
+    step = 1.0
+    while any(fi + step * dfi <= lo_i for fi, dfi, lo_i in zip(f, df, lo)):
+        step *= 0.5
+    return step
+
+
 def _water_fill(view, game, slack, f_lo, target, warm):
     """Shares of the ``game`` devices at one common marginal price, or ``None``.
 
-    Stationarity gives f_i = r_i/S_i + A_i/sqrt(mu) with
+    Stationarity gives f_i = r_i/S_i + A_i*L with L = 1/sqrt(mu) and
     A_i = sqrt(LN2*b_i*r_i / D_i) / S_i, where only the spectral-efficiency
-    factor D_i depends (weakly) on f_i. With the D_i frozen at the current
-    shares, sum(f) = target fixes 1/sqrt(mu) in closed form: KKT
-    water-filling (Boyd & Vandenberghe, Convex Optimization, 5.5.3). The
-    rounds refresh the D_i until no share moves by more than 1e-11 relative.
+    factor D_i depends (weakly) on f_i: KKT water-filling (Boyd &
+    Vandenberghe, Convex Optimization, 5.5.3). Newton steps solve
+    g_i = f_i - r_i/S_i - A_i*L = 0 together with sum(f) = target; each A_i
+    depends on its own share only, so the Jacobian is diagonal bordered by
+    one row and one column and the step is closed form. The first L is the
+    closed form at the warm shares. A step is halved until every share stays
+    above its floor, and the rounds stop once no share moves by more than
+    1e-11 relative, or once a step below 1e-8 relative no longer shrinks:
+    the rate inverse of a device close to its capacity limit (in-band SNR
+    near 0) is only that accurate, and the steps then cycle at that level.
 
     No share is clamped at its cap f_lo + (target - sum(f_lo)): a capped
     device leaves the others no more than their floors, where the bandwidth
-    is infinite. A round that puts some share at or below its floor (the
-    capacity edge) therefore covers the clamped case too; it returns
-    ``None``, as does a round that stops contracting.
+    is infinite. Returns ``None`` when some share's bandwidth is infinite
+    (the capacity edge).
     """
     snr, bits, resid = (view.snr[game].tolist(), view.bits[game].tolist(),
                         view.resid[game].tolist())
@@ -462,67 +470,46 @@ def _water_fill(view, game, slack, f_lo, target, warm):
     even = (target - f_lo[game].sum()) / len(lo)
     f = []
     for i, lo_i in zip(game.tolist(), lo):
-        w = warm["f"].get(i)
+        w = warm.get(i)
         f.append(w if w is not None and w > lo_i else lo_i + even)
-    spare = target - sum(base)
+    level = None
     prev_move = math.inf
     for _ in range(40):
-        amp = []
+        amp, kappa = [], []
         for sn, b, r, s, fi in zip(snr, bits, resid, slack, f):
-            bw, u = _required_bandwidth_u(sn, b / (s - r / fi))
+            t = s - r / fi
+            bw, u = _required_bandwidth_u(sn, b / t)
             if not math.isfinite(bw):
                 return None
-            amp.append(math.sqrt(LN2 * b * r / (math.log1p(u) - u / (1.0 + u))) / s)
-        level = spare / sum(amp)
-        nf = [c + a * level for c, a in zip(base, amp)]
-        if any(v <= lo_i for v, lo_i in zip(nf, lo)):
-            return None
-        move = max(abs(a - b) / b for a, b in zip(nf, f))
-        if move <= 1e-11:
-            return nf
-        if move >= prev_move:
-            return None
-        prev_move, f = move, nf
-    return None
-
-
-def _price_search(view, game, slack, f_lo, f_hi, m_hi, target, warm):
-    """Shares of the ``game`` devices at one common marginal price, found by
-    searching the price itself (one scalar fixed point per device and
-    probe). Slower than :func:`_water_fill`, but it stays inside the
-    capacity region, so it is the safeguard where the water-filling fails."""
-    def share(i, fh, mh, mu):
-        if mh >= mu:
-            return fh
-        return _share_for_price(view.snr[i], view.bits[i], view.resid[i],
-                                slack[i], f_lo[i], fh, mu, warm=warm["f"].get(i))
-
-    def surplus(mu):
-        tot = 0.0
-        for i, fh, mh in zip(game, f_hi, m_hi):
-            fi = share(i, fh, mh, mu)
-            warm["f"][i] = fi
-            tot += fi
-        return tot
-
-    mu_lo = float(np.min(m_hi)) * 0.999  # everyone clamps: surplus >= target
-    mu_hi = warm["mu"] if warm["mu"] and warm["mu"] > mu_lo else float(np.max(m_hi)) * 8.0
-    mu_hi = _grow(lambda mu: surplus(mu) <= target, mu_hi, 8.0, 120,
-                  "multiplier bracket growth failed")
-    mu = _root_decreasing(surplus, mu_lo, mu_hi, target,
-                          warm=warm["mu"], rel_tol=1e-10, log_x=True)
-    warm["mu"] = mu
-    return [share(i, fh, mh, mu) for i, fh, mh in zip(game, f_hi, m_hi)]
+            d = math.log1p(u) - u / (1.0 + u)
+            a = math.sqrt(LN2 * b * r / d) / s
+            amp.append(a)
+            kappa.append(0.5 * a * LN2 * b * r * u ** 3
+                         / ((1.0 + u) ** 2 * d * d * (t * fi) ** 2 * sn))
+        if level is None:
+            level = (target - sum(base)) / sum(amp)
+        g = [fi - b - a * level for fi, b, a in zip(f, base, amp)]
+        c = [1.0 + level * k for k in kappa]
+        d_level = ((sum(gi / ci for gi, ci in zip(g, c)) - (sum(f) - target))
+                   / sum(a / ci for a, ci in zip(amp, c)))
+        df = [(a * d_level - gi) / ci for a, gi, ci in zip(amp, g, c)]
+        step = _step_inside(f, df, lo)
+        move = max(abs(dfi) / fi for dfi, fi in zip(df, f))
+        f = [fi + step * dfi for fi, dfi in zip(f, df)]
+        if move <= 1e-11 or prev_move <= move <= 1e-8:
+            return f
+        prev_move = move
+        level += step * d_level
+    raise NonConvergence("water-filling Newton steps did not settle in 40 rounds")
 
 
 def _bandwidth_floor(view, budget, slack, warm):
     """Minimal total bandwidth meeting per-device deadlines ``slack``.
 
     Splits the compute budget so that all marginal bandwidth savings agree
-    (:func:`_water_fill`, with :func:`_price_search` as its safeguard), then
-    prices the resulting per-device rates. Returns (total, B, f) or ``None``
-    when no compute split fits. ``warm`` carries the multiplier and shares
-    across calls.
+    (:func:`_water_fill`), then prices the resulting per-device rates.
+    Returns (total, B, f) or ``None`` when no compute split fits. ``warm``
+    maps each device to its share from the previous call.
     """
     k = len(slack)
     bw = np.zeros(k)
@@ -548,23 +535,14 @@ def _bandwidth_floor(view, budget, slack, warm):
     head = budget - f[silent].sum() - f_lo[active & talk].sum()
 
     game = np.flatnonzero(active & talk)
-    if game.size:
-        f_hi = f_lo[game] + head
-        m_hi = np.array([
-            _marginal(view.snr[i], view.bits[i], view.resid[i], slack[i], fh)
-            for i, fh in zip(game, f_hi)])
-        if not np.all(np.isfinite(m_hi)):
-            return None  # some device cannot reach its deadline even maxed out
-
-        if game.size == 1:
-            f[game[0]] = f_lo[game[0]] + head
-        else:
-            target = budget - f[silent].sum()
-            shares = _water_fill(view, game, slack, f_lo, target, warm)
-            if shares is None:
-                shares = _price_search(view, game, slack, f_lo, f_hi, m_hi, target, warm)
-            f[game] = shares
-            warm["f"].update(zip(game.tolist(), shares))
+    if game.size == 1:
+        f[game[0]] = f_lo[game[0]] + head
+    elif game.size:
+        shares = _water_fill(view, game, slack, f_lo, budget - f[silent].sum(), warm)
+        if shares is None:
+            return None
+        f[game] = shares
+        warm.update(zip(game.tolist(), shares))
 
     for i in np.flatnonzero(talk):
         s = slack[i] - (view.resid[i] / f[i] if f[i] > 0 else 0.0)
@@ -587,7 +565,7 @@ def resource_subproblem(view, bandwidth_budget, compute_budget, t_seed=None):
     k = len(view.bits)
     t_floor = float(np.max(view.local_s + np.where(
         view.resid > 0, view.resid / compute_budget, 0.0)))
-    warm = {"mu": None, "f": {}}
+    warm = {}
     best = {}
 
     def slack_of(t):

@@ -1,9 +1,10 @@
 """Fixed-seed plan digest: one SHA-256 over every plan of a fixed instance set.
 
 A refactor that must keep plans bit-identical prints the same digest before
-and after. One that is not bit-identical dumps the objectives on both sides
-and states the largest relative difference as its tolerance. Not collected
-by pytest; run it as
+and after. One that is not bit-identical dumps each plan's label, objective
+and hash on both sides and states the largest relative objective difference
+as its tolerance; ``--compare`` also breaks the differences down by policy
+(or oracle) label, so the plans that set the tolerance are named. Not collected by pytest; run it as
 
     PYTHONPATH=src:tests python tests/plan_digest.py [--dump OUT.json]
     PYTHONPATH=src:tests python tests/plan_digest.py --compare BEFORE.json AFTER.json
@@ -61,29 +62,30 @@ def _key(solve, net):
 
 
 def plan_keys():
-    """Yield the hashed key of every plan, in the fixed order."""
+    """Yield ``(label, key)`` for every plan, in the fixed order; the label is
+    the policy name or ``oracle-parallel`` / ``oracle-serial``."""
     for k in (4, 10, 16):
         cfg = ExperimentConfig(devices=k)
         profile = propagate(load_experiment_architecture(cfg))
         for trial in range(6):
             net = build_network(cfg, trial, profile=profile)
-            for solve in POLICIES.values():
-                yield _key(solve, net)
+            for name, solve in POLICIES.items():
+                yield name, _key(solve, net)
     rng = np.random.default_rng(2024)
     grid = GridSpec(bandwidth_points=21)
     for _ in range(8):
         net = oracle_benchmark_network(rng)
-        for solve in POLICIES.values():
-            yield _key(solve, net)
-        yield _key(lambda n: oracle_parallel(n, grid), net)
-        yield _key(lambda n: oracle_serial(n, grid), net)
+        for name, solve in POLICIES.items():
+            yield name, _key(solve, net)
+        yield "oracle-parallel", _key(lambda n: oracle_parallel(n, grid), net)
+        yield "oracle-serial", _key(lambda n: oracle_serial(n, grid), net)
     fleets = [random_network(rng, devices=int(rng.integers(5, 10))) for _ in range(20)]
     for net in fleets:
         for name in FLEET_POLICIES:
-            yield _key(POLICIES[name], net)
+            yield name, _key(POLICIES[name], net)
     for net in fleets:
         for name, settings in FLEET_SETTINGS:
-            yield _key(lambda n: POLICIES[name](n, settings), net)
+            yield name, _key(lambda n: POLICIES[name](n, settings), net)
 
 
 def _objective(key):
@@ -108,29 +110,46 @@ def largest_rel_diff(before, after):
     return worst
 
 
+def _report(label, before, after):
+    """One line per label: how many objectives and whole plans differ between
+    two dumps of ``(label, objective, plan hash)`` entries, and the largest
+    relative objective difference."""
+    objs = [[e[1] for e in dump] for dump in (before, after)]
+    diffs = sum(a != b for a, b in zip(*objs))
+    plans = sum(a[2] != b[2] for a, b in zip(before, after))
+    print(f"{label}: {len(before)} vs {len(after)} plans, {plans} not bit-identical, "
+          f"{diffs} objectives differ, largest relative difference "
+          f"{largest_rel_diff(*objs):.3g}")
+
+
 def main(argv=None):
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--dump", metavar="OUT.json",
-                        help="also write every objective to this JSON file")
+                        help="also write every plan's label, objective and hash "
+                             "to this JSON file")
     parser.add_argument("--compare", nargs=2, metavar=("BEFORE.json", "AFTER.json"),
-                        help="print the largest relative objective difference "
-                             "between two dumps and exit")
+                        help="print, overall and per label, how many plans and "
+                             "objectives differ between two dumps and the "
+                             "largest relative objective difference, and exit")
     args = parser.parse_args(argv)
     if args.compare:
         before, after = (json.load(open(path)) for path in args.compare)
-        diffs = sum(a != b for a, b in zip(before, after))
-        print(f"{len(before)} vs {len(after)} objectives, {diffs} differ, "
-              f"largest relative difference {largest_rel_diff(before, after):.3g}")
+        _report("all", before, after)
+        if [e[0] for e in before] == [e[0] for e in after]:
+            for label in dict.fromkeys(e[0] for e in before):
+                _report(label, *([e for e in dump if e[0] == label]
+                                 for dump in (before, after)))
         return
     digest = hashlib.sha256()
-    objectives = []
-    for key in plan_keys():
-        digest.update(repr(key).encode())
-        objectives.append(_objective(key))
-    print(len(objectives), digest.hexdigest())
+    entries = []
+    for label, key in plan_keys():
+        text = repr(key).encode()
+        digest.update(text)
+        entries.append((label, _objective(key), hashlib.sha256(text).hexdigest()))
+    print(len(entries), digest.hexdigest())
     if args.dump:
         with open(args.dump, "w") as out:
-            json.dump(objectives, out)
+            json.dump(entries, out)
 
 
 if __name__ == "__main__":

@@ -1,6 +1,7 @@
 """Command-line behavior: outputs, files, exit codes."""
 
 import json
+import math
 
 import pytest
 
@@ -63,16 +64,34 @@ class TestSimulate:
         ({"solver": {"outer_iters": 0.5}}, "0.5"),
         ({"solver": {"strict_breaks": "no"}}, "strict_breaks"),
         ({"arch": 5}, "5"),
+        ({"devices": True}, "True"),
+        ({"seed": False}, "False"),
+        ({"bandwidth_hz": True}, "True"),
+        ({"channel": {"power_w": True}}, "True"),
+        ({"solver": {"outer_iters": True}}, "True"),
+        ({"sweep": {"param": "devices", "values": [True]}}, "True"),
+        ({"bandwidth_hz": math.nan}, "nan"),
+        ({"channel": {"distance_m": math.nan}}, "nan"),
+        ({"channel": {"noise_dbm_per_hz": 1e308}}, "out of range"),
+        ({"policies": []}, "policy list is empty"),
+        (({}, ["--policy", ","]), "policy list is empty"),
+        ({"sweep": {"values": [3]}}, "without a sweep param"),
     ], ids=["unknown-solver-key", "not-an-object", "non-numeric", "fractional-count",
             "unknown-key", "unknown-channel-key", "unknown-sweep-key", "removed-solver-key",
             "fractional-alternation-cap", "fractional-outer-iters", "string-strict-breaks",
-            "non-string-arch"])
+            "non-string-arch", "boolean-devices", "boolean-seed", "boolean-bandwidth",
+            "boolean-power", "boolean-outer-iters", "boolean-sweep-value", "nan-bandwidth",
+            "nan-distance", "overflowing-noise", "empty-policies", "empty-policy-flag",
+            "sweep-values-without-param"])
     def test_invalid_config_exits_2(self, capsys, tmp_path, cfg, named):
+        flags = []
+        if isinstance(cfg, tuple):  # a config plus command-line flags
+            cfg, flags = cfg
         if isinstance(cfg, dict):  # keep the run short should the config be accepted
             cfg = {"trials": 1, "devices": 2, "policies": ["p2"], **cfg}
         path = tmp_path / "cfg.json"
         path.write_text(json.dumps(cfg))
-        assert main(["simulate", "--config", str(path)]) == 2
+        assert main(["simulate", "--config", str(path)] + flags) == 2
         err = json.loads(capsys.readouterr().err)
         assert err["error"] == "ValidationError"
         assert named in err["message"]
@@ -116,7 +135,8 @@ class TestSweep:
         (["sweep", "--param", "devices", "--values", "abc"], "abc"),
         (["bench", "--k", "4,abc"], "4,abc"),
         (["bench", "--k", "2.5"], "2.5"),
-    ], ids=["sweep-values", "bench-k", "bench-fractional-k"])
+        (["sweep", "--param", "bandwidth", "--values", "nan"], "finite"),
+    ], ids=["sweep-values", "bench-k", "bench-fractional-k", "nan-sweep-value"])
     def test_invalid_number_list_exits_2(self, capsys, tmp_path, argv, named):
         argv = argv + ["--trials", "1", "--devices", "2", "--policy", "p2"]
         if argv[0] == "sweep":

@@ -47,9 +47,16 @@ class TestConfig:
     def test_rejects_bad_sweep(self):
         for param, values in [("voltage", (1.0,)), ("devices", ()),
                               ("devices", (2.0, 2.5)), ("iters", (1.5,)),
-                              ("devices", (math.inf,))]:
+                              ("devices", (math.inf,)), ("bandwidth", (math.nan,)),
+                              ("power", (math.inf,))]:
             with pytest.raises(ValidationError):
                 ExperimentConfig(sweep_param=param, sweep_values=values)
+
+    def test_rejects_non_finite_budgets(self):
+        for budget in ("device_flops", "server_flops", "bandwidth_hz"):
+            for value in (math.nan, math.inf, 0.0):
+                with pytest.raises(ValidationError):
+                    ExperimentConfig(**{budget: value})
 
     def test_sweep_application(self):
         cfg = dataclasses.replace(FAST, sweep_param="iters", sweep_values=(2.0,))

@@ -10,6 +10,7 @@ from conftest import (link_with_snr, oracle_benchmark_network, profile_from_list
 from splitplan import parallel
 from splitplan.delay import Device, NetworkInstance, arrival_delay
 from splitplan.errors import Infeasible, NonConvergence, Unreachable, ZeroRate
+from splitplan.harness import ExperimentConfig, build_network
 from splitplan.oracle import GridSpec, dense_root_scan, oracle_parallel
 from splitplan.parallel import (CutTable, EqualDelayProblem, SolverSettings,
                                 bandwidth_for_rate, equal_delay_allocation,
@@ -356,8 +357,8 @@ class TestJointPolicy:
 
 
 class TestWaterFill:
-    """The closed-form multiplier of the convex resource step against the KKT
-    conditions and against the multiplier search it replaces."""
+    """The Newton water-filling compute split of the convex resource step
+    against the KKT conditions and against the per-device share for a price."""
 
     @staticmethod
     def nets():
@@ -368,34 +369,33 @@ class TestWaterFill:
             yield oracle_benchmark_network(rng)
 
     @staticmethod
-    def solve_all(net):
-        return [policy(net).objective
-                for policy in (solve_p1, min_data_layer_policy, first_layer_policy)]
+    def solve_all(net, policies=(solve_p1, min_data_layer_policy, first_layer_policy)):
+        return [policy(net).objective for policy in policies]
 
     @staticmethod
-    def caps(view, game, slack, f_lo, target):
-        """Each device's share cap and its bandwidth marginal there, as
-        ``_bandwidth_floor`` hands them to the multiplier search."""
-        f_hi = f_lo[game] + (target - f_lo[game].sum())
-        m_hi = np.array([parallel._marginal(view.snr[i], view.bits[i], view.resid[i],
-                                            slack[i], fh) for i, fh in zip(game, f_hi)])
-        return f_hi, m_hi
-
-    def test_shares_meet_kkt_and_match_multiplier_search(self, monkeypatch):
+    def record(monkeypatch, seed=None):
+        """Spy on ``_water_fill``; ``seed(game, f_lo, warm)`` may rewrite the
+        warm shares first. Returns the list of (call arguments, result)."""
         calls = []
         fill = parallel._water_fill
 
         def spy(view, game, slack, f_lo, target, warm):
+            if seed:
+                seed(game, f_lo, warm)
             out = fill(view, game, slack, f_lo, target, warm)
-            calls.append((view, game, slack, f_lo, target, out))
+            calls.append(((view, game, slack, f_lo, target), out))
             return out
 
         monkeypatch.setattr(parallel, "_water_fill", spy)
+        return calls
+
+    def test_shares_meet_kkt_and_match_share_for_price(self, monkeypatch):
+        calls = self.record(monkeypatch)
         for net in self.nets():
             self.solve_all(net)
         solved = [c for c in calls if c[-1] is not None]
         assert len(solved) > 100
-        for view, game, slack, f_lo, target, out in solved:
+        for (view, game, slack, f_lo, target), out in solved:
             out = np.array(out)
             assert abs(out.sum() - target) <= 1e-12 * target
             marg = np.array([parallel._marginal(view.snr[i], view.bits[i], view.resid[i],
@@ -403,27 +403,76 @@ class TestWaterFill:
             assert marg.max() <= marg.min() * (1 + 1e-9)
             # no device is clamped: each share is below its cap, whose
             # marginal is below the common price
-            f_hi, m_hi = self.caps(view, game, slack, f_lo, target)
+            f_hi = f_lo[game] + (target - f_lo[game].sum())
+            m_hi = np.array([parallel._marginal(view.snr[i], view.bits[i], view.resid[i],
+                                                slack[i], fh) for i, fh in zip(game, f_hi)])
             assert np.all(out < f_hi) and np.all(m_hi < marg.min())
-            searched = parallel._price_search(view, game, slack, f_lo, f_hi, m_hi,
-                                              target, {"mu": None, "f": {}})
-            assert np.allclose(out, searched, rtol=1e-9, atol=0.0)
+            # each share is the per-device stationary share at that price
+            mu = float(marg.mean())
+            alone = [parallel._share_for_price(view.snr[i], view.bits[i], view.resid[i],
+                                               slack[i], f_lo[i], fh, mu)
+                     for i, fh in zip(game, f_hi)]
+            np.testing.assert_allclose(out, alone, rtol=1e-9, atol=0.0)
 
-    def test_forced_safeguard_gives_the_same_plans(self, monkeypatch):
+    def test_warm_shares_at_the_floors_give_the_same_plans(self, monkeypatch):
         nets = list(self.nets())
         joint = [self.solve_all(net) for net in nets]
-        searches = []
-        search = parallel._price_search
 
-        def counted(*args):
-            searches.append(1)
-            return search(*args)
+        def at_floors(game, f_lo, warm):
+            warm.update((i, f_lo[i] * (1 + 1e-9)) for i in game.tolist())
 
-        monkeypatch.setattr(parallel, "_water_fill", lambda *args: None)
-        monkeypatch.setattr(parallel, "_price_search", counted)
+        calls = self.record(monkeypatch, at_floors)
         forced = [self.solve_all(net) for net in nets]
-        assert len(searches) > 100
+        assert len(calls) > 100 and all(out is not None for _, out in calls)
         np.testing.assert_allclose(forced, joint, rtol=1e-9, atol=0.0)
+
+    def test_steps_halve_at_the_capacity_edge(self, monkeypatch):
+        """A target just above the sum of the floors, with one device holding
+        nearly all the spare share, sends full Newton steps below the floors;
+        the halved steps reach the shares of the even start."""
+        calls = self.record(monkeypatch)
+        for net in self.nets():
+            self.solve_all(net, (min_data_layer_policy,))
+        monkeypatch.undo()
+        steps = []
+        inside = parallel._step_inside
+
+        def step_spy(*args):
+            steps.append(inside(*args))
+            return steps[-1]
+
+        monkeypatch.setattr(parallel, "_step_inside", step_spy)
+        for (view, game, slack, f_lo, _), _ in calls[::10]:
+            target = f_lo[game].sum() * (1 + 1e-3)
+            spare = target - f_lo[game].sum()
+            even = parallel._water_fill(view, game, slack, f_lo, target, {})
+            for big in game.tolist():
+                warm = {i: f_lo[i] + 1e-3 * spare / game.size for i in game.tolist()}
+                warm[big] = f_lo[big] + (1 - 1e-3) * spare
+                out = parallel._water_fill(view, game, slack, f_lo, target, warm)
+                np.testing.assert_allclose(out, even, rtol=1e-9, atol=0.0)
+        assert sum(step < 1 for step in steps) > 10
+
+
+class TestCapacityEdge:
+    def test_two_device_fleet_at_the_edge_gets_shares(self, monkeypatch):
+        """Random fleets whose shares sit near their floors (fleet 2 has two
+        devices): every compute split returns shares."""
+        calls = TestWaterFill.record(monkeypatch)
+        rng = np.random.default_rng(99)
+        for _ in range(3):
+            net = random_network(rng, devices=int(rng.integers(2, 12)))
+            solve_p1(net)
+            first_layer_policy(net)
+        assert len(calls) > 100
+        assert all(out is not None for _, out in calls)
+
+    def test_deep_fade_device_settles_at_the_rounding_floor(self, monkeypatch):
+        """Trial 504 at seed 1 has a device with in-band SNR near 2e-3 at the
+        optimum, where the Newton steps cycle at about 2e-11 relative."""
+        calls = TestWaterFill.record(monkeypatch)
+        solve_p1(build_network(ExperimentConfig(seed=1), 504))
+        assert calls and all(out is not None for _, out in calls)
 
 
 class TestBaselinePolicies:
