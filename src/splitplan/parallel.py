@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channel import LN2, LinkParams, achievable_rate, shannon_rate
+from .channel import LN2, LinkParams, shannon_rate
 from .delay import AllocationPlan, NetworkInstance
 from .errors import Infeasible, NonConvergence, Unreachable, ValidationError
 
@@ -226,21 +226,27 @@ def bandwidth_for_rate(link: LinkParams, required_rate: float,
     """Minimal bandwidth whose achievable rate meets ``required_rate``.
 
     Geometric bracket growth followed by bisection; the rate is strictly
-    increasing in bandwidth with supremum ``link.rate_limit()``.
+    increasing in bandwidth with supremum ``link.rate_limit()``. The probes
+    evaluate ``shannon_rate`` at the link's SNR, computed once, in Python
+    floats: numpy-scalar arithmetic costs several times more per probe and
+    gives the same values.
     """
     if required_rate < 0:
         raise ValidationError("required rate must be >= 0")
     if required_rate == 0.0:
         return 0.0
-    limit = link.rate_limit()
+    snr = float(link.snr_hz())
+    limit = snr / LN2
     if required_rate >= limit * (1.0 - 1e-12):
         raise Unreachable(
             f"rate {required_rate:.6g} b/s exceeds the wide-band limit {limit:.6g} b/s")
+    rate = float(required_rate)
+
     def meets(bandwidth):
-        return achievable_rate(bandwidth, link) >= required_rate
+        return shannon_rate(snr, bandwidth) >= rate
 
     # R(B) >= B exactly when in-band SNR >= 1
-    hi = _grow(meets, required_rate, 2.0, 200, "bracket growth failed in bandwidth_for_rate")
+    hi = _grow(meets, rate, 2.0, 200, "bracket growth failed in bandwidth_for_rate")
     return _bisect(meets, 0.0, hi, rel_tol)[1]
 
 
@@ -301,8 +307,8 @@ class CutTable:
             prof = dev.profile
             cum = np.asarray(prof.cum_workload, dtype=float)
             self.local_s.append(cum / dev.compute_flops)
-            self.bits.append(np.asarray(
-                [prof.payload_bits(l) for l in range(prof.num_cuts + 1)], dtype=float))
+            # payload_bits of every cut: integer sums first, as payload_bits adds
+            self.bits.append(np.add(prof.transmit_bits, prof.index_bits).astype(float))
             self.resid.append(prof.total_workload - cum)
         self.snr = np.array([dev.link.snr_hz() for dev in net.devices])
         self.rate_limit = self.snr / LN2
@@ -451,11 +457,13 @@ def _water_fill(view, game, slack, f_lo, target, warm):
     g_i = f_i - r_i/S_i - A_i*L = 0 together with sum(f) = target; each A_i
     depends on its own share only, so the Jacobian is diagonal bordered by
     one row and one column and the step is closed form. The first L is the
-    closed form at the warm shares. A step is halved until every share stays
-    above its floor, and the rounds stop once no share moves by more than
-    1e-11 relative, or once a step below 1e-8 relative no longer shrinks:
-    the rate inverse of a device close to its capacity limit (in-band SNR
-    near 0) is only that accurate, and the steps then cycle at that level.
+    closed form at the warm shares; a warm share at which the rate inverse
+    reports an infinite bandwidth gives way to the even start. A step is
+    halved until every share stays above its floor, and the rounds stop once
+    no share moves by more than 1e-11 relative, or once a step below 1e-8
+    relative no longer shrinks: the rate inverse of a device close to its
+    capacity limit (in-band SNR near 0) is only that accurate, and the steps
+    then cycle at that level.
 
     No share is clamped at its cap f_lo + (target - sum(f_lo)): a capped
     device leaves the others no more than their floors, where the bandwidth
@@ -468,17 +476,24 @@ def _water_fill(view, game, slack, f_lo, target, warm):
     lo = [v * (1.0 + 1e-13) + 1e-300 for v in f_lo[game].tolist()]
     base = [r / s for r, s in zip(resid, slack)]
     even = (target - f_lo[game].sum()) / len(lo)
-    f = []
-    for i, lo_i in zip(game.tolist(), lo):
-        w = warm.get(i)
-        f.append(w if w is not None and w > lo_i else lo_i + even)
+    start = [lo_i + even for lo_i in lo]
+    f = [w if w is not None and w > lo_i else s0
+         for w, lo_i, s0 in zip(map(warm.get, game.tolist()), lo, start)]
     level = None
     prev_move = math.inf
     for _ in range(40):
         amp, kappa = [], []
-        for sn, b, r, s, fi in zip(snr, bits, resid, slack, f):
+        for j, (sn, b, r, s) in enumerate(zip(snr, bits, resid, slack)):
+            fi = f[j]
             t = s - r / fi
             bw, u = _required_bandwidth_u(sn, b / t)
+            if not math.isfinite(bw) and level is None and fi != start[j]:
+                # a warm share just above its floor can put the rate inside
+                # the inverse's guard band below the link's limit: start
+                # this device from the even share instead
+                fi = f[j] = start[j]
+                t = s - r / fi
+                bw, u = _required_bandwidth_u(sn, b / t)
             if not math.isfinite(bw):
                 return None
             d = math.log1p(u) - u / (1.0 + u)

@@ -131,18 +131,22 @@ def _reselect_serial(table: CutTable, cuts, bandwidth, settings: SolverSettings)
         cand_res.append(table.resid[i])
         arr[i] = a[cuts[i]]
         res[i] = table.resid[i][cuts[i]]
+    # the largest arrival of the devices after i, before any re-pick
+    after_max = np.append(np.maximum.accumulate(arr[::-1])[::-1][1:], -math.inf).tolist()
     new_cuts = list(cuts)
+    before_max = -math.inf  # largest re-picked arrival of the devices before i
     for i in range(k):
         if settings.p3_layer_rule == "c-only":
             best = int(np.argmin(cand_arr[i]))
         else:
-            others_max = max((arr[j] for j in range(k) if j != i), default=-math.inf)
+            others_max = max(before_max, after_max[i])
             others_res = res.sum() - res[i]
             score = np.maximum(cand_arr[i], others_max) + (others_res + cand_res[i]) / f_max
             best = int(np.argmin(score))
         new_cuts[i] = best
         arr[i] = cand_arr[i][best]
         res[i] = cand_res[i][best]
+        before_max = max(before_max, arr[i])
     return tuple(new_cuts)
 
 

@@ -1,0 +1,92 @@
+"""The aggregation of ``tools/bench_pairs.py`` on synthetic ``run.py`` output."""
+
+import importlib.util
+import json
+from pathlib import Path
+
+import pytest
+
+_PATH = Path(__file__).resolve().parent.parent / "tools" / "bench_pairs.py"
+_SPEC = importlib.util.spec_from_file_location("bench_pairs", _PATH)
+bench_pairs = importlib.util.module_from_spec(_SPEC)
+_SPEC.loader.exec_module(bench_pairs)
+
+BENCHMARK = {"end_to_end": [
+    {"name": "instance_cost_cal", "unit": "ratio", "better": "lower", "bound": 0.12},
+    {"name": "peak_rss_mb", "unit": "MB", "better": "lower", "bound": 0.1},
+]}
+
+
+def run_output(cost, rss, failed=0, extra_metric=None):
+    """Stdout of one ``run.py --trace 0`` with the given metric values."""
+    metrics = {"instance_cost_cal": {"value": cost, "unit": "ratio"},
+               "peak_rss_mb": {"value": rss, "unit": "MB"}}
+    if extra_metric:
+        metrics[extra_metric] = {"value": 1.0, "unit": "s"}
+    return "\n".join([
+        "serial-mixed-k32   instance_cost_cal    %g ratio" % cost,
+        json.dumps({"report": {"environment": {"nproc": 2}}}),
+        json.dumps({"correct": failed == 0, "attempted": 30, "failed": failed,
+                    "metrics": metrics}),
+    ]) + "\n"
+
+
+def pairs(parent_costs, change_costs, rss=(50.0, 51.0)):
+    return [{"parent": bench_pairs.parse_run(run_output(p, rss[0])),
+             "change": bench_pairs.parse_run(run_output(c, rss[1]))}
+            for p, c in zip(parent_costs, change_costs)]
+
+
+def test_sides_alternate_which_runs_first():
+    assert [bench_pairs.pair_order(p) for p in range(3)] == [
+        ("parent", "change"), ("change", "parent"), ("parent", "change")]
+
+
+def test_parse_run_reads_the_last_json_line():
+    result = bench_pairs.parse_run(run_output(4.4, 50.0))
+    assert result["metrics"]["instance_cost_cal"]["value"] == 4.4
+    assert result["attempted"] == 30
+
+
+def test_medians_quartiles_and_per_pair_values():
+    parent = [11.0, 12.0, 10.0, 13.0, 11.5]
+    change = [4.5, 4.0, 4.4, 4.6, 12.0]
+    out = bench_pairs.aggregate(BENCHMARK, pairs(parent, change))
+    cost = out["metrics"]["instance_cost_cal"]
+    assert out["pairs"] == 5
+    assert cost["values"] == {"parent": parent, "change": change}
+    assert cost["parent"] == {"median": 11.5, "q1": 11.0, "q3": 12.0, "iqr": 1.0}
+    assert cost["change"]["median"] == 4.5
+    assert cost["change"]["iqr"] == pytest.approx(0.2)
+    assert cost["change_wins"] == 4  # the last pair went the parent's way
+    assert cost["change_over_parent"] == pytest.approx(4.5 / 11.5)
+    assert cost["within_bound"]
+    assert (cost["unit"], cost["better"], cost["bound"]) == ("ratio", "lower", 0.12)
+
+
+def test_bound_and_direction_come_from_the_benchmark_file():
+    runs = pairs([10.0, 10.0], [10.0, 10.0], rss=(100.0, 111.0))
+    rss = bench_pairs.aggregate(BENCHMARK, runs)["metrics"]["peak_rss_mb"]
+    assert not rss["within_bound"] and rss["change_wins"] == 0
+    higher = {"end_to_end": [dict(BENCHMARK["end_to_end"][1], better="higher")]}
+    rss = bench_pairs.aggregate(higher, runs)["metrics"]["peak_rss_mb"]
+    assert rss["within_bound"] and rss["change_wins"] == 2
+
+
+def test_only_benchmark_metrics_are_reported_and_failures_are_summed():
+    runs = pairs([10.0], [9.0])
+    runs[0]["change"] = bench_pairs.parse_run(run_output(9.0, 50.0, failed=2,
+                                                         extra_metric="instances_per_s"))
+    out = bench_pairs.aggregate(BENCHMARK, runs)
+    assert sorted(out["metrics"]) == ["instance_cost_cal", "peak_rss_mb"]
+    assert out["parent"] == {"correct": True, "attempted": 30, "failed": 0}
+    assert out["change"] == {"correct": False, "attempted": 30, "failed": 2}
+    single = out["metrics"]["instance_cost_cal"]["change"]
+    assert single == {"median": 9.0, "q1": 9.0, "q3": 9.0, "iqr": 0.0}
+
+
+def test_a_metric_missing_from_a_run_is_an_error():
+    runs = pairs([10.0], [9.0])
+    del runs[0]["change"]["metrics"]["peak_rss_mb"]
+    with pytest.raises(KeyError):
+        bench_pairs.aggregate(BENCHMARK, runs)

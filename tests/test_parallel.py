@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from conftest import (link_with_snr, oracle_benchmark_network, profile_from_lists,
-                      random_network, toy_network)
+                      random_network, random_profile, toy_network)
 from splitplan import parallel
 from splitplan.delay import Device, NetworkInstance, arrival_delay
 from splitplan.errors import Infeasible, NonConvergence, Unreachable, ZeroRate
@@ -144,6 +144,39 @@ class TestBandwidthForRate:
             assert fast == pytest.approx(slow, rel=1e-8)
 
 
+    @staticmethod
+    def by_achievable_rate(link, rate, rel_tol=1e-9):
+        """The rate inverse as it was: every probe calls ``achievable_rate``."""
+        if rate == 0.0:
+            return 0.0
+
+        def meets(bandwidth):
+            return achievable_rate(bandwidth, link) >= rate
+
+        hi = _grow(meets, rate, 2.0, 200, "bracket growth failed")
+        return _bisect(meets, 0.0, hi, rel_tol)[1]
+
+    def test_matches_achievable_rate_bisection_bit_for_bit(self):
+        """Probing ``shannon_rate`` at a precomputed SNR in Python floats gives
+        the bandwidths of the ``achievable_rate`` probes exactly, for float and
+        numpy rates (SNRs from numpy fading powers too), near the limit and
+        for tiny rates down to the smallest subnormal."""
+        rng = np.random.default_rng(7)
+        links = [link_with_snr(snr) for snr in (1.0, 3.3e6, 2.5e9)]
+        links += [link_with_snr(1e6).with_fading(h) for h in rng.exponential(size=4)]
+        for link in links:
+            limit = link.rate_limit()
+            rates = [limit * x for x in (0.999, 0.9, 0.3, 1e-3, 1e-9)]
+            rates += list(rng.uniform(0.0, 0.999, 5) * limit) + [1e-300, 5e-324]
+            for rate in rates:
+                for tol in (1e-9, 1e-12):
+                    with np.errstate(over="ignore"):  # numpy-scalar probes at 5e-324
+                        want = self.by_achievable_rate(link, rate, tol)
+                    for given in (float(rate), np.float64(rate)):
+                        got = bandwidth_for_rate(link, given, rel_tol=tol)
+                        assert type(got) is float and got == want
+
+
 @pytest.mark.filterwarnings("error")
 class TestArrivalKernel:
     def test_matches_reference_arrival_delay(self):
@@ -177,6 +210,25 @@ class TestArrivalKernel:
         for bw in (5e-324, 1e-310, 0.0):
             got = table.transmit_s(0, bw)
             assert np.array_equal(got, np.where(table.bits[0] > 0, math.inf, 0.0))
+
+
+class TestCutTable:
+    def test_bits_are_the_payload_of_each_cut(self):
+        """The one-op payload vectors equal ``payload_bits`` cut by cut, also
+        past 2**53 where adding the halves as floats would round differently."""
+        rng = np.random.default_rng(12)
+        profiles = [random_profile(rng, modules=int(rng.integers(1, 9))) for _ in range(20)]
+        profiles.append(profile_from_lists([1, 2], [2**53 + 1, 3], index_bits=[0, 1, 0],
+                                           raw_bits=2**62 - 1))
+        for prof in profiles:
+            net = NetworkInstance((Device(link=link_with_snr(1e6), compute_flops=1e9,
+                                          profile=prof),),
+                                  server_flops=1e10, total_bandwidth_hz=1e6)
+            want = np.asarray([prof.payload_bits(l) for l in range(prof.num_cuts + 1)],
+                              dtype=float)
+            got = CutTable(net).bits[0]
+            assert got.dtype == want.dtype
+            np.testing.assert_array_equal(got, want)
 
 
 class TestMonotoneSearch:
@@ -422,6 +474,21 @@ class TestWaterFill:
             warm.update((i, f_lo[i] * (1 + 1e-9)) for i in game.tolist())
 
         calls = self.record(monkeypatch, at_floors)
+        forced = [self.solve_all(net) for net in nets]
+        assert len(calls) > 100 and all(out is not None for _, out in calls)
+        np.testing.assert_allclose(forced, joint, rtol=1e-9, atol=0.0)
+
+    def test_warm_shares_in_the_guard_band_start_evenly(self, monkeypatch):
+        """Warm shares so close to their floors that the rate inverse reads
+        an infinite bandwidth fall back to the even start: no compute split
+        of these nets reports the capacity edge, and the plans stay the same."""
+        nets = list(self.nets())
+        joint = [self.solve_all(net) for net in nets]
+
+        def in_band(game, f_lo, warm):
+            warm.update((i, f_lo[i] * (1 + 3e-12)) for i in game.tolist())
+
+        calls = self.record(monkeypatch, in_band)
         forced = [self.solve_all(net) for net in nets]
         assert len(calls) > 100 and all(out is not None for _, out in calls)
         np.testing.assert_allclose(forced, joint, rtol=1e-9, atol=0.0)

@@ -1,5 +1,7 @@
 """Serial policies: arrival shaping, gap reallocation, queue orderings."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -9,7 +11,7 @@ from splitplan.delay import Device, NetworkInstance, queue_completions
 from splitplan.oracle import GridSpec, oracle_serial
 from splitplan.parallel import CutTable, SolverSettings
 from splitplan.serial import (queue_first_layer_policy, queue_heuristic,
-                              reallocate_once, solve_p3, _serial_eval)
+                              reallocate_once, solve_p3, _reselect_serial, _serial_eval)
 
 
 def random_broken_queue(rng, min_breaks=2, lowest_break=2, max_tries=400):
@@ -190,6 +192,47 @@ class TestReallocateOnce:
                 bw, state = bw_new, state_new
                 checked += 1
         assert checked >= 50
+
+
+def reselect_by_generator(table, cuts, bandwidth, settings):
+    """The serial coordinate pass as it was: each device takes the largest
+    other arrival from a generator over all k devices."""
+    f_max = table.net.server_flops
+    k = table.num_devices
+    cand_arr = [table.local_s[i] + table.transmit_s(i, bandwidth[i]) for i in range(k)]
+    arr = np.array([cand_arr[i][cuts[i]] for i in range(k)])
+    res = np.array([table.resid[i][cuts[i]] for i in range(k)])
+    new_cuts = list(cuts)
+    for i in range(k):
+        if settings.p3_layer_rule == "c-only":
+            best = int(np.argmin(cand_arr[i]))
+        else:
+            others_max = max((arr[j] for j in range(k) if j != i), default=-math.inf)
+            others_res = res.sum() - res[i]
+            score = (np.maximum(cand_arr[i], others_max)
+                     + (others_res + table.resid[i]) / f_max)
+            best = int(np.argmin(score))
+        new_cuts[i] = best
+        arr[i] = cand_arr[i][best]
+        res[i] = table.resid[i][best]
+    return tuple(new_cuts)
+
+
+class TestReselectSerial:
+    @pytest.mark.parametrize("rule", ["full", "c-only"])
+    def test_matches_the_generator_form(self, rule):
+        """Running and suffix maxima pick the cuts of the all-pairs form on
+        random fleets of 1 to 12 devices (one device: no other arrival)."""
+        settings = SolverSettings(p3_layer_rule=rule)
+        rng = np.random.default_rng(44)
+        for k in range(1, 13):
+            for _ in range(4):
+                net = random_network(rng, devices=k)
+                table = CutTable(net)
+                cuts = tuple(int(rng.integers(0, len(b))) for b in table.bits)
+                bw = rng.dirichlet(np.ones(k)) * net.total_bandwidth_hz
+                assert (_reselect_serial(table, cuts, bw, settings)
+                        == reselect_by_generator(table, cuts, bw, settings))
 
 
 class TestSimultaneousArrival:
