@@ -124,7 +124,7 @@ def achievable_rate(bandwidth_hz: float, link: LinkParams) -> float:
     """Shannon rate of ``link`` over ``bandwidth_hz``; negative bandwidth raises."""
     if bandwidth_hz < 0:
         raise DomainError("bandwidth must be >= 0")
-    return shannon_rate(link.snr_hz(), bandwidth_hz)
+    return shannon_rate(float(link.snr_hz()), float(bandwidth_hz))
 
 
 def fading_stream(seed: int, trial: int = 0):

@@ -18,8 +18,6 @@ from .channel import LN2, LinkParams, shannon_rate
 from .delay import AllocationPlan, NetworkInstance
 from .errors import Infeasible, NonConvergence, Unreachable, ValidationError
 
-_INV_E = math.exp(-1.0)
-
 
 #: Relative width at which the target-delay and rate bisections stop.
 _BISECT_REL_TOL = 1e-9
@@ -250,46 +248,31 @@ def bandwidth_for_rate(link: LinkParams, required_rate: float,
     return _bisect(meets, 0.0, hi, rel_tol)[1]
 
 
-def _lambert_wm1(a: float) -> float:
-    """Lower real branch of w*exp(w) = a for a in [-1/e, 0)."""
-    if a >= 0.0 or a < -_INV_E * (1.0 + 1e-12):
-        raise ValueError(f"argument {a} outside [-1/e, 0)")
-    if a <= -_INV_E:
-        return -1.0
-    if a > -0.07:
-        l1 = math.log(-a)
-        l2 = math.log(-l1)
-        w = l1 - l2 + l2 / l1 + l2 * (l2 - 2.0) / (2.0 * l1 * l1)
-    else:
-        p = -math.sqrt(2.0 * (1.0 + math.e * a))
-        w = -1.0 + p - p * p / 3.0 + 11.0 * p ** 3 / 72.0
-    for _ in range(8):
-        ew = math.exp(w)
-        f = w * ew - a
-        if f == 0.0:
-            break
-        step = f / (ew * (w + 1.0) - (w + 2.0) * f / (2.0 * w + 2.0))
-        w -= step
-        if abs(step) <= 1e-16 * abs(w):
-            break
-    return w
-
-
 def _required_bandwidth_u(snr_hz: float, rate: float):
-    """Closed-form rate inverse; returns (bandwidth, in-band SNR).
+    """Rate inverse; returns (bandwidth, in-band SNR).
 
-    Solves B*log2(1 + snr/B) = rate through the lower Lambert-W branch.
-    Infinite bandwidth signals an unreachable rate.
+    Solves B*log2(1 + snr/B) = rate as log1p(u) = rho*u with u = snr/B and
+    rho = rate*ln2/snr. h(u) = log1p(u) - rho*u is concave, so Newton steps
+    from a start above the root fall onto it monotonically. The start is
+    1/rho**2 - 1 for rho > 1/4 (above the root since log1p(u) <=
+    u/sqrt(1+u)) and 2*ln(1/rho)/rho below. The relative error stays near
+    eps/(1 - rho). Infinite bandwidth signals an unreachable rate.
     """
     if rate <= 0.0:
         return 0.0, math.inf
     rho = rate * LN2 / snr_hz
     if rho >= 1.0 - 1e-12:
         return math.inf, 0.0
-    u = -_lambert_wm1(-rho * math.exp(-rho)) / rho - 1.0
-    if u <= 0.0:
-        return math.inf, 0.0
-    return snr_hz / u, u
+    if rho > 0.25:
+        u = 1.0 / (rho * rho) - 1.0
+    else:  # a NaN (or an underflowed rho) runs into the step cap below
+        u = -2.0 * math.log(rho) / rho if rho > 0.0 else math.nan
+    for _ in range(60):
+        step = (math.log1p(u) - rho * u) / (1.0 / (1.0 + u) - rho)
+        u -= step
+        if step <= 4e-16 * u:  # at the root, or rounding turned the step back
+            return snr_hz / u, u
+    raise NonConvergence(f"rate inverse did not settle for rho = {rho!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -460,10 +443,7 @@ def _water_fill(view, game, slack, f_lo, target, warm):
     closed form at the warm shares; a warm share at which the rate inverse
     reports an infinite bandwidth gives way to the even start. A step is
     halved until every share stays above its floor, and the rounds stop once
-    no share moves by more than 1e-11 relative, or once a step below 1e-8
-    relative no longer shrinks: the rate inverse of a device close to its
-    capacity limit (in-band SNR near 0) is only that accurate, and the steps
-    then cycle at that level.
+    no share moves by more than 1e-11 relative.
 
     No share is clamped at its cap f_lo + (target - sum(f_lo)): a capped
     device leaves the others no more than their floors, where the bandwidth
@@ -480,7 +460,6 @@ def _water_fill(view, game, slack, f_lo, target, warm):
     f = [w if w is not None and w > lo_i else s0
          for w, lo_i, s0 in zip(map(warm.get, game.tolist()), lo, start)]
     level = None
-    prev_move = math.inf
     for _ in range(40):
         amp, kappa = [], []
         for j, (sn, b, r, s) in enumerate(zip(snr, bits, resid, slack)):
@@ -511,9 +490,8 @@ def _water_fill(view, game, slack, f_lo, target, warm):
         step = _step_inside(f, df, lo)
         move = max(abs(dfi) / fi for dfi, fi in zip(df, f))
         f = [fi + step * dfi for fi, dfi in zip(f, df)]
-        if move <= 1e-11 or prev_move <= move <= 1e-8:
+        if move <= 1e-11:
             return f
-        prev_move = move
         level += step * d_level
     raise NonConvergence("water-filling Newton steps did not settle in 40 rounds")
 
@@ -563,7 +541,7 @@ def _bandwidth_floor(view, budget, slack, warm):
         s = slack[i] - (view.resid[i] / f[i] if f[i] > 0 else 0.0)
         if s <= 0:
             return None
-        b, _ = _required_bandwidth_u(view.snr[i], view.bits[i] / s)
+        b, _ = _required_bandwidth_u(float(view.snr[i]), float(view.bits[i] / s))
         if not math.isfinite(b):
             return None
         bw[i] = b

@@ -1,6 +1,7 @@
 """Path loss, achievable rate and the pinned fading stream."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -69,6 +70,18 @@ class TestAchievableRate:
         r = [achievable_rate(1e6, LinkParams(power_w=1.0, fading_power=h, **base))
              for h in (0.2, 1.0, 4.0)]
         assert r[0] < r[1] < r[2]
+
+    def test_numpy_scalars_give_the_float_result_without_warning(self):
+        # a subnormal bandwidth makes snr/B overflow: silently to inf on
+        # Python floats, with a RuntimeWarning on numpy scalars
+        plain = link_with_snr(1e6)
+        faded = LinkParams(power_w=1.0, fading_power=np.float64(0.7))
+        as_float = LinkParams(power_w=1.0, fading_power=0.7)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for b in (5e-324, 1e-310, 2e6):
+                assert achievable_rate(np.float64(b), plain) == achievable_rate(b, plain)
+                assert achievable_rate(np.float64(b), faded) == achievable_rate(b, as_float)
 
     def test_wideband_limit(self):
         link = link_with_snr(1e4)

@@ -1,5 +1,6 @@
 """Equal-delay split, rate inversion and the parallel policies."""
 
+import decimal
 import math
 
 import numpy as np
@@ -16,7 +17,7 @@ from splitplan.parallel import (CutTable, EqualDelayProblem, SolverSettings,
                                 bandwidth_for_rate, equal_delay_allocation,
                                 first_layer_policy, equal_delay_split,
                                 min_data_layer_policy, solve_p1, solve_p2,
-                                _alternate, _bisect, _grow, _lambert_wm1,
+                                _alternate, _bisect, _grow,
                                 _required_bandwidth_u)
 from splitplan.channel import achievable_rate
 
@@ -104,16 +105,56 @@ class TestEqualDelaySplit:
             equal_delay_split(prob)
 
 
-class TestLambert:
-    def test_matches_scipy_away_from_branch_point(self):
-        from scipy.special import lambertw
-        for a in (-0.36, -0.2, -0.05, -1e-3, -1e-8, -1e-30, -1e-200):
-            assert _lambert_wm1(a) == pytest.approx(lambertw(a, -1).real, rel=1e-11)
+class TestRateInverse:
+    """``_required_bandwidth_u`` solves log1p(u) = rho*u with u = snr/B."""
 
-    def test_defining_equation_near_branch_point(self):
-        for a in (-0.3678794411714423, -0.36787944, -0.3678):
-            w = _lambert_wm1(a)
-            assert w * math.exp(w) == pytest.approx(a, abs=1e-14)
+    @staticmethod
+    def rate_at(rho, snr=1.0):
+        """A rate whose rho, as the inverse forms it, is ``rho`` to within an ulp;
+        returns (rate, the rho the inverse sees)."""
+        rate = rho * snr / math.log(2.0)
+        return rate, rate * math.log(2.0) / snr
+
+    def test_matches_scipy_lambert_w_form(self):
+        from scipy.special import lambertw
+        for rho in np.geomspace(1e-6, 0.99, 40):
+            rate, rho = self.rate_at(rho, snr=3.3e6)
+            u = _required_bandwidth_u(3.3e6, rate)[1]
+            ref = -lambertw(-rho * math.exp(-rho), -1).real / rho - 1.0
+            assert u == pytest.approx(ref, rel=1e-13)
+
+    @staticmethod
+    def decimal_root(rho):
+        """ln(1+u) = rho*u at 60 digits, by Newton steps from above the root."""
+        with decimal.localcontext() as ctx:
+            ctx.prec = 60
+            r = decimal.Decimal(rho)
+            u = 1 / (r * r) - 1
+            for _ in range(200):
+                step = ((1 + u).ln() - r * u) / (1 / (1 + u) - r)
+                u -= step
+                if step <= u * decimal.Decimal("1e-50"):  # signed, as in the code
+                    return u
+
+    def test_near_the_link_limit(self):
+        for e in range(2, 12):
+            rate, rho = self.rate_at(1.0 - 10.0 ** -e)
+            bw, u = _required_bandwidth_u(1.0, rate)
+            ref = self.decimal_root(rho)
+            err = abs(decimal.Decimal(u) - ref) / ref
+            assert float(err) <= 10 * 2.2e-16 / (1.0 - rho)
+            assert bw == 1.0 / u
+
+    def test_tiny_rho_is_finite_and_accurate(self):
+        rate, rho = self.rate_at(1e-300)
+        bw, u = _required_bandwidth_u(1.0, rate)
+        assert math.isfinite(bw) and math.isfinite(u)
+        assert math.log1p(u) == pytest.approx(rho * u, rel=1e-15)
+
+    def test_overflowing_start_raises_typed_error(self):
+        for rate in (1e-310, 5e-324, math.nan):  # start 2*ln(1/rho)/rho is inf or NaN
+            with pytest.raises(NonConvergence):
+                _required_bandwidth_u(1e6, rate)
 
 
 class TestBandwidthForRate:
@@ -536,7 +577,8 @@ class TestCapacityEdge:
 
     def test_deep_fade_device_settles_at_the_rounding_floor(self, monkeypatch):
         """Trial 504 at seed 1 has a device with in-band SNR near 2e-3 at the
-        optimum, where the Newton steps cycle at about 2e-11 relative."""
+        optimum, within 0.1% of its link's limit; the rate inverse stays
+        accurate there, so the water-filling settles at its 1e-11 stop."""
         calls = TestWaterFill.record(monkeypatch)
         solve_p1(build_network(ExperimentConfig(seed=1), 504))
         assert calls and all(out is not None for _, out in calls)
