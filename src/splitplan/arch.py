@@ -255,7 +255,8 @@ class CutProfile:
     ``cum_workload[l]`` is the FLOPs of modules 1..l (local side),
     ``transmit_bits[l]`` the activation payload at cut ``l`` and
     ``index_bits[l]`` the pooling-index payload still owed to later
-    unpooling stages. Index 0 is the raw-input cut.
+    unpooling stages. Index 0 is the raw-input cut. Every cut uploads (cut L
+    sends the final output), so ``transmit_bits`` entries are at least 1.
     """
 
     cum_workload: tuple[int, ...]
@@ -270,8 +271,10 @@ class CutProfile:
             raise ValidationError("cumulative workload must start at zero")
         if any(b < a for a, b in zip(self.cum_workload, self.cum_workload[1:])):
             raise ValidationError("cumulative workload must be non-decreasing")
-        if min(self.transmit_bits) < 0 or min(self.index_bits) < 0:
-            raise ValidationError("payloads must be non-negative")
+        if min(self.transmit_bits) < 1:
+            raise ValidationError("every cut must transmit at least one bit")
+        if min(self.index_bits) < 0:
+            raise ValidationError("index payloads must be non-negative")
 
     @property
     def num_cuts(self) -> int:

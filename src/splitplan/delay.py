@@ -73,8 +73,6 @@ def arrival_delay(device: Device, cut: int, bandwidth_hz: float) -> float:
     profile = device.profile
     bits = profile.payload_bits(cut)
     local = profile.cum_workload[cut] / device.compute_flops
-    if bits == 0:
-        return local
     rate = achievable_rate(bandwidth_hz, device.link)
     if rate <= 0.0:
         raise ZeroRate(f"cut {cut} must transmit {bits} bits but the rate is zero")
@@ -178,21 +176,20 @@ def broken_queue_total(state: QueueState) -> float:
     return state.arrivals[start] + tail
 
 
-def serial_total_delay(arrivals, residuals, server_flops, ids=None):
+def serial_total_delay(arrivals, residuals, server_flops):
     """Objective of a serial allocation: queue total vs. fully-local devices.
 
     Devices with zero residual never enter the queue (their delay is just the
     arrival time); returns ``(objective, state)`` where ``state`` covers the
-    queued devices only.
+    queued devices only, under their indices in ``arrivals``.
     """
-    ids = list(range(len(arrivals))) if ids is None else list(ids)
     queued = [k for k in range(len(arrivals)) if residuals[k] > 0]
     local_only = [k for k in range(len(arrivals)) if residuals[k] <= 0]
     state = queue_completions(
         [arrivals[k] for k in queued],
         [residuals[k] for k in queued],
         server_flops,
-        ids=[ids[k] for k in queued],
+        ids=queued,
     )
     objective = state.total_delay
     if local_only:

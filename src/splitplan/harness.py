@@ -233,7 +233,6 @@ class PolicyRecord:
 @dataclass(frozen=True)
 class TrialRecord:
     trial: int
-    sweep_value: float | None
     results: tuple[PolicyRecord, ...]
 
 
@@ -256,7 +255,7 @@ def run_trial(cfg: ExperimentConfig, trial_index: int, profile=None) -> TrialRec
                 policy=name, objective=math.nan, iterations=0,
                 wall_s=time.perf_counter() - t0,
                 error=f"{type(exc).__name__}: {exc}"))
-    return TrialRecord(trial=trial_index, sweep_value=None, results=tuple(records))
+    return TrialRecord(trial=trial_index, results=tuple(records))
 
 
 @dataclass(frozen=True)
@@ -292,7 +291,7 @@ def _aggregate(value, policy, objectives, iters, walls) -> dict:
     }
 
 
-def run_sweep(cfg: ExperimentConfig, progress=None) -> SweepResult:
+def run_sweep(cfg: ExperimentConfig) -> SweepResult:
     """Trials x sweep values; without a sweep, a single pseudo-value row set.
 
     Fading draws depend on (seed, trial) only, so every sweep value sees the
@@ -312,8 +311,6 @@ def run_sweep(cfg: ExperimentConfig, progress=None) -> SweepResult:
                 objs.append(pr.objective)
                 iters.append(pr.iterations)
                 walls.append(pr.wall_s)
-            if progress:
-                progress(value, trial)
         for policy in sub.policies:
             objs, iters, walls = per_policy[policy]
             rows.append(_aggregate(value, policy, objs, iters, walls))

@@ -22,10 +22,9 @@ from .parallel import CutTable, EqualDelayProblem, equal_delay_allocation
 class GridSpec:
     bandwidth_points: int = 101
     max_cut_layers: int = 6
-    scan_points: int = 10 ** 6
 
     def __post_init__(self):
-        if min(self.bandwidth_points, self.max_cut_layers, self.scan_points) < 2:
+        if min(self.bandwidth_points, self.max_cut_layers) < 2:
             raise ValidationError("grid parameters must be >= 2")
 
 
@@ -45,30 +44,23 @@ def _guard(net: NetworkInstance, grid: GridSpec):
 
 
 def _bandwidth_grid(total: float, k: int, points: int):
-    """Non-degenerate points of the k-way simplex grid over the spectrum."""
+    """Non-degenerate points of the k-way simplex grid over the spectrum, in
+    stars-and-bars order; a lone device gets exactly ``total``."""
     if k == 1:
-        yield np.array([total])
+        yield np.array([total])  # steps * (total/steps) can miss it by an ulp
         return
     steps = points - 1
-    if k == 2:
-        for i in range(1, steps):
-            yield np.array([i, steps - i], dtype=float) * (total / steps)
-        return
-    for i in range(1, steps):
-        for j in range(1, steps - i):
-            yield np.array([i, j, steps - i - j], dtype=float) * (total / steps)
+    for cut in itertools.combinations(range(1, steps), k - 1):
+        yield np.diff((0, *cut, steps)).astype(float) * (total / steps)
 
 
 def _arrivals(table: CutTable, cuts, bw):
     out = np.empty(len(cuts))
     for i, c in enumerate(cuts):
         rate = shannon_rate(table.snr[i], bw[i])
-        bits = table.bits[i][c]
-        out[i] = table.local_s[i][c]
-        if bits > 0:
-            if rate <= 0:
-                return None
-            out[i] += bits / rate
+        if rate <= 0:
+            return None
+        out[i] = table.local_s[i][c] + table.bits[i][c] / rate
     return out
 
 
@@ -110,7 +102,7 @@ def oracle_serial(net: NetworkInstance, grid: GridSpec | None = None) -> OracleR
     return _grid_min(net, grid, lambda *point: serial_total_delay(*point)[0])
 
 
-def dense_root_scan(problem: EqualDelayProblem, points: int | None = None):
+def dense_root_scan(problem: EqualDelayProblem, points: int = 10 ** 6):
     """Bracket the equal-delay budget root by a dense scan.
 
     Scans the budget-consumption curve over its share interval and returns
@@ -119,7 +111,6 @@ def dense_root_scan(problem: EqualDelayProblem, points: int | None = None):
     """
     if problem.size < 2:
         raise ValidationError("dense scan needs at least two participants")
-    points = points or GridSpec().scan_points
     ub = problem.upper_bound
     if not ub > 0:
         raise NoBracket("share interval is empty (bad anchor)")

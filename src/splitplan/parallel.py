@@ -16,7 +16,7 @@ import numpy as np
 
 from .channel import LN2, LinkParams, shannon_rate
 from .delay import AllocationPlan, NetworkInstance
-from .errors import Infeasible, NonConvergence, Unreachable, ValidationError
+from .errors import Infeasible, NonConvergence, Unreachable, ValidationError, ZeroRate
 
 
 #: Relative width at which the target-delay and rate bisections stop.
@@ -170,8 +170,8 @@ class EqualDelayProblem:
         return shares
 
 
-def equal_delay_split(problem: EqualDelayProblem, rel_tol: float = 1e-13) -> np.ndarray:
-    """Solve the equal-delay budget equation by bisection.
+def equal_delay_split(problem: EqualDelayProblem) -> np.ndarray:
+    """Solve the equal-delay budget equation by bisection to relative width 1e-13.
 
     Returns the per-participant compute shares; they are strictly positive,
     sum to the budget, and equalize ``arrival + residual/share``. An empty
@@ -185,7 +185,7 @@ def equal_delay_split(problem: EqualDelayProblem, rel_tol: float = 1e-13) -> np.
     if not ub > 0:
         raise Infeasible("empty share interval: anchor is not the earliest arrival")
     lo, hi = _bisect(lambda x: problem.q_value(x) >= problem.budget,
-                     0.0, min(ub, problem.budget), rel_tol)
+                     0.0, min(ub, problem.budget), 1e-13)
     x0 = 0.5 * (lo + hi)
     shares = problem.shares_from_anchor(x0)
     if np.any(shares <= 0):
@@ -279,7 +279,10 @@ def _required_bandwidth_u(snr_hz: float, rate: float):
 # per-cut views of a network
 
 class CutTable:
-    """Per-device per-cut arrays: local seconds, payload bits, residual FLOPs."""
+    """Per-device per-cut arrays: local seconds, payload bits, residual FLOPs.
+
+    Every cut uploads, so a link without SNR raises :class:`ZeroRate`.
+    """
 
     def __init__(self, net: NetworkInstance):
         self.net = net
@@ -294,6 +297,10 @@ class CutTable:
             self.bits.append(np.add(prof.transmit_bits, prof.index_bits).astype(float))
             self.resid.append(prof.total_workload - cum)
         self.snr = np.array([dev.link.snr_hz() for dev in net.devices])
+        mute = np.flatnonzero(~(self.snr > 0))  # NaN included
+        if mute.size:
+            i = int(mute[0])
+            raise ZeroRate(f"device {i} must upload over a link with SNR {float(self.snr[i])}")
         self.rate_limit = self.snr / LN2
 
     @property
@@ -318,7 +325,7 @@ class CutTable:
         """Upload seconds of device ``i`` at every cut over ``bandwidth_hz``."""
         rate = shannon_rate(float(self.snr[i]), float(bandwidth_hz))
         if rate == 0.0:
-            return np.where(self.bits[i] > 0, math.inf, 0.0)
+            return np.full(len(self.bits[i]), math.inf)
         with np.errstate(over="ignore"):  # a subnormal rate: inf is the answer
             return self.bits[i] / rate
 
@@ -332,12 +339,11 @@ class _CutView:
     rate_limit: np.ndarray
 
     def arrivals(self, bandwidth) -> np.ndarray:
-        """Local seconds plus upload seconds; ``inf`` where bits meet a zero rate."""
+        """Local seconds plus upload seconds; ``inf`` at a zero rate."""
         out = self.local_s.copy()
         for i, bits in enumerate(self.bits.tolist()):
-            if bits > 0:
-                r = shannon_rate(float(self.snr[i]), float(bandwidth[i]))
-                out[i] += bits / r if r > 0 else math.inf
+            r = shannon_rate(float(self.snr[i]), float(bandwidth[i]))
+            out[i] += bits / r if r > 0 else math.inf
         return out
 
 
@@ -359,12 +365,13 @@ def _marginal(snr, bits, resid, slack, f):
     return LN2 * bits * resid / ((s * f) ** 2 * dissip)
 
 
-def _root_decreasing(fn, lo, hi, target, warm=None, rel_tol=1e-9, max_iter=90):
+def _root_decreasing(fn, lo, hi, target, warm=None):
     """Root of a decreasing ``fn`` on (lo, hi] with fn(lo+) >= target >= fn(hi).
 
-    Illinois-damped regula falsi; the left endpoint value may be infinite
-    (treated as a pure bracket until a finite value lands there). ``warm``
-    seeds the first probe.
+    Illinois-damped regula falsi to relative width ``_BISECT_REL_TOL``, at
+    most 90 probes; the left endpoint value may be infinite (treated as a
+    pure bracket until a finite value lands there). ``warm`` seeds the first
+    probe.
     """
     a, b = lo, hi
     ga = math.inf
@@ -373,7 +380,7 @@ def _root_decreasing(fn, lo, hi, target, warm=None, rel_tol=1e-9, max_iter=90):
         return b
     side = 0
     x = warm if (warm is not None and a < warm < b) else 0.5 * (a + b)
-    for _ in range(max_iter):
+    for _ in range(90):
         g = fn(x) - target
         if g >= 0.0:
             if side == 1 and math.isfinite(gb):
@@ -383,7 +390,7 @@ def _root_decreasing(fn, lo, hi, target, warm=None, rel_tol=1e-9, max_iter=90):
             if side == -1 and math.isfinite(ga):
                 ga *= 0.5
             b, gb, side = x, g, -1
-        if b - a <= rel_tol * max(abs(b), 1e-300):
+        if b - a <= _BISECT_REL_TOL * max(abs(b), 1e-300):
             break
         if math.isfinite(ga) and ga != gb:
             x = b - gb * (b - a) / (gb - ga)
@@ -508,36 +515,30 @@ def _bandwidth_floor(view, budget, slack, warm):
     bw = np.zeros(k)
     f = np.zeros(k)
     active = view.resid > 0
-    talk = view.bits > 0
 
     if np.any(slack <= 0):
         return None
     # transmission can never take less than bits/limit seconds (capacity
     # ceiling), so that much of the slack is off the table for the server
-    min_tx = np.where(talk, view.bits / view.rate_limit, 0.0)
-    room = slack - min_tx
-    if np.any(room[talk] <= 0):
+    room = slack - view.bits / view.rate_limit
+    if np.any(room <= 0):
         return None
     f_lo = np.zeros(k)
     f_lo[active] = view.resid[active] / room[active]
     if f_lo.sum() >= budget * (1.0 - 1e-12):
         return None
-    # devices that transmit nothing just need their compute floor
-    silent = active & ~talk
-    f[silent] = f_lo[silent]
-    head = budget - f[silent].sum() - f_lo[active & talk].sum()
 
-    game = np.flatnonzero(active & talk)
+    game = np.flatnonzero(active)
     if game.size == 1:
-        f[game[0]] = f_lo[game[0]] + head
+        f[game[0]] = f_lo[game[0]] + (budget - f_lo[game[0]])
     elif game.size:
-        shares = _water_fill(view, game, slack, f_lo, budget - f[silent].sum(), warm)
+        shares = _water_fill(view, game, slack, f_lo, budget, warm)
         if shares is None:
             return None
         f[game] = shares
         warm.update(zip(game.tolist(), shares))
 
-    for i in np.flatnonzero(talk):
+    for i in range(k):
         s = slack[i] - (view.resid[i] / f[i] if f[i] > 0 else 0.0)
         if s <= 0:
             return None
@@ -555,7 +556,6 @@ def resource_subproblem(view, bandwidth_budget, compute_budget, t_seed=None):
     bandwidth meeting it fits the spectrum budget. Returns
     ``(objective, bandwidth, shares)`` with both budgets spent exactly.
     """
-    k = len(view.bits)
     t_floor = float(np.max(view.local_s + np.where(
         view.resid > 0, view.resid / compute_budget, 0.0)))
     warm = {}
@@ -580,15 +580,11 @@ def resource_subproblem(view, bandwidth_budget, compute_budget, t_seed=None):
     t_hi = _grow(lambda t: deficit(t) >= 0, t_seed, 2.0, 200,
                  "no feasible target delay found")
 
-    _root_decreasing(lambda t: -deficit(t), t_floor, t_hi, 0.0,
-                     rel_tol=_BISECT_REL_TOL)
+    _root_decreasing(lambda t: -deficit(t), t_floor, t_hi, 0.0)
     if not best:
         raise NonConvergence("epigraph bisection retained no feasible point")
     bw, f = best["bw"].copy(), best["f"].copy()
-    if bw.sum() > 0:
-        bw *= bandwidth_budget / bw.sum()
-    else:
-        bw[:] = bandwidth_budget / k
+    bw *= bandwidth_budget / bw.sum()
     busy = f > 0
     if busy.any():
         f[busy] *= compute_budget / f[busy].sum()

@@ -71,26 +71,21 @@ def _serial_plan(policy, table, cuts, bandwidth, iterations, history):
 def _common_arrival_bandwidth(table: CutTable, cuts):
     """Smallest common arrival time T and the bandwidth split achieving it.
 
-    Bisects T; a target is feasible when the summed per-device bandwidth
-    requirements fit the budget. Devices that transmit nothing only pin the
-    lower bound on T.
+    Bisects T above the last local finish; a target is feasible when the
+    summed per-device bandwidth requirements fit the budget. The spare
+    spectrum at the returned T goes out pro rata.
     """
     view = table.view(cuts)
     links = [d.link for d in table.net.devices]
     budget = table.net.total_bandwidth_hz
     k = table.num_devices
-    talk = [i for i in range(k) if view.bits[i] > 0]
     t_floor = float(np.max(view.local_s))
-
-    if not talk:
-        return t_floor, np.full(k, budget / k)
-
     best = None  # requirement vector at the smallest feasible target probed
 
     def fits(t):
         nonlocal best
         need = np.zeros(k)
-        for i in talk:
+        for i in range(k):
             room = t - view.local_s[i]
             if room <= 0:
                 return False
@@ -106,10 +101,7 @@ def _common_arrival_bandwidth(table: CutTable, cuts):
     t_hi = _grow(fits, 2.0 * (t_floor if t_floor > 0 else 1e-9), 2.0, 200,
                  "no common arrival target is feasible")
     _, hi = _bisect(fits, t_floor, t_hi, _BISECT_REL_TOL)
-    used = best.sum()
-    if used > 0:
-        return hi, best * (budget / used)  # hand spare spectrum out pro rata
-    return hi, np.full(k, budget / k)
+    return hi, best * (budget / best.sum())
 
 
 def _reselect_serial(table: CutTable, cuts, bandwidth, settings: SolverSettings):
@@ -207,15 +199,11 @@ def reallocate_once(table: CutTable, cuts, bandwidth, state: QueueState,
     target = state.arrivals[b_pos] - state.residuals[donor_pos] / f_max
     view = table.view(cuts)
     budget_s = target - view.local_s[donor]
-    bits = view.bits[donor]
-    if bits <= 0:
-        new_bw = 0.0  # nothing in flight: any spectrum is excess
-    elif budget_s <= 0:
+    if budget_s <= 0:
         raise StalledBreak(
             f"donor {donor} cannot delay its arrival to {target:.6g}s")
-    else:
-        link = table.net.devices[donor].link
-        new_bw = bandwidth_for_rate(link, bits / budget_s)
+    new_bw = bandwidth_for_rate(table.net.devices[donor].link,
+                                view.bits[donor] / budget_s)
     moved = bandwidth[donor] - new_bw
     if moved <= 0:
         raise NoExcess(f"donor {donor} has no spare bandwidth to give")

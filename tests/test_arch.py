@@ -259,6 +259,10 @@ class TestCutProfile:
         with pytest.raises(ValidationError):
             CutProfile((1, 2), (9, 9), (0, 0))
 
+    def test_rejects_a_cut_that_uploads_nothing(self):
+        with pytest.raises(ValidationError, match="at least one bit"):
+            CutProfile((0, 4), (10, 0), (0, 0))
+
     def test_payload_is_data_plus_index(self):
         prof = CutProfile((0, 4), (10, 6), (0, 3))
         assert prof.payload_bits(1) == 9

@@ -39,6 +39,17 @@ class TestSimulate:
         assert "p2" in out and "first-layer" in out
         assert (tmp_path / "summary.csv").exists()
 
+    def test_zero_snr_link_fails_every_policy_quietly(self, capsys, tmp_path):
+        path = tmp_path / "mute.json"
+        path.write_text(json.dumps({"channel": {"power_w": 0}}))
+        assert main(["simulate", "--config", str(path), "--devices", "3",
+                     "--trials", "2"]) == 0
+        out, err = capsys.readouterr()
+        rows = out.strip().splitlines()[1:]
+        assert len(rows) == len(harness.ALL_POLICIES)
+        assert all(row.endswith("n=0") for row in rows)
+        assert err == ""
+
     def test_bad_policy_exits_nonzero(self, capsys):
         assert main(["simulate", "--trials", "1", "--policy", "bogus"]) == 2
         err = json.loads(capsys.readouterr().err)
@@ -155,6 +166,13 @@ class TestOracle:
         data = json.loads(capsys.readouterr().out)
         assert data["mode"] == "parallel"
         assert len(data["cuts"]) == 2
+
+    def test_zero_snr_link_exits_2(self, capsys, tmp_path):
+        path = tmp_path / "mute.json"
+        path.write_text(json.dumps({"channel": {"power_w": 0}}))
+        assert main(["oracle", "--config", str(path), "--devices", "3"]) == 2
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"] == "ZeroRate"
 
     def test_reference_arch_exceeds_guard(self, capsys):
         code = main(["oracle", "--mode", "serial", "--devices", "2",

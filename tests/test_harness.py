@@ -7,10 +7,12 @@ import time
 
 import pytest
 
-from splitplan.harness import (ALL_POLICIES, ExperimentConfig, SweepResult,
+from splitplan.delay import NetworkInstance, arrival_delay
+from splitplan.harness import (ALL_POLICIES, POLICIES, ExperimentConfig, SweepResult,
                                apply_sweep_value, bench_scaling, build_network,
                                run_sweep, run_trial, write_tables)
-from splitplan.errors import ValidationError
+from splitplan.errors import ValidationError, ZeroRate
+from splitplan.oracle import oracle_parallel, oracle_serial
 
 FAST = ExperimentConfig(devices=3, trials=2, seed=11,
                         policies=("p2", "queue-heuristic"))
@@ -107,6 +109,47 @@ class TestTrials:
             tol = 1e-6
             assert obj["p1"] <= obj["min-data"] * (1 + tol)
             assert obj["min-data"] <= obj["first-layer"] * (1 + tol)
+
+
+def _zero_power_fleet(arch, devices):
+    """Trial 0 of a fleet whose links all have zero transmit power."""
+    return build_network(ExperimentConfig.from_dict(
+        {"arch": arch, "devices": devices, "channel": {"power_w": 0}}), 0)
+
+
+def _zero_fading_fleet(arch, devices):
+    """Trial 0 of a default fleet whose second device has zero fading power."""
+    net = build_network(ExperimentConfig(arch=arch, devices=devices), 0)
+    devs = list(net.devices)
+    devs[1] = dataclasses.replace(devs[1], link=devs[1].link.with_fading(0.0))
+    return NetworkInstance(tuple(devs), net.server_flops, net.total_bandwidth_hz)
+
+
+@pytest.mark.filterwarnings("error")
+class TestZeroSnrLink:
+    """Every cut uploads, so a zero-SNR link fails each policy and oracle
+    with one ``ZeroRate``, before any solver arithmetic can warn."""
+
+    @pytest.mark.parametrize("policy", ALL_POLICIES)
+    @pytest.mark.parametrize("fleet, devices", [(_zero_power_fleet, 3),
+                                                (_zero_fading_fleet, 4)],
+                             ids=["zero-power", "zero-fading"])
+    def test_every_policy_raises_zero_rate(self, policy, fleet, devices):
+        with pytest.raises(ZeroRate):
+            POLICIES[policy](fleet("reference", devices))
+
+    @pytest.mark.parametrize("oracle", [oracle_parallel, oracle_serial])
+    @pytest.mark.parametrize("fleet", [_zero_power_fleet, _zero_fading_fleet],
+                             ids=["zero-power", "zero-fading"])
+    def test_every_oracle_raises_zero_rate(self, oracle, fleet):
+        with pytest.raises(ZeroRate):
+            oracle(fleet("toy", 3))  # the oracle's size guard stops at 3 devices
+
+    def test_reference_arrival_raises_zero_rate(self):
+        dev = _zero_fading_fleet("reference", 4).devices[1]
+        for cut in range(dev.profile.num_cuts + 1):
+            with pytest.raises(ZeroRate):
+                arrival_delay(dev, cut, 1e6)
 
 
 class TestSweep:

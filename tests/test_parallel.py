@@ -222,29 +222,29 @@ class TestBandwidthForRate:
 class TestArrivalKernel:
     def test_matches_reference_arrival_delay(self):
         """Kernel against ``delay.arrival_delay`` device by device. Device 0
-        gets a subnormal share, a one-bit device stays finite over another,
-        and a zero-SNR device arrives at inf where the reference raises."""
+        gets a subnormal share, device 1 a zero share (kernel inf, reference
+        ``ZeroRate``), and a one-bit device stays finite over another. A
+        zero-SNR device never gets here: ``CutTable`` raises ``ZeroRate``."""
         rng = np.random.default_rng(17)
         whisper = Device(link=link_with_snr(6e8), compute_flops=3e10,
                          profile=profile_from_lists([1e9], [1], raw_bits=1))
         for _ in range(20):
             net = random_network(rng, devices=4)
-            mute = Device(link=link_with_snr(0.0), compute_flops=3e10,
-                          profile=net.devices[0].profile)
-            net = NetworkInstance(net.devices + (whisper, mute), net.server_flops,
+            net = NetworkInstance(net.devices + (whisper,), net.server_flops,
                                   net.total_bandwidth_hz)
             table = CutTable(net)
             draw = np.random.default_rng(int(rng.integers(1 << 30)))
             cuts = tuple(int(draw.integers(0, len(bits))) for bits in table.bits)
             bw = rng.uniform(0.0, net.total_bandwidth_hz, net.num_devices)
-            bw[0], bw[4] = 5e-324, 1e-308
+            bw[0], bw[1], bw[4] = 5e-324, 0.0, 1e-308
             got = table.view(cuts).arrivals(bw)
-            for i, dev in enumerate(net.devices[:-1]):
-                assert got[i] == arrival_delay(dev, cuts[i], float(bw[i]))
+            for i, dev in enumerate(net.devices):
+                if bw[i] > 0:
+                    assert got[i] == arrival_delay(dev, cuts[i], float(bw[i]))
             assert 1e300 < got[4] < math.inf
-            assert got[-1] == math.inf
+            assert got[1] == math.inf
             with pytest.raises(ZeroRate):
-                arrival_delay(mute, cuts[-1], bw[-1])
+                arrival_delay(net.devices[1], cuts[1], 0.0)
 
     def test_transmit_seconds_over_a_subnormal_share(self):
         table = CutTable(random_network(np.random.default_rng(18), 2))
