@@ -24,7 +24,7 @@ from .parallel import (EqualDelayProblem, SolverSettings, bandwidth_for_rate,
                        equal_delay_allocation, first_layer_policy,
                        equal_delay_split, min_data_layer_policy, solve_p1,
                        solve_p2)
-from .serial import (BreakReallocation, queue_first_layer_policy,
-                     queue_heuristic, reallocate_once, solve_p3)
+from .serial import (queue_first_layer_policy, queue_heuristic, reallocate_once,
+                     solve_p3)
 
 __version__ = "0.1.0"

@@ -13,8 +13,11 @@ All counters are Python ints, so multi-GFLOP totals never wrap.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+import math
+import numbers
+from dataclasses import MISSING, dataclass, fields
 from enum import Enum
+from functools import cache
 from importlib import resources
 from pathlib import Path
 
@@ -32,19 +35,6 @@ class LayerKind(str, Enum):
     TRANSPOSE_CONV = "transpose_conv"
     MAX_POOL = "max_pool"
     MAX_UNPOOL = "max_unpool"
-
-
-_KIND_ALIASES = {
-    "conv": LayerKind.CONV,
-    "convolution": LayerKind.CONV,
-    "transpose_conv": LayerKind.TRANSPOSE_CONV,
-    "tconv": LayerKind.TRANSPOSE_CONV,
-    "transposeconv": LayerKind.TRANSPOSE_CONV,
-    "max_pool": LayerKind.MAX_POOL,
-    "maxpool": LayerKind.MAX_POOL,
-    "max_unpool": LayerKind.MAX_UNPOOL,
-    "maxunpool": LayerKind.MAX_UNPOOL,
-}
 
 
 @dataclass(frozen=True)
@@ -218,7 +208,8 @@ class BottleneckModule:
         if not self.main_branch:
             raise ValidationError(f"module {self.id}: main branch needs at least one layer")
         if self.sampling not in _SAMPLINGS:
-            raise ValidationError(f"module {self.id}: sampling must be one of {_SAMPLINGS}")
+            raise ValidationError(
+                f"module {self.id}: sampling must be one of {_SAMPLINGS}, got {self.sampling!r}")
         if self.pool_bits_per_element < 0:
             raise ValidationError(f"module {self.id}: pool_bits_per_element must be >= 0")
 
@@ -373,75 +364,116 @@ def propagate(arch: Architecture) -> CutProfile:
 
 
 # ---------------------------------------------------------------------------
-# config I/O
+# config I/O: the JSON reading rules shared with the experiment config
 
-_LAYER_KEYS = ("kind", "c_in", "c_out", "kw", "kh", "pw", "ph", "sw", "sh", "dw", "dh", "pwo", "pho")
+def _parse_json(text: str):
+    """The value of a JSON config text; malformed text raises ``ParseError``."""
+    try:
+        return json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise ParseError(f"config is not valid JSON: {exc}") from None
 
 
-def _layer_from_dict(obj, module_id):
+def _known_keys(obj, keys, where: str) -> dict:
+    """``obj`` itself, once it is a JSON object holding only ``keys``."""
     if not isinstance(obj, dict):
-        raise ValidationError(f"module {module_id}: layer entries must be objects")
-    unknown = set(obj) - set(_LAYER_KEYS)
+        raise ValidationError(f"{where} must be a JSON object, not {type(obj).__name__}")
+    unknown = set(obj) - set(keys)
     if unknown:
-        raise ValidationError(f"module {module_id}: unknown layer keys {sorted(unknown)}")
+        raise ValidationError(f"{where}: unknown keys {sorted(unknown)}")
+    return obj
+
+
+def _number(value, whole: bool = False):
+    """A config number as a float, or as an int when ``whole``; booleans,
+    non-numbers, non-finite values and (when ``whole``) fractions raise
+    ``ValueError`` or ``TypeError``."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise TypeError(f"{value!r} is not a number")
+    if whole and isinstance(value, numbers.Integral):
+        return int(value)
+    value = float(value)
+    if not math.isfinite(value):
+        raise ValueError(f"{value!r} is not finite")
+    if whole and not value.is_integer():
+        raise ValueError(f"{value!r} is not an integer")
+    return int(value) if whole else value
+
+
+def _entry(obj: dict, key: str, where: str, default=None):
+    """``obj[key]``, or ``default`` when the key is absent; an absent key
+    without a default raises ``ValidationError``."""
+    if key in obj:
+        return obj[key]
+    if default is None:
+        raise ValidationError(f"{where}: missing required key {key!r}")
+    return default
+
+
+def _whole(obj: dict, key: str, where: str, default=None) -> int:
     try:
-        kind = _KIND_ALIASES[str(obj["kind"]).lower()]
-    except KeyError:
-        raise ValidationError(f"module {module_id}: unknown layer kind {obj.get('kind')!r}") from None
-    try:
-        return LayerSpec(
-            kind=kind,
-            c_in=int(obj["c_in"]),
-            c_out=int(obj["c_out"]),
-            kw=int(obj["kw"]),
-            kh=int(obj["kh"]),
-            pw=int(obj.get("pw", 0)),
-            ph=int(obj.get("ph", 0)),
-            sw=int(obj.get("sw", 1)),
-            sh=int(obj.get("sh", 1)),
-            dw=int(obj.get("dw", 1)),
-            dh=int(obj.get("dh", 1)),
-            pwo=int(obj.get("pwo", 0)),
-            pho=int(obj.get("pho", 0)),
-        )
-    except KeyError as exc:
-        raise ValidationError(f"module {module_id}: layer missing key {exc}") from None
+        return _number(_entry(obj, key, where, default), whole=True)
     except (TypeError, ValueError) as exc:
-        raise ValidationError(f"module {module_id}: bad layer value ({exc})") from None
-    except ValidationError as exc:
-        raise ValidationError(f"module {module_id}: {exc}") from None
+        raise ValidationError(f"{where}: bad {key} ({exc})") from None
 
 
-def architecture_from_dict(cfg: dict) -> Architecture:
-    if not isinstance(cfg, dict):
-        raise ValidationError("top-level config must be an object")
+def _list(obj: dict, key: str, where: str, default=None) -> list:
+    value = _entry(obj, key, where, default)
+    if not isinstance(value, list):
+        raise ValidationError(f"{where}: {key} must be a list, not {type(value).__name__}")
+    return value
+
+
+#: Integer layer fields and their defaults (``None``: required).
+_LAYER_NUMBERS = {f.name: None if f.default is MISSING else f.default
+                  for f in fields(LayerSpec) if f.name != "kind"}
+_INPUT_KEYS = ("channels", "height", "width")
+_MODULE_KEYS = ("id", "sampling", "pool_bits_per_element", "main_branch", "skip_branch")
+_ARCH_KEYS = ("bits_per_element", "input", "modules")
+
+
+def _layer_from_dict(obj, where: str) -> LayerSpec:
+    obj = _known_keys(obj, ("kind", *_LAYER_NUMBERS), where)
+    kind = _entry(obj, "kind", where)
     try:
-        inp = cfg["input"]
-        shape = TensorShape(int(inp["channels"]), int(inp["height"]), int(inp["width"]))
-        raw_modules = cfg["modules"]
-    except (KeyError, TypeError) as exc:
-        raise ValidationError(f"config missing required field: {exc}") from None
+        kind = LayerKind(kind)
+    except ValueError:
+        raise ValidationError(f"{where}: unknown layer kind {kind!r}") from None
+    values = {key: _whole(obj, key, where, default) for key, default in _LAYER_NUMBERS.items()}
+    try:
+        return LayerSpec(kind, **values)
+    except ValidationError as exc:
+        raise ValidationError(f"{where}: {exc}") from None
+
+
+def _module_from_dict(obj, pos: int) -> BottleneckModule:
+    obj = _known_keys(obj, _MODULE_KEYS, f"module {pos}")
+    mid = _whole(obj, "id", f"module {pos}", pos)
+    where = f"module {mid}"
+
+    def branch(key, default):
+        return tuple(_layer_from_dict(layer, f"{where} {key}[{i}]")
+                     for i, layer in enumerate(_list(obj, key, where, default)))
+
+    return BottleneckModule(
+        id=mid,
+        main_branch=branch("main_branch", None),
+        skip_branch=branch("skip_branch", []),
+        sampling=_entry(obj, "sampling", where, "none"),
+        pool_bits_per_element=_whole(obj, "pool_bits_per_element", where, 0),
+    )
+
+
+def architecture_from_dict(cfg) -> Architecture:
+    cfg = _known_keys(cfg, _ARCH_KEYS, "architecture")
+    inp = _known_keys(_entry(cfg, "input", "architecture"), _INPUT_KEYS, "input")
+    raw_modules = _list(cfg, "modules", "architecture")
     if not raw_modules:
         raise ValidationError("module list is empty")
-    modules = []
-    for entry in raw_modules:
-        mid = entry.get("id", len(modules) + 1)
-        try:
-            modules.append(BottleneckModule(
-                id=int(mid),
-                main_branch=tuple(_layer_from_dict(l, mid) for l in entry.get("main_branch", ())),
-                skip_branch=tuple(_layer_from_dict(l, mid) for l in entry.get("skip_branch", ())),
-                sampling=str(entry.get("sampling", "none")).lower(),
-                pool_bits_per_element=int(entry.get("pool_bits_per_element", 0)),
-            ))
-        except ValidationError:
-            raise
-        except (TypeError, ValueError) as exc:
-            raise ValidationError(f"module {mid}: {exc}") from None
     arch = Architecture(
-        modules=tuple(modules),
-        input_shape=shape,
-        bits_per_element=int(cfg.get("bits_per_element", 32)),
+        modules=tuple(_module_from_dict(m, pos) for pos, m in enumerate(raw_modules, start=1)),
+        input_shape=TensorShape(*(_whole(inp, key, "input") for key in _INPUT_KEYS)),
+        bits_per_element=_whole(cfg, "bits_per_element", "architecture", 32),
     )
     try:
         propagate(arch)  # full structural validation
@@ -452,25 +484,16 @@ def architecture_from_dict(cfg: dict) -> Architecture:
 
 def load_architecture(config_text: str) -> Architecture:
     """Parse and validate a JSON architecture config."""
-    try:
-        cfg = json.loads(config_text)
-    except json.JSONDecodeError as exc:
-        raise ParseError(f"config is not valid JSON: {exc}") from None
-    return architecture_from_dict(cfg)
+    return architecture_from_dict(_parse_json(config_text))
 
 
 def architecture_to_dict(arch: Architecture) -> dict:
     def layer(l: LayerSpec) -> dict:
-        return {"kind": l.kind.value, "c_in": l.c_in, "c_out": l.c_out,
-                "kw": l.kw, "kh": l.kh, "pw": l.pw, "ph": l.ph,
-                "sw": l.sw, "sh": l.sh, "dw": l.dw, "dh": l.dh,
-                "pwo": l.pwo, "pho": l.pho}
+        return {"kind": l.kind.value, **{key: getattr(l, key) for key in _LAYER_NUMBERS}}
 
     return {
         "bits_per_element": arch.bits_per_element,
-        "input": {"channels": arch.input_shape.channels,
-                  "height": arch.input_shape.height,
-                  "width": arch.input_shape.width},
+        "input": {key: getattr(arch.input_shape, key) for key in _INPUT_KEYS},
         "modules": [
             {"id": m.id, "sampling": m.sampling,
              "pool_bits_per_element": m.pool_bits_per_element,
@@ -486,11 +509,14 @@ _BUNDLED = {"reference": "enet_reference.json", "toy": "toy_arch.json"}
 
 def packaged_config_text(name: str) -> str:
     """Text of a bundled architecture config ('reference' or 'toy')."""
-    fname = _BUNDLED.get(name, name)
-    try:
-        return resources.files("splitplan.data").joinpath(fname).read_text()
-    except FileNotFoundError:
-        raise ParseError(f"no bundled config named {name!r}") from None
+    if name not in _BUNDLED:
+        raise ParseError(f"no bundled config named {name!r}")
+    return resources.files("splitplan.data").joinpath(_BUNDLED[name]).read_text()
+
+
+@cache
+def _bundled_architecture(name: str) -> Architecture:
+    return load_architecture(packaged_config_text(name))
 
 
 def resolve_architecture(spec) -> Architecture:
@@ -500,22 +526,15 @@ def resolve_architecture(spec) -> Architecture:
         raise ValidationError(
             f"arch must be a bundled name or a file path, got {spec!r}")
     if spec in _BUNDLED:
-        return load_architecture(packaged_config_text(spec))
+        return _bundled_architecture(spec)
     return load_architecture(Path(spec).read_text())
-
-
-_REFERENCE_CACHE: dict[str, Architecture] = {}
 
 
 def reference_architecture() -> Architecture:
     """The bundled 30-module segmentation network (ENet-style layout)."""
-    if "reference" not in _REFERENCE_CACHE:
-        _REFERENCE_CACHE["reference"] = load_architecture(packaged_config_text("reference"))
-    return _REFERENCE_CACHE["reference"]
+    return _bundled_architecture("reference")
 
 
 def toy_architecture() -> Architecture:
     """The bundled 4-module toy network used for brute-force validation."""
-    if "toy" not in _REFERENCE_CACHE:
-        _REFERENCE_CACHE["toy"] = load_architecture(packaged_config_text("toy"))
-    return _REFERENCE_CACHE["toy"]
+    return _bundled_architecture("toy")

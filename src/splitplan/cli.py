@@ -173,11 +173,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except SplitPlanError as exc:
-        json.dump({"error": type(exc).__name__, "message": str(exc)}, sys.stderr)
-        sys.stderr.write("\n")
-        return 2
-    except OSError as exc:  # a missing or unreadable --arch / --config file
+    except (SplitPlanError, OSError) as exc:  # OSError: a missing or unreadable file
         json.dump({"error": type(exc).__name__, "message": str(exc)}, sys.stderr)
         sys.stderr.write("\n")
         return 2

@@ -15,9 +15,7 @@ in the config to change it; absolute delays scale with it directly.
 
 from __future__ import annotations
 
-import json
 import math
-import numbers
 import time
 from dataclasses import dataclass, field, fields, replace
 from pathlib import Path
@@ -25,10 +23,11 @@ from pathlib import Path
 import numpy as np
 
 from . import serial
-from .arch import Architecture, propagate, resolve_architecture
+from .arch import (Architecture, _known_keys, _number, _parse_json, propagate,
+                   resolve_architecture)
 from .channel import LinkParams, trial_fading
 from .delay import Device, NetworkInstance
-from .errors import ParseError, SplitPlanError, ValidationError
+from .errors import SplitPlanError, ValidationError
 from .parallel import (SolverSettings, first_layer_policy, min_data_layer_policy,
                        solve_p1, solve_p2)
 
@@ -57,32 +56,6 @@ _CONFIG_KEYS = ("arch", "devices", "device_flops", "server_flops", "bandwidth_hz
                 "trials", "seed", "policies", "channel", "sweep", "solver")
 
 _SOLVER_KEYS = tuple(f.name for f in fields(SolverSettings))
-
-
-def _known_keys(obj, keys, where: str) -> dict:
-    """``obj`` itself, once it is a JSON object holding only ``keys``."""
-    if not isinstance(obj, dict):
-        raise ValidationError(f"{where} must be a JSON object")
-    unknown = set(obj) - set(keys)
-    if unknown:
-        raise ValidationError(f"unknown {where} keys {sorted(unknown)}")
-    return obj
-
-
-def _number(value, whole: bool = False):
-    """A config number as a float, or as an int when ``whole``; booleans,
-    non-numbers, non-finite values and (when ``whole``) fractions raise
-    ``ValueError`` or ``TypeError``."""
-    if isinstance(value, bool) or not isinstance(value, numbers.Real):
-        raise TypeError(f"{value!r} is not a number")
-    if whole and isinstance(value, numbers.Integral):
-        return int(value)
-    value = float(value)
-    if not math.isfinite(value):
-        raise ValueError(f"{value!r} is not finite")
-    if whole and not value.is_integer():
-        raise ValueError(f"{value!r} is not an integer")
-    return int(value) if whole else value
 
 
 def default_channel() -> dict:
@@ -175,11 +148,7 @@ class ExperimentConfig:
 
     @classmethod
     def from_json(cls, text: str) -> "ExperimentConfig":
-        try:
-            cfg = json.loads(text)
-        except json.JSONDecodeError as exc:
-            raise ParseError(f"config is not valid JSON: {exc}") from None
-        return cls.from_dict(cfg)
+        return cls.from_dict(_parse_json(text))
 
 
 def load_experiment_architecture(cfg: ExperimentConfig) -> Architecture:

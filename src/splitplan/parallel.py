@@ -203,6 +203,9 @@ def equal_delay_allocation(arrivals, residuals, budget):
     """
     arrivals = np.asarray(arrivals, dtype=float)
     residuals = np.asarray(residuals, dtype=float)
+    if not np.isfinite(arrivals).all():
+        i = int(np.argmin(np.isfinite(arrivals)))
+        raise ZeroRate(f"device {i} arrives at {arrivals[i]}: its upload rate is zero")
     busy = residuals > 0
     shares = np.zeros(len(arrivals))
     t_busy = -math.inf

@@ -11,29 +11,13 @@ tail without disturbing earlier sub-queues.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
 from .delay import AllocationPlan, NetworkInstance, QueueState, serial_total_delay
-from .errors import NoExcess, StalledBreak
+from .errors import NoExcess, StalledBreak, ZeroRate
 from .parallel import (_BISECT_REL_TOL, CutTable, SolverSettings, _alternate, _bisect,
                        _grow, bandwidth_for_rate)
-
-
-@dataclass(frozen=True)
-class BreakReallocation:
-    """One bandwidth transfer across the queue.
-
-    ``donor``/``receiver`` are queue positions in the pre-transfer order;
-    the donor's bandwidth drops to ``donor_new_bandwidth_hz`` and the freed
-    ``moved_bandwidth_hz`` goes to the receiver.
-    """
-
-    donor: int
-    receiver: int
-    donor_new_bandwidth_hz: float
-    moved_bandwidth_hz: float
 
 
 def _serial_eval(table: CutTable, cuts, bandwidth):
@@ -46,6 +30,8 @@ def _serial_eval(table: CutTable, cuts, bandwidth):
 
 def _serial_plan(policy, table, cuts, bandwidth, iterations, history):
     objective, state, arrivals, view = _serial_eval(table, cuts, bandwidth)
+    if not math.isfinite(objective):
+        raise ZeroRate(f"{policy} plan has objective {objective}: some upload rate is zero")
     f_max = table.net.server_flops
     delays = list(arrivals)
     for pos, dev in enumerate(state.order):
@@ -182,7 +168,7 @@ def reallocate_once(table: CutTable, cuts, bandwidth, state: QueueState,
     arrival sets the queue total. Requires at least two gaps so donor and
     receiver are distinct.
 
-    Returns ``(BreakReallocation, new_bandwidth, new_state)``.
+    Returns ``(objective, new_bandwidth, new_state)`` of the new allocation.
     """
     breaks = state.breaks
     if len(breaks) < 2:
@@ -197,13 +183,13 @@ def reallocate_once(table: CutTable, cuts, bandwidth, state: QueueState,
     receiver = state.order[recv_pos]
 
     target = state.arrivals[b_pos] - state.residuals[donor_pos] / f_max
-    view = table.view(cuts)
-    budget_s = target - view.local_s[donor]
+    cut = cuts[donor]
+    budget_s = target - table.local_s[donor][cut]
     if budget_s <= 0:
         raise StalledBreak(
             f"donor {donor} cannot delay its arrival to {target:.6g}s")
     new_bw = bandwidth_for_rate(table.net.devices[donor].link,
-                                view.bits[donor] / budget_s)
+                                table.bits[donor][cut] / budget_s)
     moved = bandwidth[donor] - new_bw
     if moved <= 0:
         raise NoExcess(f"donor {donor} has no spare bandwidth to give")
@@ -211,14 +197,8 @@ def reallocate_once(table: CutTable, cuts, bandwidth, state: QueueState,
     new_bandwidth = np.asarray(bandwidth, dtype=float).copy()
     new_bandwidth[donor] = new_bw
     new_bandwidth[receiver] += moved
-    _, new_state, _, _ = _serial_eval(table, cuts, new_bandwidth)
-    realloc = BreakReallocation(
-        donor=donor_pos,
-        receiver=recv_pos,
-        donor_new_bandwidth_hz=float(new_bw),
-        moved_bandwidth_hz=float(moved),
-    )
-    return realloc, new_bandwidth, new_state
+    objective, new_state, _, _ = _serial_eval(table, cuts, new_bandwidth)
+    return objective, new_bandwidth, new_state
 
 
 def queue_heuristic(net: NetworkInstance,
@@ -240,19 +220,15 @@ def queue_heuristic(net: NetworkInstance,
 
     for _ in range(settings.outer_iters):
         bw = np.full(k, net.total_bandwidth_hz / k)
-        obj, state, arrivals, view = _serial_eval(table, cuts, bw)
+        obj, state, _, _ = _serial_eval(table, cuts, bw)
         consider(obj, cuts, bw)
-        # spectrum only moves between queued devices, so the fully-local
-        # devices' arrivals are fixed for the whole reallocation loop
-        idle = view.resid <= 0
-        idle_max = float(np.max(arrivals[idle])) if idle.any() else -math.inf
         guard = max(2 * k, 16)
         while len(state.breaks) > min_gaps and guard > 0:
             guard -= 1
             moved = False
             for donor_break in range(len(state.breaks) - 1):
                 try:
-                    _, bw, state = reallocate_once(
+                    obj, bw, state = reallocate_once(
                         table, cuts, bw, state, donor_break=donor_break)
                     moved = True
                     break
@@ -260,7 +236,7 @@ def queue_heuristic(net: NetworkInstance,
                     continue  # try the next sub-queue tail as donor
             if not moved:
                 break
-            consider(max(state.total_delay, idle_max), cuts, bw)
+            consider(obj, cuts, bw)
         cuts = _reselect_serial(table, cuts, bw, settings)
         obj, state, _, _ = _serial_eval(table, cuts, bw)
         consider(obj, cuts, bw)

@@ -205,8 +205,10 @@ class TestReferenceArchitecture:
         # deepest encoder stage spans the second pooled downsample onward
         assert 7 <= best <= 24
 
-    def test_toy_round_trips_through_config(self):
-        arch = toy_architecture()
+    @pytest.mark.parametrize("bundled", [reference_architecture, toy_architecture],
+                             ids=["reference", "toy"])
+    def test_bundled_round_trips_through_config(self, bundled):
+        arch = bundled()
         text = json.dumps(architecture_to_dict(arch))
         again = load_architecture(text)
         assert propagate(again) == propagate(arch)

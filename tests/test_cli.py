@@ -6,8 +6,26 @@ import math
 import pytest
 
 from splitplan import harness
+from splitplan.arch import architecture_to_dict, toy_architecture
 from splitplan.cli import main
 from splitplan.errors import Infeasible
+
+_DELETE = object()
+
+
+def _edited_toy(path, value):
+    """The bundled toy network's config with the entry at ``path`` set to
+    ``value``, or deleted when ``value`` is ``_DELETE``."""
+    cfg = architecture_to_dict(toy_architecture())
+    *parents, last = path
+    node = cfg
+    for key in parents:
+        node = node[key]
+    if value is _DELETE:
+        del node[last]
+    else:
+        node[last] = value
+    return cfg
 
 
 class TestProfile:
@@ -28,6 +46,39 @@ class TestProfile:
         err = json.loads(capsys.readouterr().err)
         assert "error" in err
 
+    @pytest.mark.parametrize("path, value, named", [
+        (("modules", 1), 1, "module 2 must be a JSON object"),
+        (("modules", 0, "main_branch", 0), "conv", "module 1 main_branch[0] must be a JSON object"),
+        (("modules",), {"1": {}}, "modules must be a list"),
+        (("modules", 0, "skip_branch"), {"kind": "conv"}, "module 1: skip_branch must be a list"),
+        (("input",), [3, 32, 64], "input must be a JSON object"),
+        (("bits_per_elemnt",), 32, "bits_per_elemnt"),
+        (("input", "depth"), 1, "depth"),
+        (("modules", 0, "skip_brnach"), [], "skip_brnach"),
+        (("modules", 1, "main_branch", 2, "stride"), 2, "module 2 main_branch[2]: unknown keys ['stride']"),
+        (("modules", 1, "main_branch", 0, "kw"), 2.9, "2.9"),
+        (("bits_per_element",), True, "True"),
+        (("modules", 1, "main_branch", 0, "kw"), "2", "'2'"),
+        (("input", "height"), 32.5, "32.5"),
+        (("modules", 2, "main_branch", 1, "kind"), "tconv", "'tconv'"),
+        (("modules", 0, "sampling"), "Down", "'Down'"),
+        (("modules", 1, "main_branch", 0, "kw"), _DELETE, "module 2 main_branch[0]: missing required key 'kw'"),
+    ], ids=["non-object-module", "non-object-layer", "object-modules", "object-branch",
+            "list-input", "unknown-top-key", "unknown-input-key", "unknown-module-key",
+            "unknown-layer-key", "fractional-kw", "boolean-bits", "string-kw",
+            "fractional-height", "aliased-kind", "capitalized-sampling", "missing-kw"])
+    def test_malformed_architecture_exits_2(self, capsys, tmp_path, path, value, named):
+        arch = tmp_path / "arch.json"
+        arch.write_text(json.dumps(_edited_toy(path, value)))
+        cfg = tmp_path / "cfg.json"  # keep the run short should the network be accepted
+        cfg.write_text(json.dumps({"arch": str(arch), "trials": 1, "devices": 2,
+                                   "policies": ["p2"]}))
+        for argv in (["profile", "--arch", str(arch)], ["simulate", "--config", str(cfg)]):
+            assert main(argv) == 2
+            err = json.loads(capsys.readouterr().err)
+            assert err["error"] == "ValidationError"
+            assert named in err["message"]
+
 
 class TestSimulate:
     def test_small_run(self, capsys, tmp_path):
@@ -44,6 +95,19 @@ class TestSimulate:
         path.write_text(json.dumps({"channel": {"power_w": 0}}))
         assert main(["simulate", "--config", str(path), "--devices", "3",
                      "--trials", "2"]) == 0
+        out, err = capsys.readouterr()
+        rows = out.strip().splitlines()[1:]
+        assert len(rows) == len(harness.ALL_POLICIES)
+        assert all(row.endswith("n=0") for row in rows)
+        assert err == ""
+
+    @pytest.mark.filterwarnings("error")
+    def test_tiny_snr_link_fails_every_policy_quietly(self, capsys, tmp_path):
+        # SNR 4.4e-298 Hz: positive, but every upload rate rounds to zero
+        path = tmp_path / "far.json"
+        path.write_text(json.dumps({"channel": {"distance_m": 1e130}}))
+        assert main(["simulate", "--config", str(path), "--devices", "3",
+                     "--trials", "1"]) == 0
         out, err = capsys.readouterr()
         rows = out.strip().splitlines()[1:]
         assert len(rows) == len(harness.ALL_POLICIES)
