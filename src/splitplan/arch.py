@@ -15,6 +15,7 @@ from __future__ import annotations
 import json
 import math
 import numbers
+import sys
 from dataclasses import MISSING, dataclass, fields
 from enum import Enum
 from functools import cache
@@ -266,6 +267,8 @@ class CutProfile:
             raise ValidationError("every cut must transmit at least one bit")
         if min(self.index_bits) < 0:
             raise ValidationError("index payloads must be non-negative")
+        if max(self.total_workload, *map(self.payload_bits, range(n))) > sys.float_info.max:
+            raise ValidationError("workloads and payloads must fit a float")
 
     @property
     def num_cuts(self) -> int:

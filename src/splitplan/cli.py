@@ -40,13 +40,6 @@ def _config_from_args(args) -> ExperimentConfig:
             overrides[name] = value
     if getattr(args, "policy", None):
         overrides["policies"] = tuple(p.strip() for p in args.policy.split(",") if p.strip())
-    solver = base.solver
-    if getattr(args, "strict_breaks", False):
-        solver = replace(solver, strict_breaks=True)
-    if getattr(args, "p3_layer_rule", None):
-        solver = replace(solver, p3_layer_rule=args.p3_layer_rule)
-    if solver is not base.solver:
-        overrides["solver"] = solver
     if overrides:
         base = replace(base, **overrides)
     return base
@@ -130,10 +123,6 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--devices", type=int, default=None)
         p.add_argument("--policy", help="comma-separated policy list "
                                         f"(default all: {','.join(ALL_POLICIES)})")
-        p.add_argument("--strict-breaks", action="store_true",
-                       help="serial heuristic keeps reallocating down to one queue gap")
-        p.add_argument("--p3-layer-rule", choices=["full", "c-only"], default=None,
-                       help="serial coordinate step: full objective or arrival only")
 
     p = sub.add_parser("simulate", help="Monte-Carlo trials at one operating point")
     common(p)

@@ -55,6 +55,10 @@ SWEEP_PARAMS = ("devices", "power", "bandwidth", "fdev", "fserver", "iters")
 _CONFIG_KEYS = ("arch", "devices", "device_flops", "server_flops", "bandwidth_hz",
                 "trials", "seed", "policies", "channel", "sweep", "solver")
 
+#: Top-level config numbers, each with whether it must be whole.
+_NUMBER_KEYS = {"devices": True, "device_flops": False, "server_flops": False,
+                "bandwidth_hz": False, "trials": True, "seed": True}
+
 _SOLVER_KEYS = tuple(f.name for f in fields(SolverSettings))
 
 
@@ -122,26 +126,20 @@ class ExperimentConfig:
         chan = default_channel()
         chan.update(_known_keys(cfg.get("channel", {}), LinkParams.CONFIG_KEYS, "channel"))
         sweep = _known_keys(cfg.get("sweep", {}), ("param", "values"), "sweep")
-        solver = dict(_known_keys(cfg.get("solver", {}), _SOLVER_KEYS, "solver"))
+        solver = _known_keys(cfg.get("solver", {}), _SOLVER_KEYS, "solver")
+        named = {key: cfg[key] for key in ("arch", "policies") if key in cfg}
         try:
-            for cap in ("max_alternations", "outer_iters"):
-                if cap in solver:
-                    solver[cap] = _number(solver[cap], whole=True)
+            named.update((key, _number(cfg[key], whole=whole))
+                         for key, whole in _NUMBER_KEYS.items() if key in cfg)
             channel = {key: _number(value) for key, value in chan.items()}
             LinkParams.from_config(channel)  # overflows in the dB conversions
             return cls(
-                arch=cfg.get("arch", "reference"),
-                devices=_number(cfg.get("devices", 10), whole=True),
-                device_flops=_number(cfg.get("device_flops", 30e9)),
-                server_flops=_number(cfg.get("server_flops", 300e9)),
-                bandwidth_hz=_number(cfg.get("bandwidth_hz", 200e6)),
-                trials=_number(cfg.get("trials", 100), whole=True),
-                seed=_number(cfg.get("seed", 7), whole=True),
-                policies=tuple(cfg.get("policies", ALL_POLICIES)),
+                **named,
                 channel=channel,
                 sweep_param=sweep.get("param"),
                 sweep_values=tuple(_number(v) for v in sweep.get("values", ())),
-                solver=SolverSettings(**solver),
+                solver=SolverSettings(**{cap: _number(value, whole=True)
+                                         for cap, value in solver.items()}),
             )
         except (TypeError, ValueError, OverflowError) as exc:
             raise ValidationError(f"bad config value: {exc}") from None

@@ -18,14 +18,18 @@ from .errors import NoBracket, TooLarge, ValidationError
 from .parallel import CutTable, EqualDelayProblem, equal_delay_allocation
 
 
+#: Largest fleet and deepest network the exhaustive cut enumeration accepts.
+_MAX_DEVICES = 3
+_MAX_CUT_LAYERS = 6
+
+
 @dataclass(frozen=True)
 class GridSpec:
     bandwidth_points: int = 101
-    max_cut_layers: int = 6
 
     def __post_init__(self):
-        if min(self.bandwidth_points, self.max_cut_layers) < 2:
-            raise ValidationError("grid parameters must be >= 2")
+        if self.bandwidth_points < 2:
+            raise ValidationError("the bandwidth grid needs at least 2 points")
 
 
 @dataclass(frozen=True)
@@ -35,12 +39,13 @@ class OracleResult:
     bandwidth_hz: tuple[float, ...]
 
 
-def _guard(net: NetworkInstance, grid: GridSpec):
-    if net.num_devices > 3:
-        raise TooLarge(f"{net.num_devices} devices exceeds the brute-force guard (3)")
+def _guard(net: NetworkInstance):
+    if net.num_devices > _MAX_DEVICES:
+        raise TooLarge(
+            f"{net.num_devices} devices exceeds the brute-force guard ({_MAX_DEVICES})")
     layers = max(d.profile.num_cuts for d in net.devices)
-    if layers > grid.max_cut_layers:
-        raise TooLarge(f"{layers} layers exceeds the brute-force guard ({grid.max_cut_layers})")
+    if layers > _MAX_CUT_LAYERS:
+        raise TooLarge(f"{layers} layers exceeds the brute-force guard ({_MAX_CUT_LAYERS})")
 
 
 def _bandwidth_grid(total: float, k: int, points: int):
@@ -68,7 +73,7 @@ def _grid_min(net: NetworkInstance, grid: GridSpec | None, score) -> OracleResul
     """Minimum of ``score(arrivals, residuals, server_flops)`` over every cut
     vector crossed with the bandwidth-simplex grid."""
     grid = grid or GridSpec()
-    _guard(net, grid)
+    _guard(net)
     table = CutTable(net)
     k = net.num_devices
     best = None

@@ -31,15 +31,10 @@ class SolverSettings:
 
     ``max_alternations`` caps the cut/resource alternation of ``p1``, ``p2``
     and ``p3``; ``outer_iters`` is the serial heuristic's outer loop count.
-    ``p3_layer_rule`` picks the serial coordinate step ("full" objective or
-    arrival-only "c-only"); ``strict_breaks`` switches the serial heuristic
-    to keep reallocating down to a single queue gap.
     """
 
     max_alternations: int = 20
     outer_iters: int = 4
-    p3_layer_rule: str = "full"
-    strict_breaks: bool = False
 
     def __post_init__(self):
         for cap in (self.max_alternations, self.outer_iters):
@@ -47,11 +42,6 @@ class SolverSettings:
                 raise ValidationError(f"iteration caps must be integers, got {cap!r}")
             if cap < 1:
                 raise ValidationError("iteration caps must be >= 1")
-        if self.p3_layer_rule not in ("full", "c-only"):
-            raise ValidationError("p3_layer_rule must be 'full' or 'c-only'")
-        if not isinstance(self.strict_breaks, bool):
-            raise ValidationError(
-                f"strict_breaks must be true or false, got {self.strict_breaks!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -284,7 +274,9 @@ def _required_bandwidth_u(snr_hz: float, rate: float):
 class CutTable:
     """Per-device per-cut arrays: local seconds, payload bits, residual FLOPs.
 
-    Every cut uploads, so a link without SNR raises :class:`ZeroRate`.
+    Every cut uploads, so a link whose rate over the whole spectrum is not
+    positive (a zero or NaN SNR, or one that rounds away against the
+    bandwidth) raises :class:`ZeroRate`.
     """
 
     def __init__(self, net: NetworkInstance):
@@ -300,10 +292,9 @@ class CutTable:
             self.bits.append(np.add(prof.transmit_bits, prof.index_bits).astype(float))
             self.resid.append(prof.total_workload - cum)
         self.snr = np.array([dev.link.snr_hz() for dev in net.devices])
-        mute = np.flatnonzero(~(self.snr > 0))  # NaN included
-        if mute.size:
-            i = int(mute[0])
-            raise ZeroRate(f"device {i} must upload over a link with SNR {float(self.snr[i])}")
+        for i, snr in enumerate(self.snr.tolist()):
+            if not shannon_rate(snr, net.total_bandwidth_hz) > 0:  # NaN included
+                raise ZeroRate(f"device {i} gets no upload rate from a link with SNR {snr}")
         self.rate_limit = self.snr / LN2
 
     @property

@@ -90,13 +90,10 @@ def _common_arrival_bandwidth(table: CutTable, cuts):
     return hi, best * (budget / best.sum())
 
 
-def _reselect_serial(table: CutTable, cuts, bandwidth, settings: SolverSettings):
-    """Coordinate pass over devices: re-pick each cut at fixed bandwidth.
-
-    ``full`` minimizes the simultaneous-arrival objective
-    max(arrival) + sum(residual)/f_max exactly; ``c-only`` minimizes the
-    device's own arrival time.
-    """
+def _reselect_serial(table: CutTable, cuts, bandwidth):
+    """Coordinate pass over devices: re-pick each cut at fixed bandwidth to
+    minimize the simultaneous-arrival objective
+    max(arrival) + sum(residual)/f_max exactly."""
     f_max = table.net.server_flops
     k = table.num_devices
     arr = np.empty(k)
@@ -114,13 +111,10 @@ def _reselect_serial(table: CutTable, cuts, bandwidth, settings: SolverSettings)
     new_cuts = list(cuts)
     before_max = -math.inf  # largest re-picked arrival of the devices before i
     for i in range(k):
-        if settings.p3_layer_rule == "c-only":
-            best = int(np.argmin(cand_arr[i]))
-        else:
-            others_max = max(before_max, after_max[i])
-            others_res = res.sum() - res[i]
-            score = np.maximum(cand_arr[i], others_max) + (others_res + cand_res[i]) / f_max
-            best = int(np.argmin(score))
+        others_max = max(before_max, after_max[i])
+        others_res = res.sum() - res[i]
+        score = np.maximum(cand_arr[i], others_max) + (others_res + cand_res[i]) / f_max
+        best = int(np.argmin(score))
         new_cuts[i] = best
         arr[i] = cand_arr[i][best]
         res[i] = cand_res[i][best]
@@ -141,7 +135,7 @@ def solve_p3(net: NetworkInstance, settings: SolverSettings | None = None) -> Al
 
     (_, cuts, bw), history, rounds = _alternate(
         table.min_data_cuts(), evaluate,
-        lambda cuts, bw: _reselect_serial(table, cuts, bw, settings),
+        lambda cuts, bw: _reselect_serial(table, cuts, bw),
         settings.max_alternations)
     return _serial_plan("p3", table, cuts, bw, rounds, history)
 
@@ -209,7 +203,6 @@ def queue_heuristic(net: NetworkInstance,
     table = CutTable(net)
     k = table.num_devices
     cuts = table.min_data_cuts()
-    min_gaps = 1 if settings.strict_breaks else 2
     best = None
     history = []
 
@@ -223,7 +216,7 @@ def queue_heuristic(net: NetworkInstance,
         obj, state, _, _ = _serial_eval(table, cuts, bw)
         consider(obj, cuts, bw)
         guard = max(2 * k, 16)
-        while len(state.breaks) > min_gaps and guard > 0:
+        while len(state.breaks) > 2 and guard > 0:
             guard -= 1
             moved = False
             for donor_break in range(len(state.breaks) - 1):
@@ -237,7 +230,7 @@ def queue_heuristic(net: NetworkInstance,
             if not moved:
                 break
             consider(obj, cuts, bw)
-        cuts = _reselect_serial(table, cuts, bw, settings)
+        cuts = _reselect_serial(table, cuts, bw)
         obj, state, _, _ = _serial_eval(table, cuts, bw)
         consider(obj, cuts, bw)
         history.append(best[0])

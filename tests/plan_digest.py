@@ -17,7 +17,7 @@ message)``. Inputs, in order: all policies on trials 0-5 of
 ``default_rng(2024)``, 8 oracle-benchmark networks under all policies and
 both 21-point oracles, and 20 random fleets of 5-9 devices under ``p1``,
 ``p3``, ``queue-heuristic`` and ``queue-first-layer``; then the same 20
-fleets under the non-default settings in ``FLEET_SETTINGS``.
+fleets under the short alternation caps in ``FLEET_SETTINGS``.
 """
 
 from __future__ import annotations
@@ -40,13 +40,11 @@ from splitplan.parallel import SolverSettings
 FLEET_POLICIES = ("p1", "p3", "queue-heuristic", "queue-first-layer")
 
 #: (policy, settings) pairs that run a loop away from its default: a short
-#: alternation cap for the three alternating policies, and each serial rule.
+#: alternation cap for the three alternating policies.
 FLEET_SETTINGS = (
     ("p1", SolverSettings(max_alternations=2)),
     ("p2", SolverSettings(max_alternations=2)),
     ("p3", SolverSettings(max_alternations=2)),
-    ("p3", SolverSettings(p3_layer_rule="c-only")),
-    ("queue-heuristic", SolverSettings(strict_breaks=True)),
 )
 
 

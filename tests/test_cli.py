@@ -63,10 +63,12 @@ class TestProfile:
         (("modules", 2, "main_branch", 1, "kind"), "tconv", "'tconv'"),
         (("modules", 0, "sampling"), "Down", "'Down'"),
         (("modules", 1, "main_branch", 0, "kw"), _DELETE, "module 2 main_branch[0]: missing required key 'kw'"),
+        (("bits_per_element",), 10 ** 400, "fit a float"),
     ], ids=["non-object-module", "non-object-layer", "object-modules", "object-branch",
             "list-input", "unknown-top-key", "unknown-input-key", "unknown-module-key",
             "unknown-layer-key", "fractional-kw", "boolean-bits", "string-kw",
-            "fractional-height", "aliased-kind", "capitalized-sampling", "missing-kw"])
+            "fractional-height", "aliased-kind", "capitalized-sampling", "missing-kw",
+            "payload-beyond-float"])
     def test_malformed_architecture_exits_2(self, capsys, tmp_path, path, value, named):
         arch = tmp_path / "arch.json"
         arch.write_text(json.dumps(_edited_toy(path, value)))
@@ -137,7 +139,8 @@ class TestSimulate:
         ({"solver": {"cut_init": "random"}}, "cut_init"),
         ({"solver": {"max_alternations": 2.5}}, "2.5"),
         ({"solver": {"outer_iters": 0.5}}, "0.5"),
-        ({"solver": {"strict_breaks": "no"}}, "strict_breaks"),
+        ({"solver": {"strict_breaks": False}}, "strict_breaks"),
+        ({"solver": {"p3_layer_rule": "full"}}, "p3_layer_rule"),
         ({"arch": 5}, "5"),
         ({"devices": True}, "True"),
         ({"seed": False}, "False"),
@@ -153,7 +156,8 @@ class TestSimulate:
         ({"sweep": {"values": [3]}}, "without a sweep param"),
     ], ids=["unknown-solver-key", "not-an-object", "non-numeric", "fractional-count",
             "unknown-key", "unknown-channel-key", "unknown-sweep-key", "removed-solver-key",
-            "fractional-alternation-cap", "fractional-outer-iters", "string-strict-breaks",
+            "fractional-alternation-cap", "fractional-outer-iters", "removed-strict-breaks",
+            "removed-p3-layer-rule",
             "non-string-arch", "boolean-devices", "boolean-seed", "boolean-bandwidth",
             "boolean-power", "boolean-outer-iters", "boolean-sweep-value", "nan-bandwidth",
             "nan-distance", "overflowing-noise", "empty-policies", "empty-policy-flag",

@@ -42,6 +42,9 @@ class TestConfig:
         assert cfg.channel["power_w"] == 1.0  # untouched defaults remain
         assert cfg.sweep_param == "bandwidth"
 
+    def test_from_empty_dict_is_the_default(self):
+        assert ExperimentConfig.from_dict({}) == ExperimentConfig()
+
     def test_rejects_unknown_policy(self):
         with pytest.raises(ValidationError):
             ExperimentConfig(policies=("p1", "magic"))
@@ -117,6 +120,13 @@ def _zero_power_fleet(arch, devices):
         {"arch": arch, "devices": devices, "channel": {"power_w": 0}}), 0)
 
 
+def _far_link_fleet(arch, devices):
+    """Trial 0 of a fleet whose links are so long that the SNR is positive
+    but every upload rate rounds to zero."""
+    return build_network(ExperimentConfig.from_dict(
+        {"arch": arch, "devices": devices, "channel": {"distance_m": 1e130}}), 0)
+
+
 def _zero_fading_fleet(arch, devices):
     """Trial 0 of a default fleet whose second device has zero fading power."""
     net = build_network(ExperimentConfig(arch=arch, devices=devices), 0)
@@ -127,20 +137,23 @@ def _zero_fading_fleet(arch, devices):
 
 @pytest.mark.filterwarnings("error")
 class TestZeroSnrLink:
-    """Every cut uploads, so a zero-SNR link fails each policy and oracle
-    with one ``ZeroRate``, before any solver arithmetic can warn."""
+    """Every cut uploads, so a link without rate (a zero SNR, or one that
+    rounds away against the spectrum) fails each policy and oracle with one
+    ``ZeroRate``, before any solver arithmetic can warn."""
 
     @pytest.mark.parametrize("policy", ALL_POLICIES)
     @pytest.mark.parametrize("fleet, devices", [(_zero_power_fleet, 3),
-                                                (_zero_fading_fleet, 4)],
-                             ids=["zero-power", "zero-fading"])
+                                                (_zero_fading_fleet, 4),
+                                                (_far_link_fleet, 3)],
+                             ids=["zero-power", "zero-fading", "far-link"])
     def test_every_policy_raises_zero_rate(self, policy, fleet, devices):
         with pytest.raises(ZeroRate):
             POLICIES[policy](fleet("reference", devices))
 
     @pytest.mark.parametrize("oracle", [oracle_parallel, oracle_serial])
-    @pytest.mark.parametrize("fleet", [_zero_power_fleet, _zero_fading_fleet],
-                             ids=["zero-power", "zero-fading"])
+    @pytest.mark.parametrize("fleet", [_zero_power_fleet, _zero_fading_fleet,
+                                       _far_link_fleet],
+                             ids=["zero-power", "zero-fading", "far-link"])
     def test_every_oracle_raises_zero_rate(self, oracle, fleet):
         with pytest.raises(ZeroRate):
             oracle(fleet("toy", 3))  # the oracle's size guard stops at 3 devices

@@ -8,6 +8,7 @@ import pytest
 from conftest import toy_network
 from splitplan.delay import NetworkInstance
 from splitplan.errors import NoBracket, TooLarge
+from splitplan.harness import ExperimentConfig, build_network
 from splitplan.oracle import (GridSpec, dense_root_scan, oracle_parallel,
                               oracle_serial)
 from splitplan.parallel import EqualDelayProblem, solve_p1
@@ -25,9 +26,9 @@ class TestGuards:
             oracle_parallel(big)
 
     def test_too_many_layers(self):
-        net = toy_network(np.random.default_rng(0), devices=2)
-        with pytest.raises(TooLarge):
-            oracle_parallel(net, GridSpec(max_cut_layers=2))
+        net = build_network(ExperimentConfig(devices=2), 0)  # 30 cut layers
+        with pytest.raises(TooLarge, match="layers exceeds"):
+            oracle_parallel(net)
 
 
 class TestParallelOracle:
