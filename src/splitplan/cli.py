@@ -47,7 +47,6 @@ def _config_from_args(args) -> ExperimentConfig:
 
 def _cmd_simulate(args) -> int:
     cfg = _config_from_args(args)
-    cfg = replace(cfg, sweep_param=None, sweep_values=())
     result = run_sweep(cfg)
     print(f"policies over {cfg.trials} trials (seed {cfg.seed}, {cfg.devices} devices):")
     for row in sorted(result.rows, key=lambda r: r["mean_delay_s"]):
@@ -62,8 +61,7 @@ def _cmd_simulate(args) -> int:
 def _cmd_sweep(args) -> int:
     cfg = _config_from_args(args)
     values = tuple(_number_list(args.values, float, "--values"))
-    cfg = replace(cfg, sweep_param=args.param, sweep_values=values)
-    result = run_sweep(cfg)
+    result = run_sweep(cfg, args.param, values)
     paths = write_tables(result, args.out)
     print(f"swept {args.param} over {values} ({cfg.trials} trials each)")
     print("wrote " + ", ".join(str(p) for p in paths))
@@ -105,7 +103,7 @@ def _cmd_oracle(args) -> int:
 def _cmd_bench(args) -> int:
     cfg = _config_from_args(args)
     k_list = _number_list(args.k, int, "--k")
-    out = bench_scaling(cfg, k_list, trials=args.trials or 5)
+    out = bench_scaling(cfg, k_list, trials=cfg.trials)
     print(json.dumps(out, indent=1))
     return 0
 
@@ -116,21 +114,24 @@ def build_parser() -> argparse.ArgumentParser:
         description="Split-execution delay planner for bottleneck-module CNNs")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, trials_default=None):
+    def common(p):
         p.add_argument("--config", help="experiment config JSON")
         p.add_argument("--seed", type=int, default=None)
-        p.add_argument("--trials", type=int, default=trials_default)
         p.add_argument("--devices", type=int, default=None)
+
+    def trial_flags(p, trials_default=None):
+        common(p)
+        p.add_argument("--trials", type=int, default=trials_default)
         p.add_argument("--policy", help="comma-separated policy list "
                                         f"(default all: {','.join(ALL_POLICIES)})")
 
     p = sub.add_parser("simulate", help="Monte-Carlo trials at one operating point")
-    common(p)
+    trial_flags(p)
     p.add_argument("--out", help="directory for data tables")
     p.set_defaults(func=_cmd_simulate)
 
     p = sub.add_parser("sweep", help="sweep one parameter and write data tables")
-    common(p)
+    trial_flags(p)
     p.add_argument("--param", required=True, choices=SWEEP_PARAMS)
     p.add_argument("--values", required=True, help="comma-separated values")
     p.add_argument("--out", default="results", help="output directory")
@@ -145,13 +146,14 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("oracle", help="brute-force baseline on a toy instance")
     common(p)
     p.add_argument("--mode", choices=["parallel", "serial"], default="parallel")
-    p.add_argument("--arch", default="toy")
+    p.add_argument("--arch", default="toy",
+                   help="'toy', 'reference' or a config file path; replaces any config arch")
     p.add_argument("--trial", type=int, default=0, help="trial index for fading")
     p.add_argument("--grid-points", type=int, default=101)
     p.set_defaults(func=_cmd_oracle)
 
     p = sub.add_parser("bench", help="policy wall-time scaling versus device count")
-    common(p, trials_default=5)
+    trial_flags(p, trials_default=5)
     p.add_argument("--k", default="4,8,16", help="comma-separated device counts")
     p.set_defaults(func=_cmd_bench)
     return parser

@@ -49,11 +49,8 @@ POLICIES = {
 
 ALL_POLICIES = tuple(POLICIES)
 
-SWEEP_PARAMS = ("devices", "power", "bandwidth", "fdev", "fserver", "iters")
-
-
 _CONFIG_KEYS = ("arch", "devices", "device_flops", "server_flops", "bandwidth_hz",
-                "trials", "seed", "policies", "channel", "sweep", "solver")
+                "trials", "seed", "policies", "channel", "solver")
 
 #: Top-level config numbers, each with whether it must be whole.
 _NUMBER_KEYS = {"devices": True, "device_flops": False, "server_flops": False,
@@ -87,13 +84,10 @@ class ExperimentConfig:
     seed: int = 7
     policies: tuple[str, ...] = ALL_POLICIES
     channel: dict = field(default_factory=default_channel)
-    sweep_param: str | None = None
-    sweep_values: tuple[float, ...] = ()
     solver: SolverSettings = field(default_factory=SolverSettings)
 
     def __post_init__(self):
         object.__setattr__(self, "policies", tuple(self.policies))
-        object.__setattr__(self, "sweep_values", tuple(self.sweep_values))
         if self.trials < 1:
             raise ValidationError("trial count must be >= 1")
         if self.devices < 1:
@@ -106,26 +100,12 @@ class ExperimentConfig:
         bad = [p for p in self.policies if p not in POLICIES]
         if bad:
             raise ValidationError(f"unknown policies {bad}; choose from {sorted(POLICIES)}")
-        if self.sweep_param is None and self.sweep_values:
-            raise ValidationError("sweep values given without a sweep param")
-        if self.sweep_param is not None:
-            if self.sweep_param not in SWEEP_PARAMS:
-                raise ValidationError(
-                    f"unknown sweep parameter {self.sweep_param!r}; choose from {SWEEP_PARAMS}")
-            if not self.sweep_values:
-                raise ValidationError("sweep values must be non-empty")
-            if not all(0 < v < math.inf for v in self.sweep_values):
-                raise ValidationError("sweep values must be positive and finite")
-            if self.sweep_param in ("devices", "iters") and not all(
-                    float(v).is_integer() for v in self.sweep_values):
-                raise ValidationError(f"{self.sweep_param} sweep values must be integers")
 
     @classmethod
     def from_dict(cls, cfg: dict) -> "ExperimentConfig":
         _known_keys(cfg, _CONFIG_KEYS, "config")
         chan = default_channel()
         chan.update(_known_keys(cfg.get("channel", {}), LinkParams.CONFIG_KEYS, "channel"))
-        sweep = _known_keys(cfg.get("sweep", {}), ("param", "values"), "sweep")
         solver = _known_keys(cfg.get("solver", {}), _SOLVER_KEYS, "solver")
         named = {key: cfg[key] for key in ("arch", "policies") if key in cfg}
         try:
@@ -136,8 +116,6 @@ class ExperimentConfig:
             return cls(
                 **named,
                 channel=channel,
-                sweep_param=sweep.get("param"),
-                sweep_values=tuple(_number(v) for v in sweep.get("values", ())),
                 solver=SolverSettings(**{cap: _number(value, whole=True)
                                          for cap, value in solver.items()}),
             )
@@ -153,24 +131,30 @@ def load_experiment_architecture(cfg: ExperimentConfig) -> Architecture:
     return resolve_architecture(cfg.arch)
 
 
-def apply_sweep_value(cfg: ExperimentConfig, value: float) -> ExperimentConfig:
-    param = cfg.sweep_param
-    if param == "devices":
-        return replace(cfg, devices=int(value))
-    if param == "power":
-        chan = dict(cfg.channel)
-        chan["power_w"] = float(value)
-        return replace(cfg, channel=chan)
-    if param == "bandwidth":
-        return replace(cfg, bandwidth_hz=float(value))
-    if param == "fdev":
-        return replace(cfg, device_flops=float(value))
-    if param == "fserver":
-        return replace(cfg, server_flops=float(value))
-    if param == "iters":
-        caps = replace(cfg.solver, max_alternations=int(value), outer_iters=int(value))
-        return replace(cfg, solver=caps)
-    raise ValidationError(f"unknown sweep parameter {param!r}")
+#: Sweep parameter -> (whether its values must be whole, config setter).
+_SWEEPS = {
+    "devices": (True, lambda cfg, v: replace(cfg, devices=v)),
+    "power": (False, lambda cfg, v: replace(cfg, channel={**cfg.channel, "power_w": v})),
+    "bandwidth": (False, lambda cfg, v: replace(cfg, bandwidth_hz=v)),
+    "fdev": (False, lambda cfg, v: replace(cfg, device_flops=v)),
+    "fserver": (False, lambda cfg, v: replace(cfg, server_flops=v)),
+    "iters": (True, lambda cfg, v: replace(cfg, solver=replace(
+        cfg.solver, max_alternations=v, outer_iters=v))),
+}
+
+SWEEP_PARAMS = tuple(_SWEEPS)
+
+
+def apply_sweep_value(cfg: ExperimentConfig, param: str, value: float) -> ExperimentConfig:
+    """``cfg`` with sweep parameter ``param`` set to ``value``."""
+    if param not in _SWEEPS:
+        raise ValidationError(f"unknown sweep parameter {param!r}; choose from {SWEEP_PARAMS}")
+    whole, setter = _SWEEPS[param]
+    if not 0 < value < math.inf:
+        raise ValidationError("sweep values must be positive and finite")
+    if whole and not float(value).is_integer():
+        raise ValidationError(f"{param} sweep values must be integers")
+    return setter(cfg, int(value) if whole else float(value))
 
 
 def build_network(cfg: ExperimentConfig, trial_index: int,
@@ -193,7 +177,6 @@ class PolicyRecord:
     policy: str
     objective: float
     iterations: int
-    wall_s: float
     error: str | None = None
 
 
@@ -211,16 +194,13 @@ def run_trial(cfg: ExperimentConfig, trial_index: int, profile=None) -> TrialRec
     net = build_network(cfg, trial_index, profile=profile)
     records = []
     for name in cfg.policies:
-        t0 = time.perf_counter()
         try:
             plan = POLICIES[name](net, cfg.solver)
             records.append(PolicyRecord(
-                policy=name, objective=plan.objective,
-                iterations=plan.iterations, wall_s=time.perf_counter() - t0))
+                policy=name, objective=plan.objective, iterations=plan.iterations))
         except SplitPlanError as exc:
             records.append(PolicyRecord(
                 policy=name, objective=math.nan, iterations=0,
-                wall_s=time.perf_counter() - t0,
                 error=f"{type(exc).__name__}: {exc}"))
     return TrialRecord(trial=trial_index, results=tuple(records))
 
@@ -232,8 +212,7 @@ class SweepResult:
     param: str
     values: tuple[float, ...]
     policies: tuple[str, ...]
-    trials: int
-    rows: tuple[dict, ...]  # value, policy, mean_delay_s, std_s, n_trials, ...
+    rows: tuple[dict, ...]  # sweep_value, policy, mean_delay_s, std_s, n_trials
 
     def mean(self, value, policy) -> float:
         for row in self.rows:
@@ -242,7 +221,7 @@ class SweepResult:
         raise KeyError((value, policy))
 
 
-def _aggregate(value, policy, objectives, iters, walls) -> dict:
+def _aggregate(value, policy, objectives) -> dict:
     good = [o for o in objectives if not math.isnan(o)]
     n = len(good)
     mean = float(np.mean(good)) if good else math.nan
@@ -253,36 +232,37 @@ def _aggregate(value, policy, objectives, iters, walls) -> dict:
         "mean_delay_s": mean,
         "std_s": std,
         "n_trials": n,
-        "mean_iterations": float(np.mean(iters)) if iters else 0.0,
-        "mean_wall_s": float(np.mean(walls)) if walls else 0.0,
     }
 
 
-def run_sweep(cfg: ExperimentConfig) -> SweepResult:
-    """Trials x sweep values; without a sweep, a single pseudo-value row set.
+def run_sweep(cfg: ExperimentConfig, param: str | None = None,
+              values=()) -> SweepResult:
+    """Trials of ``cfg`` with ``param`` set to each of ``values`` in turn;
+    without a sweep, a single pseudo-value row set (value 0.0, param "none").
 
-    Fading draws depend on (seed, trial) only, so every sweep value sees the
-    same channel realizations (paired comparisons).
+    Every value is checked before the first trial. Fading draws depend on
+    (seed, trial) only, so every sweep value sees the same channel
+    realizations (paired comparisons).
     """
-    values = cfg.sweep_values if cfg.sweep_param else (0.0,)
-    param = cfg.sweep_param or "none"
+    values = tuple(values)
+    if param is None:
+        if values:
+            raise ValidationError("sweep values given without a sweep param")
+        param, values, subs = "none", (0.0,), (cfg,)
+    elif not values:
+        raise ValidationError("sweep values must be non-empty")
+    else:
+        subs = tuple(apply_sweep_value(cfg, param, v) for v in values)
+    profile = propagate(load_experiment_architecture(cfg))  # no sweep changes arch
     rows = []
-    for value in values:
-        sub = apply_sweep_value(cfg, value) if cfg.sweep_param else cfg
-        profile = propagate(load_experiment_architecture(sub))
-        per_policy = {p: ([], [], []) for p in sub.policies}
+    for value, sub in zip(values, subs):
+        objectives = {p: [] for p in sub.policies}
         for trial in range(sub.trials):
-            rec = run_trial(sub, trial, profile=profile)
-            for pr in rec.results:
-                objs, iters, walls = per_policy[pr.policy]
-                objs.append(pr.objective)
-                iters.append(pr.iterations)
-                walls.append(pr.wall_s)
-        for policy in sub.policies:
-            objs, iters, walls = per_policy[policy]
-            rows.append(_aggregate(value, policy, objs, iters, walls))
-    return SweepResult(param=param, values=tuple(values), policies=cfg.policies,
-                       trials=cfg.trials, rows=tuple(rows))
+            for pr in run_trial(sub, trial, profile=profile).results:
+                objectives[pr.policy].append(pr.objective)
+        rows.extend(_aggregate(value, p, objectives[p]) for p in sub.policies)
+    return SweepResult(param=param, values=values, policies=cfg.policies,
+                       rows=tuple(rows))
 
 
 def write_tables(result: SweepResult, out_dir) -> list[Path]:
@@ -326,7 +306,7 @@ def bench_scaling(cfg: ExperimentConfig, k_list, trials: int = 5) -> dict:
     profile = propagate(load_experiment_architecture(cfg))
     table: dict[str, dict[int, float]] = {p: {} for p in cfg.policies}
     for k in k_list:
-        sub = replace(cfg, devices=k, sweep_param=None, sweep_values=())
+        sub = replace(cfg, devices=k)
         for policy in cfg.policies:
             walls = []
             for trial in range(trials):

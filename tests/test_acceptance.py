@@ -198,14 +198,11 @@ def test_criterion_6_reference_profile():
 def figure_sweeps():
     base = ExperimentConfig()
     t0 = time.perf_counter()
-    fig3 = run_sweep(dataclasses.replace(
-        base, sweep_param="devices", sweep_values=(4.0, 8.0, 12.0, 16.0)))
-    fig5 = run_sweep(dataclasses.replace(
-        base, sweep_param="bandwidth",
-        sweep_values=(150e6, 200e6, 250e6, 300e6, 350e6, 400e6)))
+    fig3 = run_sweep(base, "devices", (4.0, 8.0, 12.0, 16.0))
+    fig5 = run_sweep(base, "bandwidth", (150e6, 200e6, 250e6, 300e6, 350e6, 400e6))
     fig8 = run_sweep(dataclasses.replace(
-        base, sweep_param="iters", sweep_values=(1.0, 2.0, 3.0, 4.0),
-        policies=("p1", "p2", "p3", "queue-heuristic")))
+        base, policies=("p1", "p2", "p3", "queue-heuristic")),
+        "iters", (1.0, 2.0, 3.0, 4.0))
     return fig3, fig5, fig8, time.perf_counter() - t0
 
 
@@ -257,12 +254,10 @@ def test_criterion_9_sweep_determinism(tmp_path):
     Determinism is scale-free (per-trial records are already bit-identical),
     so this runs a reduced sweep to stay inside the suite's time budget.
     """
-    cfg = dataclasses.replace(
-        ExperimentConfig(), trials=10,
-        sweep_param="devices", sweep_values=(4.0, 8.0))
+    cfg = dataclasses.replace(ExperimentConfig(), trials=10)
     first = {p.name: p.read_bytes()
-             for p in write_tables(run_sweep(cfg), tmp_path / "a")}
+             for p in write_tables(run_sweep(cfg, "devices", (4.0, 8.0)), tmp_path / "a")}
     second = {p.name: p.read_bytes()
-              for p in write_tables(run_sweep(cfg), tmp_path / "b")}
+              for p in write_tables(run_sweep(cfg, "devices", (4.0, 8.0)), tmp_path / "b")}
     ok = first == second and len(first) == 1 + len(cfg.policies)
     _report(9, "fixed-seed sweep reruns are byte-identical", ok)

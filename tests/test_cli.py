@@ -135,7 +135,7 @@ class TestSimulate:
         ({"devices": 2.5}, "2.5"),
         ({"devcies": 2}, "devcies"),
         ({"channel": {"noise_dbm_per_Hz": -150}}, "noise_dbm_per_Hz"),
-        ({"sweep": {"param": "devices", "valuez": [2]}}, "valuez"),
+        ({"sweep": {"param": "devices", "values": [2]}}, "unknown keys ['sweep']"),
         ({"solver": {"cut_init": "random"}}, "cut_init"),
         ({"solver": {"max_alternations": 2.5}}, "2.5"),
         ({"solver": {"outer_iters": 0.5}}, "0.5"),
@@ -147,21 +147,18 @@ class TestSimulate:
         ({"bandwidth_hz": True}, "True"),
         ({"channel": {"power_w": True}}, "True"),
         ({"solver": {"outer_iters": True}}, "True"),
-        ({"sweep": {"param": "devices", "values": [True]}}, "True"),
         ({"bandwidth_hz": math.nan}, "nan"),
         ({"channel": {"distance_m": math.nan}}, "nan"),
         ({"channel": {"noise_dbm_per_hz": 1e308}}, "out of range"),
         ({"policies": []}, "policy list is empty"),
         (({}, ["--policy", ","]), "policy list is empty"),
-        ({"sweep": {"values": [3]}}, "without a sweep param"),
     ], ids=["unknown-solver-key", "not-an-object", "non-numeric", "fractional-count",
-            "unknown-key", "unknown-channel-key", "unknown-sweep-key", "removed-solver-key",
+            "unknown-key", "unknown-channel-key", "removed-sweep-section", "removed-solver-key",
             "fractional-alternation-cap", "fractional-outer-iters", "removed-strict-breaks",
             "removed-p3-layer-rule",
             "non-string-arch", "boolean-devices", "boolean-seed", "boolean-bandwidth",
-            "boolean-power", "boolean-outer-iters", "boolean-sweep-value", "nan-bandwidth",
-            "nan-distance", "overflowing-noise", "empty-policies", "empty-policy-flag",
-            "sweep-values-without-param"])
+            "boolean-power", "boolean-outer-iters", "nan-bandwidth",
+            "nan-distance", "overflowing-noise", "empty-policies", "empty-policy-flag"])
     def test_invalid_config_exits_2(self, capsys, tmp_path, cfg, named):
         flags = []
         if isinstance(cfg, tuple):  # a config plus command-line flags
@@ -175,12 +172,31 @@ class TestSimulate:
         assert err["error"] == "ValidationError"
         assert named in err["message"]
 
+    @pytest.mark.parametrize("argv", [
+        ["simulate", "--out", "{tmp}"],
+        ["sweep", "--param", "bandwidth", "--values", "1e8", "--out", "{tmp}"],
+        ["bench", "--k", "2"],
+        ["oracle"],
+    ], ids=["simulate", "sweep", "bench", "oracle"])
+    def test_sweep_section_exits_2(self, capsys, tmp_path, argv):
+        path = tmp_path / "cfg.json"  # keep the run short should the config be accepted
+        path.write_text(json.dumps({"devices": 2, "seed": 1,
+                                    "sweep": {"param": "bandwidth", "values": [1e8]}}))
+        argv = [a.format(tmp=tmp_path / "out") for a in argv]
+        assert main(argv + ["--config", str(path)]) == 2
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"] == "ValidationError"
+        assert "sweep" in err["message"]
+
     @pytest.mark.parametrize("argv, named", [
         (["simulate", "--seed", "-1"], "seed -1"),
         (["oracle", "--trial", "-1"], "trial -1"),
     ], ids=["negative-seed", "negative-trial"])
     def test_seed_and_trial_out_of_range_exit_2(self, capsys, argv, named):
-        assert main(argv + ["--trials", "1", "--devices", "2", "--policy", "p2"]) == 2
+        argv = argv + ["--devices", "2"]
+        if argv[0] == "simulate":
+            argv += ["--trials", "1", "--policy", "p2"]
+        assert main(argv) == 2
         err = json.loads(capsys.readouterr().err)
         assert err["error"] == "DomainError"
         assert named in err["message"]
@@ -215,7 +231,10 @@ class TestSweep:
         (["bench", "--k", "4,abc"], "4,abc"),
         (["bench", "--k", "2.5"], "2.5"),
         (["sweep", "--param", "bandwidth", "--values", "nan"], "finite"),
-    ], ids=["sweep-values", "bench-k", "bench-fractional-k", "nan-sweep-value"])
+        (["sweep", "--param", "devices", "--values", "2.5"], "integers"),
+        (["sweep", "--param", "iters", "--values", "0"], "positive"),
+    ], ids=["sweep-values", "bench-k", "bench-fractional-k", "nan-sweep-value",
+            "fractional-devices-value", "zero-iters-value"])
     def test_invalid_number_list_exits_2(self, capsys, tmp_path, argv, named):
         argv = argv + ["--trials", "1", "--devices", "2", "--policy", "p2"]
         if argv[0] == "sweep":
@@ -241,6 +260,13 @@ class TestOracle:
         assert main(["oracle", "--config", str(path), "--devices", "3"]) == 2
         err = json.loads(capsys.readouterr().err)
         assert err["error"] == "ZeroRate"
+
+    @pytest.mark.parametrize("flag, value", [("--policy", "p1"), ("--trials", "3")])
+    def test_trial_flags_are_refused(self, capsys, flag, value):
+        with pytest.raises(SystemExit) as exc:
+            main(["oracle", flag, value])
+        assert exc.value.code == 2
+        assert flag in capsys.readouterr().err
 
     def test_reference_arch_exceeds_guard(self, capsys):
         code = main(["oracle", "--mode", "serial", "--devices", "2",

@@ -7,6 +7,7 @@ import time
 
 import pytest
 
+from splitplan import harness
 from splitplan.delay import NetworkInstance, arrival_delay
 from splitplan.harness import (ALL_POLICIES, POLICIES, ExperimentConfig, SweepResult,
                                apply_sweep_value, bench_scaling, build_network,
@@ -31,7 +32,6 @@ class TestConfig:
         cfg = ExperimentConfig.from_json(json.dumps({
             "devices": 4, "trials": 3,
             "channel": {"noise_dbm_per_hz": -150.0},
-            "sweep": {"param": "bandwidth", "values": [1e8, 2e8]},
             "solver": {"max_alternations": 2.0, "outer_iters": 3.0},
         }))
         assert cfg.devices == 4
@@ -40,7 +40,6 @@ class TestConfig:
         assert isinstance(cfg.solver.max_alternations, int)
         assert cfg.channel["noise_dbm_per_hz"] == -150.0
         assert cfg.channel["power_w"] == 1.0  # untouched defaults remain
-        assert cfg.sweep_param == "bandwidth"
 
     def test_from_empty_dict_is_the_default(self):
         assert ExperimentConfig.from_dict({}) == ExperimentConfig()
@@ -49,13 +48,18 @@ class TestConfig:
         with pytest.raises(ValidationError):
             ExperimentConfig(policies=("p1", "magic"))
 
-    def test_rejects_bad_sweep(self):
+    def test_rejects_bad_sweep(self, monkeypatch):
+        def no_trial(*args, **kwargs):
+            raise AssertionError("a trial ran before every sweep value was checked")
+
+        monkeypatch.setattr(harness, "run_trial", no_trial)
         for param, values in [("voltage", (1.0,)), ("devices", ()),
                               ("devices", (2.0, 2.5)), ("iters", (1.5,)),
                               ("devices", (math.inf,)), ("bandwidth", (math.nan,)),
-                              ("power", (math.inf,))]:
+                              ("power", (math.inf,)), ("none", (1.0,)),
+                              (None, (3.0,))]:
             with pytest.raises(ValidationError):
-                ExperimentConfig(sweep_param=param, sweep_values=values)
+                run_sweep(FAST, param, values)
 
     def test_rejects_non_finite_budgets(self):
         for budget in ("device_flops", "server_flops", "bandwidth_hz"):
@@ -64,12 +68,11 @@ class TestConfig:
                     ExperimentConfig(**{budget: value})
 
     def test_sweep_application(self):
-        cfg = dataclasses.replace(FAST, sweep_param="iters", sweep_values=(2.0,))
-        sub = apply_sweep_value(cfg, 2.0)
+        sub = apply_sweep_value(FAST, "iters", 2.0)
         assert sub.solver.max_alternations == 2
         assert sub.solver.outer_iters == 2
-        cfg = dataclasses.replace(FAST, sweep_param="power", sweep_values=(0.5,))
-        assert apply_sweep_value(cfg, 0.5).channel["power_w"] == 0.5
+        assert apply_sweep_value(FAST, "power", 0.5).channel["power_w"] == 0.5
+        assert FAST.channel["power_w"] == 1.0  # the base config is left as it was
 
 
 class TestTrials:
@@ -167,9 +170,7 @@ class TestZeroSnrLink:
 
 class TestSweep:
     def test_row_cardinality(self):
-        cfg = dataclasses.replace(FAST, sweep_param="bandwidth",
-                                  sweep_values=(1.5e8, 2e8, 3e8))
-        result = run_sweep(cfg)
+        result = run_sweep(FAST, "bandwidth", (1.5e8, 2e8, 3e8))
         assert len(result.rows) == 3 * len(FAST.policies)
         assert result.param == "bandwidth"
 
@@ -179,23 +180,19 @@ class TestSweep:
         assert len(result.rows) == len(FAST.policies)
 
     def test_mean_lookup(self):
-        cfg = dataclasses.replace(FAST, sweep_param="devices", sweep_values=(2.0, 4.0))
-        result = run_sweep(cfg)
+        result = run_sweep(FAST, "devices", (2.0, 4.0))
         assert result.mean(2.0, "p2") > 0
 
 
 class TestWriteTables:
     def test_empty_result_headers_only(self, tmp_path):
-        empty = SweepResult(param="devices", values=(), policies=(), trials=0,
-                            rows=())
+        empty = SweepResult(param="devices", values=(), policies=(), rows=())
         paths = write_tables(empty, tmp_path)
         assert [p.name for p in paths] == ["summary.csv"]
         assert paths[0].read_text() == "sweep_value,policy,mean_delay_s,std_s,n_trials\n"
 
     def test_file_count_and_rows(self, tmp_path):
-        cfg = dataclasses.replace(FAST, sweep_param="bandwidth",
-                                  sweep_values=(1.5e8, 2e8))
-        result = run_sweep(cfg)
+        result = run_sweep(FAST, "bandwidth", (1.5e8, 2e8))
         paths = write_tables(result, tmp_path)
         assert len(paths) == 1 + len(FAST.policies)
         csv_lines = (tmp_path / "summary.csv").read_text().splitlines()
@@ -204,11 +201,10 @@ class TestWriteTables:
         assert len(dat) == 2 and all(len(l.split()) == 2 for l in dat)
 
     def test_reruns_byte_identical(self, tmp_path):
-        cfg = dataclasses.replace(FAST, sweep_param="devices", sweep_values=(2.0, 3.0))
         first = {p.name: p.read_bytes()
-                 for p in write_tables(run_sweep(cfg), tmp_path / "a")}
+                 for p in write_tables(run_sweep(FAST, "devices", (2.0, 3.0)), tmp_path / "a")}
         second = {p.name: p.read_bytes()
-                  for p in write_tables(run_sweep(cfg), tmp_path / "b")}
+                  for p in write_tables(run_sweep(FAST, "devices", (2.0, 3.0)), tmp_path / "b")}
         assert first == second
 
 
