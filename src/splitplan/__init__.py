@@ -20,9 +20,8 @@ from .harness import (ALL_POLICIES, ExperimentConfig, SweepResult,
                       bench_scaling, build_network, run_sweep, run_trial,
                       write_tables)
 from .oracle import GridSpec, dense_root_scan, oracle_parallel, oracle_serial
-from .parallel import (EqualDelayProblem, SolverSettings, bandwidth_for_rate,
-                       equal_delay_allocation, first_layer_policy,
-                       equal_delay_split, min_data_layer_policy, solve_p1,
+from .parallel import (SolverSettings, bandwidth_for_rate, equal_delay_split,
+                       first_layer_policy, min_data_layer_policy, solve_p1,
                        solve_p2)
 from .serial import (queue_first_layer_policy, queue_heuristic, reallocate_once,
                      solve_p3)

@@ -90,23 +90,6 @@ class LayerSpec:
         if self.kind in (LayerKind.MAX_POOL, LayerKind.MAX_UNPOOL) and self.c_in != self.c_out:
             raise ValidationError("pooling layers preserve the channel count")
 
-    @classmethod
-    def conv(cls, c_in, c_out, k, s=1, p=0, d=1):
-        return cls(LayerKind.CONV, c_in, c_out, kw=k, kh=k, pw=p, ph=p, sw=s, sh=s, dw=d, dh=d)
-
-    @classmethod
-    def transpose_conv(cls, c_in, c_out, k, s=1, p=0, d=1, po=0):
-        return cls(LayerKind.TRANSPOSE_CONV, c_in, c_out, kw=k, kh=k, pw=p, ph=p,
-                   sw=s, sh=s, dw=d, dh=d, pwo=po, pho=po)
-
-    @classmethod
-    def max_pool(cls, channels, k, s=1, p=0):
-        return cls(LayerKind.MAX_POOL, channels, channels, kw=k, kh=k, pw=p, ph=p, sw=s, sh=s)
-
-    @classmethod
-    def max_unpool(cls, channels, k, s=1, p=0):
-        return cls(LayerKind.MAX_UNPOOL, channels, channels, kw=k, kh=k, pw=p, ph=p, sw=s, sh=s)
-
 
 def _axis_params(layer: LayerSpec, axis: str):
     if axis == "w":

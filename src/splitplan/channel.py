@@ -66,27 +66,23 @@ class LinkParams:
         if self.fading_power < 0:
             raise DomainError("fading power must be >= 0")
 
-    #: Every key :meth:`from_config` reads.
-    CONFIG_KEYS = ("power_w", "gain_tx", "gain_rx", "gain_tx_dbi", "gain_rx_dbi",
-                   "wavelength_m", "distance_m", "pathloss_exp", "noise_dbm_per_hz",
-                   "fading_power")
+    #: Every key :meth:`from_config` reads. The fading power is not one: each
+    #: trial draws its own (:func:`trial_fading`).
+    CONFIG_KEYS = ("power_w", "gain_tx_dbi", "gain_rx_dbi", "wavelength_m",
+                   "distance_m", "pathloss_exp", "noise_dbm_per_hz")
 
     @classmethod
     def from_config(cls, cfg: dict) -> "LinkParams":
-        """Build from config keys; antenna gains accept dBi (default reading)
-        via ``gain_tx_dbi``/``gain_rx_dbi`` or raw linear ``gain_tx``/``gain_rx``."""
-        gain_tx = cfg.get("gain_tx", db_to_linear(cfg.get("gain_tx_dbi", 0.0)))
-        gain_rx = cfg.get("gain_rx", db_to_linear(cfg.get("gain_rx_dbi", 0.0)))
+        """Build from config keys; antenna gains are given in dBi."""
         return cls(
             power_w=cfg.get("power_w", 1.0),
-            gain_tx=gain_tx,
-            gain_rx=gain_rx,
+            gain_tx=db_to_linear(cfg.get("gain_tx_dbi", 0.0)),
+            gain_rx=db_to_linear(cfg.get("gain_rx_dbi", 0.0)),
             wavelength_m=cfg.get("wavelength_m", 0.05),
             distance_m=cfg.get("distance_m", 50.0),
             pathloss_exp=cfg.get("pathloss_exp", 2.4),
             noise_w_per_hz=dbm_per_hz_to_watts(
                 cfg.get("noise_dbm_per_hz", DEFAULT_NOISE_DBM_PER_HZ)),
-            fading_power=cfg.get("fading_power", 1.0),
         )
 
     def with_fading(self, fading_power: float) -> "LinkParams":

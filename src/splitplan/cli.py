@@ -15,11 +15,14 @@ import sys
 from dataclasses import replace
 from pathlib import Path
 
-from .arch import propagate, resolve_architecture
+from .arch import _parse_json, propagate, resolve_architecture
 from .errors import SplitPlanError, ValidationError
 from .harness import (ALL_POLICIES, SWEEP_PARAMS, ExperimentConfig, bench_scaling,
                       build_network, run_sweep, write_tables)
 from .oracle import GridSpec, oracle_parallel, oracle_serial
+
+#: Trials per device count for ``bench`` when neither flag nor config sets them.
+_BENCH_TRIALS = 5
 
 
 def _number_list(text: str, convert, option: str) -> list:
@@ -30,9 +33,12 @@ def _number_list(text: str, convert, option: str) -> list:
             f"{option} takes comma-separated numbers, got {text!r}") from None
 
 
-def _config_from_args(args) -> ExperimentConfig:
-    text = Path(args.config).read_text() if getattr(args, "config", None) else "{}"
-    base = ExperimentConfig.from_json(text)
+def _config_from_args(args, **defaults) -> ExperimentConfig:
+    """The config file over ``defaults``, and the command-line flags over both."""
+    raw = _parse_json(Path(args.config).read_text()) if getattr(args, "config", None) else {}
+    if isinstance(raw, dict):  # anything else is refused by from_dict
+        raw = {**defaults, **raw}
+    base = ExperimentConfig.from_dict(raw)
     overrides = {}
     for name in ("seed", "trials", "devices"):
         value = getattr(args, name, None)
@@ -101,7 +107,7 @@ def _cmd_oracle(args) -> int:
 
 
 def _cmd_bench(args) -> int:
-    cfg = _config_from_args(args)
+    cfg = _config_from_args(args, trials=_BENCH_TRIALS)
     k_list = _number_list(args.k, int, "--k")
     out = bench_scaling(cfg, k_list, trials=cfg.trials)
     print(json.dumps(out, indent=1))
@@ -119,9 +125,10 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--seed", type=int, default=None)
         p.add_argument("--devices", type=int, default=None)
 
-    def trial_flags(p, trials_default=None):
+    def trial_flags(p, default_trials=ExperimentConfig.trials):
         common(p)
-        p.add_argument("--trials", type=int, default=trials_default)
+        p.add_argument("--trials", type=int,
+                       help=f"trials per point (default: the config's, else {default_trials})")
         p.add_argument("--policy", help="comma-separated policy list "
                                         f"(default all: {','.join(ALL_POLICIES)})")
 
@@ -153,7 +160,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_oracle)
 
     p = sub.add_parser("bench", help="policy wall-time scaling versus device count")
-    trial_flags(p, trials_default=5)
+    trial_flags(p, _BENCH_TRIALS)
     p.add_argument("--k", default="4,8,16", help="comma-separated device counts")
     p.set_defaults(func=_cmd_bench)
     return parser

@@ -15,7 +15,7 @@ import numpy as np
 from .channel import shannon_rate
 from .delay import NetworkInstance, serial_total_delay
 from .errors import NoBracket, TooLarge, ValidationError
-from .parallel import CutTable, EqualDelayProblem, equal_delay_allocation
+from .parallel import CutTable, equal_delay_split
 
 
 #: Largest fleet and deepest network the exhaustive cut enumeration accepts.
@@ -99,7 +99,7 @@ def oracle_parallel(net: NetworkInstance, grid: GridSpec | None = None) -> Oracl
     Every grid point gets the exact equal-delay compute split, so the result
     upper-bounds the true optimum by the grid resolution only.
     """
-    return _grid_min(net, grid, lambda *point: equal_delay_allocation(*point)[1])
+    return _grid_min(net, grid, lambda *point: equal_delay_split(*point)[1])
 
 
 def oracle_serial(net: NetworkInstance, grid: GridSpec | None = None) -> OracleResult:
@@ -107,21 +107,34 @@ def oracle_serial(net: NetworkInstance, grid: GridSpec | None = None) -> OracleR
     return _grid_min(net, grid, lambda *point: serial_total_delay(*point)[0])
 
 
-def dense_root_scan(problem: EqualDelayProblem, points: int = 10 ** 6):
+def dense_root_scan(arrivals, residuals, budget, points: int = 10 ** 6):
     """Bracket the equal-delay budget root by a dense scan.
 
-    Scans the budget-consumption curve over its share interval and returns
-    the unique sign-change bracket ``(lo, hi)``. Anything other than exactly
-    one sign change falsifies the one-root guarantee and raises.
+    Builds the budget-consumption curve of :func:`equal_delay_split`'s
+    anchor share from the inputs alone: with the earliest busy arrival as
+    anchor ``a``, share x costs ``x + sum(r_i*x / (r_a + x*(a_a - a_i)))``
+    over the other busy devices, and ``inf`` past the first pole. Scans it
+    over the share interval and returns the unique sign-change bracket
+    ``(lo, hi)``; anything other than exactly one sign change falsifies the
+    one-root guarantee and raises.
     """
-    if problem.size < 2:
+    arrivals = np.asarray(arrivals, dtype=float)
+    residuals = np.asarray(residuals, dtype=float)
+    busy = residuals > 0
+    if np.count_nonzero(busy) < 2:
         raise ValidationError("dense scan needs at least two participants")
-    ub = problem.upper_bound
-    if not ub > 0:
-        raise NoBracket("share interval is empty (bad anchor)")
-    hi = min(ub * (1.0 - 1e-12), problem.budget)
+    a, r = arrivals[busy], residuals[busy]
+    m = int(np.argmin(a))
+    fm, fk = r[m], np.delete(r, m)
+    d = np.delete(a[m] - a, m)
+    poles = -fm / d[d < 0.0]
+    ub = poles.min() if poles.size else np.inf
+    hi = min(ub * (1.0 - 1e-12), budget)
     xs = hi * np.arange(1, points + 1) / points
-    qs = problem.q_value(xs) - problem.budget
+    den = fm + np.multiply.outer(xs, d)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        terms = np.multiply.outer(xs, fk) / den
+    qs = xs + np.where(den > 0.0, terms, np.inf).sum(axis=-1) - budget
     signs = np.sign(qs)
     flips = np.flatnonzero(np.diff(signs) != 0)
     if len(flips) == 0:

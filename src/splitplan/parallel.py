@@ -75,138 +75,61 @@ def _bisect(ok, lo, hi, rel_tol):
 # ---------------------------------------------------------------------------
 # equal-delay server split (fixed bandwidth)
 
-@dataclass(frozen=True)
-class EqualDelayProblem:
-    """Server-compute split that equalizes total delay across busy devices.
+def equal_delay_split(arrivals, residuals, budget):
+    """Server-compute split that equalizes the delay of every busy device.
 
-    Only devices with residual work participate. The split is parameterized
-    by the anchor's share x: every other share follows from delay equality,
-    and the budget equation sum(shares) = budget has exactly one root in
-    (0, upper_bound) when the anchor is the earliest arrival.
-    """
+    Devices with residual work share ``budget`` so that each busy
+    ``arrival + residual/share`` takes one value T; idle devices get share 0.
+    Returns ``(shares, T)``, where T is also at least the latest idle arrival.
 
-    arrivals: np.ndarray
-    residuals: np.ndarray
-    budget: float
-    anchor: int = -1  # -1: pick argmin arrival (the only safe choice)
-
-    def __post_init__(self):
-        object.__setattr__(self, "arrivals", np.asarray(self.arrivals, dtype=float))
-        object.__setattr__(self, "residuals", np.asarray(self.residuals, dtype=float))
-        if self.arrivals.shape != self.residuals.shape:
-            raise ValidationError("arrivals and residuals must have equal length")
-        if self.size and np.any(self.residuals <= 0):
-            raise ValidationError("every participating device needs positive residual work")
-        if self.budget <= 0:
-            raise ValidationError("server budget must be positive")
-        if self.anchor == -1 and self.size:
-            object.__setattr__(self, "anchor", int(np.argmin(self.arrivals)))
-
-    @property
-    def size(self) -> int:
-        return len(self.arrivals)
-
-    @property
-    def delta_c(self) -> np.ndarray:
-        """Anchor arrival minus each arrival; <= 0 for the argmin anchor."""
-        return self.arrivals[self.anchor] - self.arrivals
-
-    def _followers(self):
-        cached = getattr(self, "_follower_arrays", None)
-        if cached is None:
-            cached = (np.delete(self.residuals, self.anchor),
-                      np.delete(self.delta_c, self.anchor))
-            object.__setattr__(self, "_follower_arrays", cached)
-        return cached
-
-    @property
-    def upper_bound(self) -> float:
-        """Smallest share at which some follower's denominator vanishes.
-
-        With the argmin anchor every candidate is positive; a deliberately
-        wrong anchor produces a non-positive bound, i.e. an empty search
-        interval.
-        """
-        _, d = self._followers()
-        fm = self.residuals[self.anchor]
-        nz = d[d != 0.0]
-        if nz.size == 0:
-            return math.inf
-        return float(np.min(-fm / nz))
-
-    def q_value(self, x):
-        """Total budget consumed when the anchor share is ``x``.
-
-        Vectorized over ``x``; past a follower pole the value is +inf.
-        """
-        fk, d = self._followers()
-        fm = self.residuals[self.anchor]
-        if np.ndim(x) == 0:
-            xs = float(x)
-            den = fm + xs * d
-            if np.any(den <= 0.0):
-                return math.inf
-            return xs + float((xs * fk / den).sum())
-        x = np.asarray(x, dtype=float)
-        den = fm + np.multiply.outer(x, d)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            terms = np.multiply.outer(x, fk) / den
-        return x + np.where(den > 0.0, terms, math.inf).sum(axis=-1)
-
-    def shares_from_anchor(self, x: float) -> np.ndarray:
-        fm = self.residuals[self.anchor]
-        shares = self.residuals * x / (fm + x * self.delta_c)
-        shares[self.anchor] = x
-        return shares
-
-
-def equal_delay_split(problem: EqualDelayProblem) -> np.ndarray:
-    """Solve the equal-delay budget equation by bisection to relative width 1e-13.
-
-    Returns the per-participant compute shares; they are strictly positive,
-    sum to the budget, and equalize ``arrival + residual/share``. An empty
-    problem returns an empty array (all delay is device-side).
-    """
-    if problem.size == 0:
-        return np.zeros(0)
-    if problem.size == 1:
-        return np.array([problem.budget])
-    ub = problem.upper_bound
-    if not ub > 0:
-        raise Infeasible("empty share interval: anchor is not the earliest arrival")
-    lo, hi = _bisect(lambda x: problem.q_value(x) >= problem.budget,
-                     0.0, min(ub, problem.budget), 1e-13)
-    x0 = 0.5 * (lo + hi)
-    shares = problem.shares_from_anchor(x0)
-    if np.any(shares <= 0):
-        raise Infeasible("negative compute share: infeasible root")
-    shares *= problem.budget / shares.sum()  # land exactly on the budget
-    return shares
-
-
-def equal_delay_allocation(arrivals, residuals, budget):
-    """Full-network wrapper around :func:`equal_delay_split`.
-
-    Devices with zero residual get a zero share. Returns ``(shares, T)``
-    where ``T`` is the resulting max delay (equalized delay of the busy
-    devices, or the largest arrival when nobody needs the server).
+    With two or more busy devices the split is parameterized by the share x
+    of the earliest busy arrival (the anchor): device i then takes
+    ``r_i*x / (r_a + x*(a_a - a_i))``, and the budget equation
+    sum(shares) = budget has exactly one root below the first pole, which a
+    bisection finds to relative width 1e-13.
     """
     arrivals = np.asarray(arrivals, dtype=float)
     residuals = np.asarray(residuals, dtype=float)
+    if arrivals.shape != residuals.shape:
+        raise ValidationError("arrivals and residuals must have equal length")
+    if not np.all(residuals >= 0):
+        raise ValidationError("residual work must be >= 0")
+    if not budget > 0:
+        raise ValidationError("server budget must be positive")
     if not np.isfinite(arrivals).all():
         i = int(np.argmin(np.isfinite(arrivals)))
         raise ZeroRate(f"device {i} arrives at {arrivals[i]}: its upload rate is zero")
     busy = residuals > 0
     shares = np.zeros(len(arrivals))
-    t_busy = -math.inf
-    if busy.any():
-        prob = EqualDelayProblem(arrivals[busy], residuals[busy], budget)
-        sub = equal_delay_split(prob)
-        shares[busy] = sub
-        t_busy = float(np.max(arrivals[busy] + residuals[busy] / sub))
-    idle = ~busy
-    t_idle = float(np.max(arrivals[idle])) if idle.any() else -math.inf
-    return shares, max(t_busy, t_idle)
+    idle = arrivals[~busy]
+    t_idle = float(np.max(idle)) if idle.size else -math.inf
+    if not busy.any():
+        return shares, t_idle
+    a, r = arrivals[busy], residuals[busy]
+    if a.size == 1:
+        sub = np.array([budget])
+    else:
+        m = int(np.argmin(a))
+        delta = a[m] - a  # <= 0: the anchor arrives first
+        fm, fk, d = r[m], np.delete(r, m), np.delete(delta, m)
+        poles = -fm / d[d != 0.0]
+        ub = float(np.min(poles)) if poles.size else math.inf
+
+        def spends_budget(x):
+            den = fm + x * d
+            if np.any(den <= 0.0):  # past a pole the consumption is infinite
+                return True
+            return x + float((x * fk / den).sum()) >= budget
+
+        lo, hi = _bisect(spends_budget, 0.0, min(ub, budget), 1e-13)
+        x0 = 0.5 * (lo + hi)
+        sub = r * x0 / (fm + x0 * delta)
+        sub[m] = x0
+        if np.any(sub <= 0):
+            raise Infeasible("negative compute share: infeasible root")
+        sub *= budget / sub.sum()  # land exactly on the budget
+    shares[busy] = sub
+    return shares, max(float(np.max(a + r / sub)), t_idle)
 
 
 # ---------------------------------------------------------------------------
@@ -666,7 +589,7 @@ def solve_p2(net: NetworkInstance, settings: SolverSettings | None = None) -> Al
 
     def evaluate(cuts):
         view = table.view(cuts)
-        shares, obj = equal_delay_allocation(
+        shares, obj = equal_delay_split(
             view.arrivals(bw), view.resid, net.server_flops)
         return obj, shares
 

@@ -17,8 +17,7 @@ from splitplan.delay import queue_completions, broken_queue_total
 from splitplan.errors import NoExcess, StalledBreak
 from splitplan.harness import ExperimentConfig, bench_scaling, run_sweep, write_tables
 from splitplan.oracle import GridSpec, dense_root_scan, oracle_parallel, oracle_serial
-from splitplan.parallel import (CutTable, EqualDelayProblem, SolverSettings,
-                                equal_delay_split, solve_p1)
+from splitplan.parallel import CutTable, SolverSettings, equal_delay_split, solve_p1
 from splitplan.serial import queue_heuristic, reallocate_once, solve_p3, _serial_eval
 from test_serial import random_broken_queue
 
@@ -41,16 +40,16 @@ def test_criterion_1_equal_delay_split_suite():
     ok = True
     for _ in range(10_000):
         k = int(rng.integers(2, 33))
-        prob = EqualDelayProblem(rng.uniform(0.05, 5.0, k),
-                                 rng.uniform(5e8, 5e10, k),
-                                 rng.uniform(1e10, 5e11))
-        shares = equal_delay_split(prob)
-        x0 = shares[prob.anchor]
-        lo, hi = dense_root_scan(prob, points=2000)
+        arrivals = rng.uniform(0.05, 5.0, k)
+        residuals = rng.uniform(5e8, 5e10, k)
+        budget = rng.uniform(1e10, 5e11)
+        shares, _ = equal_delay_split(arrivals, residuals, budget)
+        x0 = shares[np.argmin(arrivals)]  # the anchor: the earliest arrival
+        lo, hi = dense_root_scan(arrivals, residuals, budget, points=2000)
         ok &= bool(lo * (1 - 1e-9) <= x0 <= hi * (1 + 1e-9))
         ok &= bool(np.all(shares > 0))
-        ok &= abs(shares.sum() - prob.budget) <= 1e-9 * prob.budget
-        delays = prob.arrivals + prob.residuals / shares
+        ok &= abs(shares.sum() - budget) <= 1e-9 * budget
+        delays = arrivals + residuals / shares
         ok &= (delays.max() - delays.min()) <= 1e-6 * delays.max()
         if not ok:
             break
@@ -61,8 +60,7 @@ def test_criterion_1_equal_delay_split_suite():
 
 def test_criterion_2_worked_closed_form():
     """Arrivals (1,2) s, residuals (10,10) GFLOP, budget 10 GFLOP/s."""
-    prob = EqualDelayProblem([1.0, 2.0], [10e9, 10e9], 10e9)
-    shares = equal_delay_split(prob)
+    shares, _ = equal_delay_split([1.0, 2.0], [10e9, 10e9], 10e9)
     root = (15.0 - math.sqrt(125.0)) * 1e9
     other = (math.sqrt(125.0) - 5.0) * 1e9
     delay = 1.0 + 10e9 / shares[0]

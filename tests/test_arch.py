@@ -12,10 +12,25 @@ from splitplan.arch import (Architecture, BottleneckModule, CutProfile,
 from splitplan.errors import (NonPositiveOutput, ParseError, ShapeMismatch,
                               ValidationError)
 
-conv = LayerSpec.conv
-tconv = LayerSpec.transpose_conv
-pool = LayerSpec.max_pool
-unpool = LayerSpec.max_unpool
+
+def conv(c_in, c_out, k, s=1, p=0):
+    """Square convolution layer."""
+    return LayerSpec(LayerKind.CONV, c_in, c_out, kw=k, kh=k, pw=p, ph=p, sw=s, sh=s)
+
+
+def tconv(c_in, c_out, k, s=1, p=0, po=0):
+    """Square transpose convolution with output padding ``po``."""
+    return LayerSpec(LayerKind.TRANSPOSE_CONV, c_in, c_out, kw=k, kh=k, pw=p, ph=p,
+                     sw=s, sh=s, pwo=po, pho=po)
+
+
+def pool(channels, k, s=1):
+    return LayerSpec(LayerKind.MAX_POOL, channels, channels, kw=k, kh=k, sw=s, sh=s)
+
+
+def unpool(channels, k, s=1, p=0):
+    return LayerSpec(LayerKind.MAX_UNPOOL, channels, channels, kw=k, kh=k, pw=p, ph=p,
+                     sw=s, sh=s)
 
 
 class TestLayerDims:

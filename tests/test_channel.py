@@ -95,10 +95,6 @@ class TestAchievableRate:
         assert link.gain_tx == pytest.approx(db_to_linear(1.0))
         assert link.gain_rx == pytest.approx(10.0)
 
-    def test_config_accepts_linear_gains(self):
-        link = LinkParams.from_config({"power_w": 1.0, "gain_tx": 2.0, "gain_rx": 3.0})
-        assert (link.gain_tx, link.gain_rx) == (2.0, 3.0)
-
     def test_noise_conversion(self):
         assert dbm_per_hz_to_watts(-174.0) == pytest.approx(10 ** -20.4, rel=1e-12)
 

@@ -5,7 +5,7 @@ import math
 
 import pytest
 
-from splitplan import harness
+from splitplan import cli, harness
 from splitplan.arch import architecture_to_dict, toy_architecture
 from splitplan.cli import main
 from splitplan.errors import Infeasible
@@ -135,6 +135,9 @@ class TestSimulate:
         ({"devices": 2.5}, "2.5"),
         ({"devcies": 2}, "devcies"),
         ({"channel": {"noise_dbm_per_Hz": -150}}, "noise_dbm_per_Hz"),
+        ({"channel": {"fading_power": 0.0}}, "unknown keys ['fading_power']"),
+        ({"channel": {"gain_tx": 1.0, "gain_tx_dbi": 30.0}}, "unknown keys ['gain_tx']"),
+        ({"channel": {"gain_rx": 2.0}}, "unknown keys ['gain_rx']"),
         ({"sweep": {"param": "devices", "values": [2]}}, "unknown keys ['sweep']"),
         ({"solver": {"cut_init": "random"}}, "cut_init"),
         ({"solver": {"max_alternations": 2.5}}, "2.5"),
@@ -153,7 +156,8 @@ class TestSimulate:
         ({"policies": []}, "policy list is empty"),
         (({}, ["--policy", ","]), "policy list is empty"),
     ], ids=["unknown-solver-key", "not-an-object", "non-numeric", "fractional-count",
-            "unknown-key", "unknown-channel-key", "removed-sweep-section", "removed-solver-key",
+            "unknown-key", "unknown-channel-key", "removed-fading-power",
+            "removed-linear-gain-tx", "removed-linear-gain-rx", "removed-sweep-section", "removed-solver-key",
             "fractional-alternation-cap", "fractional-outer-iters", "removed-strict-breaks",
             "removed-p3-layer-rule",
             "non-string-arch", "boolean-devices", "boolean-seed", "boolean-bandwidth",
@@ -292,3 +296,26 @@ class TestBench:
         assert main(["bench", "--k", "2,3", "--trials", "1", "--policy", "p2"]) == 2
         err = json.loads(capsys.readouterr().err)
         assert err == {"error": "Infeasible", "message": "no split fits"}
+
+    @pytest.mark.parametrize("config, flags, want", [
+        (None, [], 5),
+        ({"trials": 2}, [], 2),
+        ({"trials": 2}, ["--trials", "3"], 3),
+        ({"devices": 3}, [], 5),
+    ], ids=["default", "config", "flag-over-config", "config-without-trials"])
+    def test_trial_count_precedence(self, capsys, monkeypatch, tmp_path,
+                                    config, flags, want):
+        seen = []
+
+        def fake_bench(cfg, k_list, trials):
+            seen.append(trials)
+            return {}
+
+        monkeypatch.setattr(cli, "bench_scaling", fake_bench)
+        argv = ["bench", "--k", "2"] + flags
+        if config is not None:
+            path = tmp_path / "cfg.json"
+            path.write_text(json.dumps(config))
+            argv += ["--config", str(path)]
+        assert main(argv) == 0
+        assert seen == [want]

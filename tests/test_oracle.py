@@ -7,11 +7,12 @@ import pytest
 
 from conftest import toy_network
 from splitplan.delay import NetworkInstance
-from splitplan.errors import NoBracket, TooLarge
+from splitplan.errors import TooLarge
 from splitplan.harness import ExperimentConfig, build_network
 from splitplan.oracle import (GridSpec, dense_root_scan, oracle_parallel,
                               oracle_serial)
-from splitplan.parallel import EqualDelayProblem, solve_p1
+from splitplan import parallel
+from splitplan.parallel import solve_p1
 from splitplan.serial import solve_p3
 
 ANALYTIC_ROOT = (15.0 - math.sqrt(125.0)) * 1e9
@@ -70,27 +71,32 @@ class TestSerialOracle:
 
 class TestDenseRootScan:
     def test_worked_bracket(self):
-        prob = EqualDelayProblem([1.0, 2.0], [10e9, 10e9], 10e9)
-        lo, hi = dense_root_scan(prob, points=10 ** 5)
+        lo, hi = dense_root_scan([1.0, 2.0], [10e9, 10e9], 10e9, points=10 ** 5)
+        assert lo <= ANALYTIC_ROOT <= hi
+
+    def test_brackets_without_the_solver(self, monkeypatch):
+        # the certificate computes its own curve: it must not lean on the
+        # kernel or the bisection it certifies
+        def refuse(*args, **kwargs):
+            raise AssertionError("dense_root_scan called into parallel")
+
+        monkeypatch.setattr(parallel, "equal_delay_split", refuse)
+        monkeypatch.setattr(parallel, "_bisect", refuse)
+        lo, hi = dense_root_scan([1.0, 2.0], [10e9, 10e9], 10e9, points=10 ** 5)
         assert lo <= ANALYTIC_ROOT <= hi
 
     def test_unique_sign_change_random(self):
         rng = np.random.default_rng(45)
         for _ in range(100):
             k = int(rng.integers(2, 9))
-            prob = EqualDelayProblem(rng.uniform(0.1, 4.0, k),
+            lo, hi = dense_root_scan(rng.uniform(0.1, 4.0, k),
                                      rng.uniform(1e9, 4e10, k),
-                                     rng.uniform(2e10, 2e11))
-            lo, hi = dense_root_scan(prob, points=4000)
+                                     rng.uniform(2e10, 2e11), points=4000)
             assert 0.0 <= lo < hi
 
     def test_needs_two_participants(self):
         from splitplan.errors import ValidationError
-        prob = EqualDelayProblem([1.0], [1e9], 1e9)
         with pytest.raises(ValidationError):
-            dense_root_scan(prob, points=100)
-
-    def test_wrong_anchor_raises(self):
-        prob = EqualDelayProblem([1.0, 2.0], [1e9, 1e9], 2e9, anchor=1)
-        with pytest.raises(NoBracket):
-            dense_root_scan(prob, points=100)
+            dense_root_scan([1.0], [1e9], 1e9, points=100)
+        with pytest.raises(ValidationError):  # an idle device does not take part
+            dense_root_scan([1.0, 2.0], [1e9, 0.0], 1e9, points=100)

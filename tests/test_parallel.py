@@ -10,14 +10,12 @@ from conftest import (link_with_snr, oracle_benchmark_network, profile_from_list
                       random_network, random_profile, toy_network)
 from splitplan import parallel
 from splitplan.delay import Device, NetworkInstance, arrival_delay
-from splitplan.errors import Infeasible, NonConvergence, Unreachable, ZeroRate
+from splitplan.errors import NonConvergence, Unreachable, ValidationError, ZeroRate
 from splitplan.harness import ExperimentConfig, build_network
 from splitplan.oracle import GridSpec, dense_root_scan, oracle_parallel
-from splitplan.parallel import (CutTable, EqualDelayProblem, SolverSettings,
-                                bandwidth_for_rate, equal_delay_allocation,
-                                first_layer_policy, equal_delay_split,
-                                min_data_layer_policy, solve_p1, solve_p2,
-                                _alternate, _bisect, _grow,
+from splitplan.parallel import (CutTable, bandwidth_for_rate, equal_delay_split,
+                                first_layer_policy, min_data_layer_policy, solve_p1,
+                                solve_p2, _alternate, _bisect, _grow,
                                 _required_bandwidth_u)
 from splitplan.channel import achievable_rate
 
@@ -25,84 +23,95 @@ ANALYTIC_ROOT = (15.0 - math.sqrt(125.0)) * 1e9  # worked two-device split
 
 
 def random_problem(rng, k=None):
+    """(arrivals, residuals, budget) of a random all-busy equal-delay split."""
     k = k or int(rng.integers(2, 33))
     arrivals = rng.uniform(0.1, 5.0, k)
     if rng.random() < 0.15:  # exercise tied arrivals
         arrivals[rng.integers(0, k)] = arrivals[0]
     residuals = rng.uniform(0.5e9, 5e10, k)
     budget = rng.uniform(1e10, 5e11)
-    return EqualDelayProblem(arrivals, residuals, budget)
+    return arrivals, residuals, budget
 
 
 class TestEqualDelaySplit:
     def test_worked_two_device_example(self):
-        prob = EqualDelayProblem([1.0, 2.0], [10e9, 10e9], 10e9)
-        shares = equal_delay_split(prob)
+        shares, t = equal_delay_split([1.0, 2.0], [10e9, 10e9], 10e9)
         assert shares[0] == pytest.approx(ANALYTIC_ROOT, rel=1e-9)
         assert shares[1] == pytest.approx((math.sqrt(125.0) - 5.0) * 1e9, rel=1e-9)
         delay = 1.0 + 10e9 / shares[0]
         assert delay == pytest.approx(1.0 + (15 + math.sqrt(125)) / 10, rel=1e-9)
+        assert t == pytest.approx(delay, rel=1e-12)
 
     def test_symmetric_split(self):
-        prob = EqualDelayProblem([2.0] * 5, [8e9] * 5, 10e9)
-        shares = equal_delay_split(prob)
+        shares, _ = equal_delay_split([2.0] * 5, [8e9] * 5, 10e9)
         assert np.allclose(shares, 2e9, rtol=1e-9)
 
     def test_single_participant_takes_everything(self):
-        prob = EqualDelayProblem([1.0], [5e9], 7e9)
-        assert equal_delay_split(prob) == pytest.approx([7e9])
+        shares, t = equal_delay_split([1.0], [5e9], 7e9)
+        assert shares == pytest.approx([7e9])
+        assert t == pytest.approx(1.0 + 5.0 / 7.0)
 
     def test_empty_problem(self):
-        shares, t = equal_delay_allocation([1.0, 2.0], [0.0, 0.0], 7e9)
+        shares, t = equal_delay_split([1.0, 2.0], [0.0, 0.0], 7e9)
         assert np.all(shares == 0.0)
         assert t == 2.0  # everything device-side: the latest arrival rules
+
+    def test_late_idle_arrival_sets_the_delay(self):
+        # the busy pair finishes at 1 + 10/(15 - sqrt(125)) s, about 3.62 s
+        shares, t = equal_delay_split([1.0, 9.0, 2.0], [10e9, 0.0, 10e9], 10e9)
+        assert shares[1] == 0.0
+        assert shares[0] == pytest.approx(ANALYTIC_ROOT, rel=1e-9)
+        assert t == 9.0
+
+    @pytest.mark.parametrize("arrivals, residuals, budget, named", [
+        ([1.0, 2.0], [1e9], 1e9, "equal length"),
+        ([1.0, 2.0], [1e9, -1.0], 1e9, "residual"),
+        ([1.0, 2.0], [1e9, 1e9], 0.0, "budget"),
+    ], ids=["mismatched-lengths", "negative-residual", "zero-budget"])
+    def test_rejects_malformed_input(self, arrivals, residuals, budget, named):
+        with pytest.raises(ValidationError, match=named):
+            equal_delay_split(arrivals, residuals, budget)
+
+    def test_infinite_arrival_is_a_zero_rate(self):
+        with pytest.raises(ZeroRate, match="device 1"):
+            equal_delay_split([1.0, math.inf], [1e9, 1e9], 1e9)
 
     def test_budget_and_positivity_random(self):
         rng = np.random.default_rng(3)
         for _ in range(200):
-            prob = random_problem(rng)
-            shares = equal_delay_split(prob)
+            arrivals, residuals, budget = random_problem(rng)
+            shares, t = equal_delay_split(arrivals, residuals, budget)
             assert np.all(shares > 0)
-            assert shares.sum() == pytest.approx(prob.budget, rel=1e-12)
-            delays = prob.arrivals + prob.residuals / shares
+            assert shares.sum() == pytest.approx(budget, rel=1e-12)
+            delays = arrivals + residuals / shares
             spread = (delays.max() - delays.min()) / delays.max()
             assert spread <= 1e-6
+            assert t == delays.max()
 
     def test_followers_keep_positive_denominators(self):
         rng = np.random.default_rng(4)
         for _ in range(100):
-            prob = random_problem(rng)
-            x0 = equal_delay_split(prob)[prob.anchor]
-            denom = prob.residuals[prob.anchor] + x0 * prob.delta_c
+            arrivals, residuals, budget = random_problem(rng)
+            m = int(np.argmin(arrivals))
+            x0 = equal_delay_split(arrivals, residuals, budget)[0][m]
+            denom = residuals[m] + x0 * (arrivals[m] - arrivals)
             assert np.all(denom >= 0)
 
     def test_consumption_strictly_increasing(self):
-        rng = np.random.default_rng(5)
-        prob = random_problem(rng, k=6)
-        hi = min(prob.upper_bound, prob.budget)
-        xs = hi * np.linspace(0.01, 0.99, 500)
-        qs = prob.q_value(xs)
-        assert np.all(np.diff(qs) > 0)
-        assert prob.q_value(1e-12 * hi) <= 1e-9 * prob.budget  # q(0) = 0
+        # the anchor share grows strictly with the budget it must spend
+        arrivals, residuals, _ = random_problem(np.random.default_rng(5), k=6)
+        m = int(np.argmin(arrivals))
+        anchor = [equal_delay_split(arrivals, residuals, budget)[0][m]
+                  for budget in np.geomspace(1e9, 1e12, 60)]
+        assert np.all(np.diff(anchor) > 0)
 
     def test_root_matches_dense_scan(self):
         rng = np.random.default_rng(6)
         for _ in range(50):
-            prob = random_problem(rng, k=int(rng.integers(2, 9)))
-            x0 = equal_delay_split(prob)[prob.anchor]
-            lo, hi = dense_root_scan(prob, points=10 ** 6)
+            arrivals, residuals, budget = random_problem(rng, k=int(rng.integers(2, 9)))
+            x0 = equal_delay_split(arrivals, residuals, budget)[0][np.argmin(arrivals)]
+            lo, hi = dense_root_scan(arrivals, residuals, budget, points=10 ** 6)
             assert lo * (1 - 1e-9) <= x0 <= hi * (1 + 1e-9)
-
-    def test_wrong_anchor_has_empty_interval(self):
-        # anchoring anywhere but the earliest arrival flips a delta sign and
-        # the share interval collapses; the scan then certifies no bracket
-        prob = EqualDelayProblem([1.0, 2.0, 3.0], [1e9, 1e9, 1e9], 3e9, anchor=2)
-        assert prob.upper_bound <= 0
-        from splitplan.errors import NoBracket
-        with pytest.raises(NoBracket):
-            dense_root_scan(prob, points=1000)
-        with pytest.raises(Infeasible):
-            equal_delay_split(prob)
 
 
 class TestRateInverse:
