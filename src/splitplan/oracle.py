@@ -1,19 +1,26 @@
 """Brute-force baselines for validating the solvers.
 
-Deliberately simple and slow: exhaustive cut enumeration crossed with a
-dense bandwidth-simplex grid, plus a dense scan certifying the equal-delay
-root bracket. Guarded to toy sizes.
+Exhaustive cut enumeration crossed with a dense bandwidth-simplex grid, plus
+a dense scan certifying the equal-delay root bracket. Guarded to toy sizes.
+
+The grid is one ``(P, k)`` array, built once with one upload rate per point
+and device. Each cut vector turns it into P arrival rows and scores them all
+in one call: the parallel oracle through the stacked form of
+:func:`~splitplan.parallel.equal_delay_split`, the serial one through the
+queue recursion run down the columns. Both keep the first minimum in cut
+order and then grid order.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .channel import shannon_rate
-from .delay import NetworkInstance, serial_total_delay
+from .delay import NetworkInstance
 from .errors import NoBracket, TooLarge, ValidationError
 from .parallel import CutTable, equal_delay_split
 
@@ -21,6 +28,8 @@ from .parallel import CutTable, equal_delay_split
 #: Largest fleet and deepest network the exhaustive cut enumeration accepts.
 _MAX_DEVICES = 3
 _MAX_CUT_LAYERS = 6
+#: Most bandwidth-simplex points a grid may hold (101 points at k = 3 make 4,851).
+_MAX_GRID_POINTS = 10 ** 5
 
 
 @dataclass(frozen=True)
@@ -39,58 +48,76 @@ class OracleResult:
     bandwidth_hz: tuple[float, ...]
 
 
-def _guard(net: NetworkInstance):
-    if net.num_devices > _MAX_DEVICES:
-        raise TooLarge(
-            f"{net.num_devices} devices exceeds the brute-force guard ({_MAX_DEVICES})")
+def _guard(net: NetworkInstance, grid: GridSpec):
+    k = net.num_devices
+    if k > _MAX_DEVICES:
+        raise TooLarge(f"{k} devices exceeds the brute-force guard ({_MAX_DEVICES})")
     layers = max(d.profile.num_cuts for d in net.devices)
     if layers > _MAX_CUT_LAYERS:
         raise TooLarge(f"{layers} layers exceeds the brute-force guard ({_MAX_CUT_LAYERS})")
+    points = 1 if k == 1 else math.comb(grid.bandwidth_points - 2, k - 1)
+    if points > _MAX_GRID_POINTS:
+        raise TooLarge(
+            f"{points} grid points exceeds the brute-force guard ({_MAX_GRID_POINTS})")
 
 
-def _bandwidth_grid(total: float, k: int, points: int):
-    """Non-degenerate points of the k-way simplex grid over the spectrum, in
-    stars-and-bars order; a lone device gets exactly ``total``."""
-    if k == 1:
-        yield np.array([total])  # steps * (total/steps) can miss it by an ulp
-        return
+def _bandwidth_grid(total: float, k: int, points: int) -> np.ndarray:
+    """Non-degenerate points of the k-way simplex grid over the spectrum, one
+    row each in stars-and-bars order; a lone device gets exactly ``total``."""
+    if k == 1:  # steps * (total/steps) can miss it by an ulp
+        return np.array([[total]], dtype=float)
     steps = points - 1
-    for cut in itertools.combinations(range(1, steps), k - 1):
-        yield np.diff((0, *cut, steps)).astype(float) * (total / steps)
-
-
-def _arrivals(table: CutTable, cuts, bw):
-    out = np.empty(len(cuts))
-    for i, c in enumerate(cuts):
-        rate = shannon_rate(table.snr[i], bw[i])
-        if rate <= 0:
-            return None
-        out[i] = table.local_s[i][c] + table.bits[i][c] / rate
-    return out
+    bars = np.array(list(itertools.combinations(range(1, steps), k - 1)), dtype=int)
+    bars = bars.reshape(-1, k - 1)
+    ends = np.full((len(bars), 1), steps)
+    return np.diff(bars, axis=1, prepend=0, append=ends).astype(float) * (total / steps)
 
 
 def _grid_min(net: NetworkInstance, grid: GridSpec | None, score) -> OracleResult:
-    """Minimum of ``score(arrivals, residuals, server_flops)`` over every cut
-    vector crossed with the bandwidth-simplex grid."""
+    """Minimum of ``score(arrival_rows, residuals, server_flops)``, which scores
+    every row, over every cut vector crossed with the bandwidth-simplex grid.
+    Grid points where some device gets a zero rate are left out."""
     grid = grid or GridSpec()
-    _guard(net)
+    _guard(net, grid)
     table = CutTable(net)
     k = net.num_devices
-    best = None
-    cut_ranges = [range(d.profile.num_cuts + 1) for d in net.devices]
-    bw_points = list(_bandwidth_grid(net.total_bandwidth_hz, k, grid.bandwidth_points))
-    for cuts in itertools.product(*cut_ranges):
-        resid = np.array([table.resid[i][cuts[i]] for i in range(k)])
-        for bw in bw_points:
-            arr = _arrivals(table, cuts, bw)
-            if arr is None:
-                continue
-            obj = score(arr, resid, net.server_flops)
-            if best is None or obj < best[0]:
-                best = (obj, cuts, bw.copy())
-    if best is None:
+    bw = _bandwidth_grid(net.total_bandwidth_hz, k, grid.bandwidth_points)
+    snr = table.snr.tolist()
+    rates = np.array([[shannon_rate(snr[i], b) for i, b in enumerate(point)]
+                      for point in bw.tolist()]).reshape(-1, k)
+    finite = np.all(rates > 0, axis=1)
+    bw, rates = bw[finite], rates[finite]
+    if not len(bw):
         raise TooLarge("no finite grid point (all rates zero?)")
-    return OracleResult(float(best[0]), tuple(best[1]), tuple(best[2]))
+    best = None
+    for cuts in itertools.product(*(range(d.profile.num_cuts + 1) for d in net.devices)):
+        view = table.view(cuts)
+        with np.errstate(over="ignore"):  # a subnormal rate: inf is the answer
+            rows = view.local_s + view.bits / rates
+        scores = score(rows, view.resid, net.server_flops)
+        p = int(np.argmin(scores))
+        if best is None or scores[p] < best[0]:
+            best = (scores[p], cuts, p)
+    return OracleResult(float(best[0]), best[1], tuple(bw[best[2]]))
+
+
+def _queue_totals(arrivals, residuals, server_flops):
+    """``delay.serial_total_delay(row, residuals, server_flops)[0]`` of every
+    row of ``arrivals``: the queued devices in (arrival, id) order through
+    I = max(I, C_p) + F_p/f, then the latest local-only arrival if later."""
+    queued = residuals > 0
+    totals = np.zeros(len(arrivals))
+    if queued.any():
+        c = arrivals[:, queued]
+        order = np.argsort(c, axis=1, kind="stable")  # ties go by id
+        c = np.take_along_axis(c, order, axis=1)
+        service = residuals[queued][order] / server_flops
+        totals = c[:, 0] + service[:, 0]
+        for p in range(1, c.shape[1]):
+            totals = np.maximum(totals, c[:, p]) + service[:, p]
+    if not queued.all():
+        totals = np.maximum(totals, np.max(arrivals[:, ~queued], axis=1))
+    return totals
 
 
 def oracle_parallel(net: NetworkInstance, grid: GridSpec | None = None) -> OracleResult:
@@ -99,12 +126,12 @@ def oracle_parallel(net: NetworkInstance, grid: GridSpec | None = None) -> Oracl
     Every grid point gets the exact equal-delay compute split, so the result
     upper-bounds the true optimum by the grid resolution only.
     """
-    return _grid_min(net, grid, lambda *point: equal_delay_split(*point)[1])
+    return _grid_min(net, grid, lambda *rows: equal_delay_split(*rows)[1])
 
 
 def oracle_serial(net: NetworkInstance, grid: GridSpec | None = None) -> OracleResult:
     """Grid minimum of the exact serial queue total over cuts x bandwidth."""
-    return _grid_min(net, grid, lambda *point: serial_total_delay(*point)[0])
+    return _grid_min(net, grid, _queue_totals)
 
 
 def dense_root_scan(arrivals, residuals, budget, points: int = 10 ** 6):

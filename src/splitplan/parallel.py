@@ -81,55 +81,102 @@ def equal_delay_split(arrivals, residuals, budget):
     Devices with residual work share ``budget`` so that each busy
     ``arrival + residual/share`` takes one value T; idle devices get share 0.
     Returns ``(shares, T)``, where T is also at least the latest idle arrival.
+    ``arrivals`` is one row of k devices or a ``(P, k)`` stack of rows that
+    share the k ``residuals``; a stack gives ``(P, k)`` shares and P values
+    of T, each bit-identical to the single-row call on its row.
 
     With two or more busy devices the split is parameterized by the share x
     of the earliest busy arrival (the anchor): device i then takes
     ``r_i*x / (r_a + x*(a_a - a_i))``, and the budget equation
     sum(shares) = budget has exactly one root below the first pole, which a
-    bisection finds to relative width 1e-13.
+    bisection finds to relative width 1e-13. A single row bisects on Python
+    floats, which is cheapest for one row; a stack bisects all its rows in
+    one numpy pass per step.
     """
     arrivals = np.asarray(arrivals, dtype=float)
     residuals = np.asarray(residuals, dtype=float)
-    if arrivals.shape != residuals.shape:
+    if arrivals.ndim not in (1, 2) or residuals.ndim != 1:
+        raise ValidationError("arrivals must be one row or a (P, k) stack of rows")
+    if arrivals.shape[-1] != residuals.shape[0]:
         raise ValidationError("arrivals and residuals must have equal length")
-    if not np.all(residuals >= 0):
+    if not (residuals >= 0).all():
         raise ValidationError("residual work must be >= 0")
     if not budget > 0:
         raise ValidationError("server budget must be positive")
-    if not np.isfinite(arrivals).all():
-        i = int(np.argmin(np.isfinite(arrivals)))
-        raise ZeroRate(f"device {i} arrives at {arrivals[i]}: its upload rate is zero")
+    rows = np.atleast_2d(arrivals)
+    if not np.isfinite(rows).all():
+        p, i = np.argwhere(~np.isfinite(rows))[0]
+        where = "" if arrivals.ndim == 1 else f" in row {p}"
+        raise ZeroRate(
+            f"device {i} arrives at {rows[p, i]}{where}: its upload rate is zero")
     busy = residuals > 0
-    shares = np.zeros(len(arrivals))
-    idle = arrivals[~busy]
-    t_idle = float(np.max(idle)) if idle.size else -math.inf
-    if not busy.any():
-        return shares, t_idle
-    a, r = arrivals[busy], residuals[busy]
-    if a.size == 1:
-        sub = np.array([budget])
-    else:
-        m = int(np.argmin(a))
-        delta = a[m] - a  # <= 0: the anchor arrives first
-        fm, fk, d = r[m], np.delete(r, m), np.delete(delta, m)
-        poles = -fm / d[d != 0.0]
-        ub = float(np.min(poles)) if poles.size else math.inf
+    shares = np.zeros(rows.shape)
+    t = rows[:, ~busy].max(axis=1, initial=-math.inf)  # latest idle arrival
+    if busy.any():
+        a, r = rows[:, busy], residuals[busy]
+        if r.size == 1:
+            sub = np.full(a.shape, float(budget))
+        else:
+            sub = _anchor_split(a, r, budget, single=arrivals.ndim == 1)
+        shares[:, busy] = sub
+        t = np.maximum((a + r / sub).max(axis=1), t)
+    if arrivals.ndim == 1:
+        return shares[0], float(t[0])
+    return shares, t
+
+
+def _anchor_split(a, r, budget, single):
+    """Equal-delay shares of ``(P, n)`` busy arrivals ``a`` (n >= 2) with
+    residuals ``r``, rescaled to spend ``budget`` exactly in every row."""
+    rows = np.arange(len(a))
+    m = a.argmin(axis=1)  # the anchor: earliest busy arrival, first on ties
+    fm = r[m]
+    delta = a[rows, m][:, None] - a  # <= 0: the anchor arrives first
+    j = np.arange(r.size - 1)
+    cols = j + (j >= m[:, None])  # the followers, in their own order
+    fk, d = r[cols], delta[rows[:, None], cols]
+    poles = np.divide(-fm[:, None], d, out=np.full(d.shape, math.inf), where=d != 0.0)
+    hi = np.minimum(poles.min(axis=1), budget)
+    if single:
+        fm0, fk0, d0 = fm[0], fk[0], d[0]
 
         def spends_budget(x):
-            den = fm + x * d
+            den = fm0 + x * d0
             if np.any(den <= 0.0):  # past a pole the consumption is infinite
                 return True
-            return x + float((x * fk / den).sum()) >= budget
+            return x + float((x * fk0 / den).sum()) >= budget
 
-        lo, hi = _bisect(spends_budget, 0.0, min(ub, budget), 1e-13)
-        x0 = 0.5 * (lo + hi)
-        sub = r * x0 / (fm + x0 * delta)
-        sub[m] = x0
-        if np.any(sub <= 0):
-            raise Infeasible("negative compute share: infeasible root")
-        sub *= budget / sub.sum()  # land exactly on the budget
-    shares[busy] = sub
-    return shares, max(float(np.max(a + r / sub)), t_idle)
+        lo0, hi0 = _bisect(spends_budget, 0.0, float(hi[0]), 1e-13)
+        x0 = np.array([0.5 * (lo0 + hi0)])
+    else:
+        x0 = _bisect_rows(fm, fk, d, budget, hi)
+    sub = r * x0[:, None] / (fm[:, None] + x0[:, None] * delta)
+    sub[rows, m] = x0
+    if (sub <= 0).any():
+        raise Infeasible("negative compute share: infeasible root")
+    sub *= (budget / sub.sum(axis=1))[:, None]  # land exactly on the budget
+    return sub
+
+
+def _bisect_rows(fm, fk, d, budget, hi):
+    """Anchor share of every row of a stack: ``_bisect``'s narrowing of
+    ``(0, hi]`` on the budget equation, one numpy pass per step. A row that
+    meets ``_bisect``'s stop rule no longer moves, so it stays stopped and
+    ends where the single-row search would."""
+    lo = np.zeros_like(hi)
+    fm = fm[:, None]
+    with np.errstate(divide="ignore", invalid="ignore"):  # rows past a pole
+        while True:
+            mid = 0.5 * (lo + hi)
+            live = (hi - lo > 1e-13 * hi) & (mid > lo) & (mid < hi)
+            if not live.any():
+                return mid
+            x = mid[:, None]
+            den = fm + x * d
+            spent = mid + np.add.reduce(x * fk / den, axis=1)
+            up = live & ((spent >= budget) | np.logical_or.reduce(den <= 0.0, axis=1))
+            np.copyto(hi, mid, where=up)
+            np.copyto(lo, mid, where=live ^ up)
 
 
 # ---------------------------------------------------------------------------

@@ -5,7 +5,7 @@ import math
 
 import pytest
 
-from splitplan import cli, harness
+from splitplan import cli, harness, oracle
 from splitplan.arch import architecture_to_dict, toy_architecture
 from splitplan.cli import main
 from splitplan.errors import Infeasible
@@ -271,6 +271,17 @@ class TestOracle:
             main(["oracle", flag, value])
         assert exc.value.code == 2
         assert flag in capsys.readouterr().err
+
+    def test_grid_exceeding_guard_exits_2(self, capsys, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("the grid guard let the grid be built")
+
+        monkeypatch.setattr(oracle, "_bandwidth_grid", refuse)
+        code = main(["oracle", "--devices", "3", "--grid-points", "100000"])
+        assert code == 2
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"] == "TooLarge"
+        assert "grid points" in err["message"]
 
     def test_reference_arch_exceeds_guard(self, capsys):
         code = main(["oracle", "--mode", "serial", "--devices", "2",

@@ -1,21 +1,54 @@
 """Brute-force baseline behavior and guards."""
 
+import itertools
 import math
 
 import numpy as np
 import pytest
 
 from conftest import toy_network
-from splitplan.delay import NetworkInstance
+from splitplan import oracle, parallel
+from splitplan.channel import shannon_rate
+from splitplan.delay import NetworkInstance, serial_total_delay
 from splitplan.errors import TooLarge
 from splitplan.harness import ExperimentConfig, build_network
-from splitplan.oracle import (GridSpec, dense_root_scan, oracle_parallel,
+from splitplan.oracle import (GridSpec, OracleResult, dense_root_scan, oracle_parallel,
                               oracle_serial)
-from splitplan import parallel
-from splitplan.parallel import solve_p1
+from splitplan.parallel import CutTable, equal_delay_split, solve_p1
 from splitplan.serial import solve_p3
 
 ANALYTIC_ROOT = (15.0 - math.sqrt(125.0)) * 1e9
+
+
+def walk_reference(net, grid, score):
+    """The per-point walk the batched oracles replaced: one
+    ``score(arrivals, residuals, server_flops)`` per cut vector and grid point."""
+    table = CutTable(net)
+    k = net.num_devices
+    best = None
+    for cuts in itertools.product(*(range(d.profile.num_cuts + 1) for d in net.devices)):
+        resid = np.array([table.resid[i][cuts[i]] for i in range(k)])
+        for bw in oracle._bandwidth_grid(net.total_bandwidth_hz, k, grid.bandwidth_points):
+            rates = [shannon_rate(table.snr[i], bw[i]) for i in range(k)]
+            if min(rates) <= 0:
+                continue
+            arr = np.array([table.local_s[i][c] + table.bits[i][c] / rate
+                            for i, (c, rate) in enumerate(zip(cuts, rates))])
+            obj = score(arr, resid, net.server_flops)
+            if best is None or obj < best[0]:
+                best = (obj, cuts, bw.copy())
+    return OracleResult(float(best[0]), tuple(best[1]), tuple(best[2]))
+
+
+def symmetric_network(seed, devices):
+    """``devices`` copies of one toy device: tied arrivals wherever their
+    bandwidth shares tie."""
+    net = toy_network(np.random.default_rng(seed), devices=1)
+    return NetworkInstance(net.devices * devices, net.server_flops, net.total_bandwidth_hz)
+
+
+class NotBuilt(Exception):
+    pass
 
 
 class TestGuards:
@@ -30,6 +63,24 @@ class TestGuards:
         net = build_network(ExperimentConfig(devices=2), 0)  # 30 cut layers
         with pytest.raises(TooLarge, match="layers exceeds"):
             oracle_parallel(net)
+
+    @pytest.mark.parametrize("devices, points, refused", [
+        (3, 100_000, True),      # about 5e9 points
+        (2, 100_003, True),      # 100,001 points
+        (2, 100_002, False),     # 100,000 points: at the cap
+        (3, 101, False),         # 4,851 points, the largest default grid
+    ])
+    def test_grid_size(self, monkeypatch, devices, points, refused):
+        # the guard must refuse before any grid point is built
+        def refuse(*args):
+            raise NotBuilt
+
+        monkeypatch.setattr(oracle, "_bandwidth_grid", refuse)
+        net = toy_network(np.random.default_rng(0), devices=devices)
+        outcome = (pytest.raises(TooLarge, match="grid points exceeds") if refused
+                   else pytest.raises(NotBuilt))
+        with outcome:
+            oracle_parallel(net, GridSpec(bandwidth_points=points))
 
 
 class TestParallelOracle:
@@ -67,6 +118,37 @@ class TestSerialOracle:
         sym = NetworkInstance((dev, dev), net.server_flops, net.total_bandwidth_hz)
         best = oracle_serial(sym, GridSpec(bandwidth_points=41))
         assert best.bandwidth_hz[0] == pytest.approx(best.bandwidth_hz[1], rel=1e-12)
+
+
+class TestBatchedScoring:
+    @pytest.mark.parametrize("devices", [1, 2, 3])
+    def test_queue_totals_match_serial_total_delay(self, devices):
+        # every cut vector of the toy net, its last cut local-only, over a
+        # grid whose symmetric points tie the arrivals
+        net = symmetric_network(47, devices)
+        table = CutTable(net)
+        bw = oracle._bandwidth_grid(net.total_bandwidth_hz, devices, 13)
+        ties = 0
+        for cuts in itertools.product(range(5), repeat=devices):
+            view = table.view(cuts)
+            rows = np.array([view.arrivals(point) for point in bw])
+            totals = oracle._queue_totals(rows, view.resid, net.server_flops)
+            for row, total in zip(rows, totals):
+                assert total == serial_total_delay(row, view.resid, net.server_flops)[0]
+                ties += len(set(row.tolist())) < devices
+        assert devices == 1 or ties > 0
+
+    @pytest.mark.parametrize("seed, devices, points", [
+        (48, 1, 101), (49, 2, 41), (50, 2, 21), (51, 3, 7),
+    ])
+    def test_oracles_equal_the_per_point_walk(self, seed, devices, points):
+        grid = GridSpec(bandwidth_points=points)
+        for net in (toy_network(np.random.default_rng(seed), devices=devices),
+                    symmetric_network(seed, devices)):
+            assert oracle_parallel(net, grid) == walk_reference(
+                net, grid, lambda *point: equal_delay_split(*point)[1])
+            assert oracle_serial(net, grid) == walk_reference(
+                net, grid, lambda *point: serial_total_delay(*point)[0])
 
 
 class TestDenseRootScan:

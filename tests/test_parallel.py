@@ -63,18 +63,38 @@ class TestEqualDelaySplit:
         assert shares[0] == pytest.approx(ANALYTIC_ROOT, rel=1e-9)
         assert t == 9.0
 
+    @pytest.mark.parametrize("busy", ["all", "some", "one", "none"])
+    def test_stack_rows_match_single_rows(self, busy):
+        rng = np.random.default_rng(7)
+        for k in range(2, 12):
+            arrivals = rng.uniform(0.1, 5.0, (12, k))
+            arrivals[:4, 0] = arrivals[:4].min(axis=1)  # tied earliest arrivals: d = 0
+            residuals = rng.uniform(0.5e9, 5e10, k)
+            keep = {"all": k, "some": (k + 1) // 2, "one": 1, "none": 0}[busy]
+            residuals[rng.permutation(k)[keep:]] = 0.0
+            budget = rng.uniform(1e10, 5e11)
+            shares, t = equal_delay_split(arrivals, residuals, budget)
+            assert shares.shape == arrivals.shape and t.shape == (12,)
+            for row, row_shares, row_t in zip(arrivals, shares, t):
+                one_shares, one_t = equal_delay_split(row, residuals, budget)
+                assert np.array_equal(one_shares, row_shares) and one_t == row_t
+
     @pytest.mark.parametrize("arrivals, residuals, budget, named", [
         ([1.0, 2.0], [1e9], 1e9, "equal length"),
+        ([[1.0, 2.0], [3.0, 4.0]], [1e9, 1e9, 1e9], 1e9, "equal length"),
+        ([[[1.0, 2.0]]], [1e9, 1e9], 1e9, "stack of rows"),
         ([1.0, 2.0], [1e9, -1.0], 1e9, "residual"),
         ([1.0, 2.0], [1e9, 1e9], 0.0, "budget"),
-    ], ids=["mismatched-lengths", "negative-residual", "zero-budget"])
+    ], ids=["mismatched-lengths", "mismatched-stack", "3-d-arrivals",
+            "negative-residual", "zero-budget"])
     def test_rejects_malformed_input(self, arrivals, residuals, budget, named):
         with pytest.raises(ValidationError, match=named):
             equal_delay_split(arrivals, residuals, budget)
 
     def test_infinite_arrival_is_a_zero_rate(self):
-        with pytest.raises(ZeroRate, match="device 1"):
-            equal_delay_split([1.0, math.inf], [1e9, 1e9], 1e9)
+        for arrivals in ([1.0, math.inf], [[1.0, 2.0], [1.0, math.inf], [3.0, 1.0]]):
+            with pytest.raises(ZeroRate, match="device 1"):
+                equal_delay_split(arrivals, [1e9, 1e9], 1e9)
 
     def test_budget_and_positivity_random(self):
         rng = np.random.default_rng(3)
