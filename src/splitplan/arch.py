@@ -91,47 +91,26 @@ class LayerSpec:
             raise ValidationError("pooling layers preserve the channel count")
 
 
-def _axis_params(layer: LayerSpec, axis: str):
+def output_dim(x_in: int, layer: LayerSpec, axis: str) -> int:
+    """Output size of ``layer`` along ``axis`` ("w" or "h") for input size ``x_in``.
+
+    Convolution and max-pooling: floor((x + 2p - d(k-1) - 1)/s + 1).
+    Transpose convolution: (x - 1)s - 2p + d(k-1) + p_out + 1.
+    Max-unpooling: (x - 1)s - 2p + k.
+    """
     if axis == "w":
-        return layer.kw, layer.pw, layer.sw, layer.dw, layer.pwo
-    if axis == "h":
-        return layer.kh, layer.ph, layer.sh, layer.dh, layer.pho
-    raise ValueError(f"axis must be 'w' or 'h', got {axis!r}")
-
-
-def conv_output_dim(x_in: int, layer: LayerSpec, axis: str) -> int:
-    """floor((x + 2p - d(k-1) - 1)/s + 1) for convolution and max-pooling."""
-    if layer.kind not in (LayerKind.CONV, LayerKind.MAX_POOL):
-        raise ValueError(f"conv_output_dim does not apply to {layer.kind.value}")
-    k, p, s, d, _ = _axis_params(layer, axis)
-    out = (x_in + 2 * p - d * (k - 1) - 1) // s + 1
+        k, p, s, d, po = layer.kw, layer.pw, layer.sw, layer.dw, layer.pwo
+    else:
+        k, p, s, d, po = layer.kh, layer.ph, layer.sh, layer.dh, layer.pho
+    if layer.kind in (LayerKind.CONV, LayerKind.MAX_POOL):
+        out = (x_in + 2 * p - d * (k - 1) - 1) // s + 1
+    elif layer.kind is LayerKind.TRANSPOSE_CONV:
+        out = (x_in - 1) * s - 2 * p + d * (k - 1) + po + 1
+    else:
+        out = (x_in - 1) * s - 2 * p + k
     if out < 1:
-        raise NonPositiveOutput(
-            f"{layer.kind.value} {axis}-size {x_in} with k={k} p={p} s={s} d={d} yields {out}")
-    return out
-
-
-def transpose_output_dim(x_in: int, layer: LayerSpec, axis: str) -> int:
-    """(x - 1)s - 2p + d(k-1) + p_out + 1 for transpose convolution."""
-    if layer.kind is not LayerKind.TRANSPOSE_CONV:
-        raise ValueError(f"transpose_output_dim does not apply to {layer.kind.value}")
-    k, p, s, d, po = _axis_params(layer, axis)
-    out = (x_in - 1) * s - 2 * p + d * (k - 1) + po + 1
-    if out < 1:
-        raise NonPositiveOutput(
-            f"transpose_conv {axis}-size {x_in} with k={k} p={p} s={s} d={d} po={po} yields {out}")
-    return out
-
-
-def unpool_output_dim(x_in: int, layer: LayerSpec, axis: str) -> int:
-    """(x - 1)s - 2p + k for max-unpooling."""
-    if layer.kind is not LayerKind.MAX_UNPOOL:
-        raise ValueError(f"unpool_output_dim does not apply to {layer.kind.value}")
-    k, p, s, _, _ = _axis_params(layer, axis)
-    out = (x_in - 1) * s - 2 * p + k
-    if out < 1:
-        raise NonPositiveOutput(
-            f"max_unpool {axis}-size {x_in} with k={k} p={p} s={s} yields {out}")
+        raise NonPositiveOutput(f"{layer.kind.value} {axis}-size {x_in} with "
+                                f"k={k} p={p} s={s} d={d} po={po} yields {out}")
     return out
 
 
@@ -139,15 +118,8 @@ def layer_output_shape(layer: LayerSpec, in_shape: TensorShape) -> TensorShape:
     if layer.c_in != in_shape.channels:
         raise ShapeMismatch(
             f"{layer.kind.value} expects {layer.c_in} channels, got {in_shape.channels}")
-    if layer.kind in (LayerKind.CONV, LayerKind.MAX_POOL):
-        w = conv_output_dim(in_shape.width, layer, "w")
-        h = conv_output_dim(in_shape.height, layer, "h")
-    elif layer.kind is LayerKind.TRANSPOSE_CONV:
-        w = transpose_output_dim(in_shape.width, layer, "w")
-        h = transpose_output_dim(in_shape.height, layer, "h")
-    else:
-        w = unpool_output_dim(in_shape.width, layer, "w")
-        h = unpool_output_dim(in_shape.height, layer, "h")
+    w = output_dim(in_shape.width, layer, "w")
+    h = output_dim(in_shape.height, layer, "h")
     return TensorShape(layer.c_out, h, w)
 
 

@@ -37,10 +37,6 @@ class MissingServerCompute(SplitPlanError):
     """Residual work exists but no server compute was allocated."""
 
 
-class Unreachable(SplitPlanError):
-    """Requested rate exceeds the wide-band capacity limit of the link."""
-
-
 class NonConvergence(SplitPlanError):
     """An iterative solver hit its iteration cap without converging."""
 

@@ -22,7 +22,7 @@ import numpy as np
 from .channel import shannon_rate
 from .delay import NetworkInstance
 from .errors import NoBracket, TooLarge, ValidationError
-from .parallel import CutTable, equal_delay_split
+from .parallel import CutTable, _arrival_seconds, equal_delay_split
 
 
 #: Largest fleet and deepest network the exhaustive cut enumeration accepts.
@@ -92,8 +92,7 @@ def _grid_min(net: NetworkInstance, grid: GridSpec | None, score) -> OracleResul
     best = None
     for cuts in itertools.product(*(range(d.profile.num_cuts + 1) for d in net.devices)):
         view = table.view(cuts)
-        with np.errstate(over="ignore"):  # a subnormal rate: inf is the answer
-            rows = view.local_s + view.bits / rates
+        rows = _arrival_seconds(view.local_s, view.bits, rates)
         scores = score(rows, view.resid, net.server_flops)
         p = int(np.argmin(scores))
         if best is None or scores[p] < best[0]:

@@ -14,9 +14,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channel import LN2, LinkParams, shannon_rate
+from .channel import LN2, shannon_rate
 from .delay import AllocationPlan, NetworkInstance
-from .errors import Infeasible, NonConvergence, Unreachable, ValidationError, ZeroRate
+from .errors import Infeasible, NonConvergence, ValidationError, ZeroRate
 
 
 #: Relative width at which the target-delay and rate bisections stop.
@@ -117,7 +117,7 @@ def equal_delay_split(arrivals, residuals, budget):
         if r.size == 1:
             sub = np.full(a.shape, float(budget))
         else:
-            sub = _anchor_split(a, r, budget, single=arrivals.ndim == 1)
+            sub = _anchor_split(a, r, budget)
         shares[:, busy] = sub
         t = np.maximum((a + r / sub).max(axis=1), t)
     if arrivals.ndim == 1:
@@ -125,9 +125,10 @@ def equal_delay_split(arrivals, residuals, budget):
     return shares, t
 
 
-def _anchor_split(a, r, budget, single):
+def _anchor_split(a, r, budget):
     """Equal-delay shares of ``(P, n)`` busy arrivals ``a`` (n >= 2) with
-    residuals ``r``, rescaled to spend ``budget`` exactly in every row."""
+    residuals ``r``, rescaled to spend ``budget`` exactly in every row. One
+    row bisects on Python floats, a stack with :func:`_bisect_rows`."""
     rows = np.arange(len(a))
     m = a.argmin(axis=1)  # the anchor: earliest busy arrival, first on ties
     fm = r[m]
@@ -137,7 +138,7 @@ def _anchor_split(a, r, budget, single):
     fk, d = r[cols], delta[rows[:, None], cols]
     poles = np.divide(-fm[:, None], d, out=np.full(d.shape, math.inf), where=d != 0.0)
     hi = np.minimum(poles.min(axis=1), budget)
-    if single:
+    if len(a) == 1:
         fm0, fk0, d0 = fm[0], fk[0], d[0]
 
         def spends_budget(x):
@@ -182,26 +183,26 @@ def _bisect_rows(fm, fk, d, budget, hi):
 # ---------------------------------------------------------------------------
 # rate inversion
 
-def bandwidth_for_rate(link: LinkParams, required_rate: float,
+def bandwidth_for_rate(snr_hz: float, required_rate: float,
                        rel_tol: float = _BISECT_REL_TOL) -> float:
-    """Minimal bandwidth whose achievable rate meets ``required_rate``.
+    """Minimal bandwidth whose achievable rate at SNR ``snr_hz`` meets
+    ``required_rate``; ``inf`` when the rate is out of reach.
 
     Geometric bracket growth followed by bisection; the rate is strictly
-    increasing in bandwidth with supremum ``link.rate_limit()``. The probes
-    evaluate ``shannon_rate`` at the link's SNR, computed once, in Python
-    floats: numpy-scalar arithmetic costs several times more per probe and
-    gives the same values.
+    increasing in bandwidth with supremum ``snr_hz / ln 2``, and a rate
+    within 1e-12 of that limit counts as unreachable, as in
+    :func:`_required_bandwidth_u`. The probes evaluate ``shannon_rate`` in
+    Python floats: numpy-scalar arithmetic costs several times more per
+    probe and gives the same values.
     """
     if required_rate < 0:
         raise ValidationError("required rate must be >= 0")
     if required_rate == 0.0:
         return 0.0
-    snr = float(link.snr_hz())
-    limit = snr / LN2
-    if required_rate >= limit * (1.0 - 1e-12):
-        raise Unreachable(
-            f"rate {required_rate:.6g} b/s exceeds the wide-band limit {limit:.6g} b/s")
+    snr = float(snr_hz)
     rate = float(required_rate)
+    if rate >= snr / LN2 * (1.0 - 1e-12):
+        return math.inf
 
     def meets(bandwidth):
         return shannon_rate(snr, bandwidth) >= rate
@@ -239,7 +240,15 @@ def _required_bandwidth_u(snr_hz: float, rate: float):
 
 
 # ---------------------------------------------------------------------------
-# per-cut views of a network
+# arrival times and per-cut views of a network
+
+def _arrival_seconds(local_s, bits, rate):
+    """Local seconds plus upload seconds ``bits / rate``, elementwise under
+    numpy broadcasting; ``inf`` where the rate is zero or so small that the
+    upload time overflows. ``delay.arrival_delay`` is the reference form."""
+    with np.errstate(divide="ignore", over="ignore"):
+        return local_s + bits / rate
+
 
 class CutTable:
     """Per-device per-cut arrays: local seconds, payload bits, residual FLOPs.
@@ -285,13 +294,10 @@ class CutTable:
         """Per device, the first cut with the smallest transmit payload."""
         return tuple(int(np.argmin(b)) for b in self.bits)
 
-    def transmit_s(self, i: int, bandwidth_hz: float) -> np.ndarray:
-        """Upload seconds of device ``i`` at every cut over ``bandwidth_hz``."""
+    def cut_arrivals(self, i: int, bandwidth_hz: float) -> np.ndarray:
+        """Arrival seconds of device ``i`` at every cut over ``bandwidth_hz``."""
         rate = shannon_rate(float(self.snr[i]), float(bandwidth_hz))
-        if rate == 0.0:
-            return np.full(len(self.bits[i]), math.inf)
-        with np.errstate(over="ignore"):  # a subnormal rate: inf is the answer
-            return self.bits[i] / rate
+        return _arrival_seconds(self.local_s[i], self.bits[i], rate)
 
 
 @dataclass
@@ -304,11 +310,8 @@ class _CutView:
 
     def arrivals(self, bandwidth) -> np.ndarray:
         """Local seconds plus upload seconds; ``inf`` at a zero rate."""
-        out = self.local_s.copy()
-        for i, bits in enumerate(self.bits.tolist()):
-            r = shannon_rate(float(self.snr[i]), float(bandwidth[i]))
-            out[i] += bits / r if r > 0 else math.inf
-        return out
+        rates = [shannon_rate(snr, float(b)) for snr, b in zip(self.snr.tolist(), bandwidth)]
+        return _arrival_seconds(self.local_s, self.bits, np.array(rates))
 
 
 # ---------------------------------------------------------------------------
@@ -575,7 +578,7 @@ def _reselect_parallel(table: CutTable, bandwidth, shares) -> tuple[int, ...]:
     for i in range(table.num_devices):
         serve = np.where(table.resid[i] > 0,
                          table.resid[i] / shares[i] if shares[i] > 0 else math.inf, 0.0)
-        j = table.local_s[i] + table.transmit_s(i, bandwidth[i]) + serve
+        j = table.cut_arrivals(i, bandwidth[i]) + serve
         cuts.append(int(np.argmin(j)))
     return tuple(cuts)
 

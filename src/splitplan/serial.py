@@ -15,7 +15,7 @@ import math
 import numpy as np
 
 from .delay import AllocationPlan, NetworkInstance, QueueState, serial_total_delay
-from .errors import NoExcess, StalledBreak, ZeroRate
+from .errors import NoExcess, StalledBreak, ValidationError, ZeroRate
 from .parallel import (_BISECT_REL_TOL, CutTable, SolverSettings, _alternate, _bisect,
                        _grow, bandwidth_for_rate)
 
@@ -57,12 +57,11 @@ def _serial_plan(policy, table, cuts, bandwidth, iterations, history):
 def _common_arrival_bandwidth(table: CutTable, cuts):
     """Smallest common arrival time T and the bandwidth split achieving it.
 
-    Bisects T above the last local finish; a target is feasible when the
-    summed per-device bandwidth requirements fit the budget. The spare
+    Bisects T above the last local finish; a target is feasible when every
+    device's bandwidth requirement is finite and their sum fits the budget. The spare
     spectrum at the returned T goes out pro rata.
     """
     view = table.view(cuts)
-    links = [d.link for d in table.net.devices]
     budget = table.net.total_bandwidth_hz
     k = table.num_devices
     t_floor = float(np.max(view.local_s))
@@ -75,10 +74,9 @@ def _common_arrival_bandwidth(table: CutTable, cuts):
             room = t - view.local_s[i]
             if room <= 0:
                 return False
-            rate = view.bits[i] / room
-            if rate >= view.rate_limit[i] * (1.0 - 1e-12):
+            need[i] = bandwidth_for_rate(view.snr[i], view.bits[i] / room)
+            if need[i] == math.inf:
                 return False
-            need[i] = bandwidth_for_rate(links[i], rate)
         if not need.sum() <= budget:
             return False
         best = need
@@ -101,7 +99,7 @@ def _reselect_serial(table: CutTable, cuts, bandwidth):
     cand_arr = []
     cand_res = []
     for i in range(k):
-        a = table.local_s[i] + table.transmit_s(i, bandwidth[i])
+        a = table.cut_arrivals(i, bandwidth[i])
         cand_arr.append(a)
         cand_res.append(table.resid[i])
         arr[i] = a[cuts[i]]
@@ -160,15 +158,16 @@ def reallocate_once(table: CutTable, cuts, bandwidth, state: QueueState,
     it finishes arriving exactly when the server frees up, which closes that
     gap; the freed bandwidth accelerates the device at the last gap, whose
     arrival sets the queue total. Requires at least two gaps so donor and
-    receiver are distinct.
+    receiver are distinct, and ``donor_break`` before the last one; otherwise
+    raises :class:`ValidationError`.
 
     Returns ``(objective, new_bandwidth, new_state)`` of the new allocation.
     """
     breaks = state.breaks
     if len(breaks) < 2:
-        raise ValueError("needs a queue with at least two gaps")
+        raise ValidationError("needs a queue with at least two gaps")
     if not 0 <= donor_break < len(breaks) - 1:
-        raise ValueError("donor break must come before the last gap")
+        raise ValidationError("donor break must come before the last gap")
     f_max = table.net.server_flops
     b_pos = breaks[donor_break]
     donor_pos = b_pos - 1
@@ -182,8 +181,7 @@ def reallocate_once(table: CutTable, cuts, bandwidth, state: QueueState,
     if budget_s <= 0:
         raise StalledBreak(
             f"donor {donor} cannot delay its arrival to {target:.6g}s")
-    new_bw = bandwidth_for_rate(table.net.devices[donor].link,
-                                table.bits[donor][cut] / budget_s)
+    new_bw = bandwidth_for_rate(table.snr[donor], table.bits[donor][cut] / budget_s)
     moved = bandwidth[donor] - new_bw
     if moved <= 0:
         raise NoExcess(f"donor {donor} has no spare bandwidth to give")

@@ -6,8 +6,8 @@ import pytest
 
 from splitplan.arch import (Architecture, BottleneckModule, CutProfile,
                             LayerKind, LayerSpec, TensorShape,
-                            architecture_to_dict, load_architecture,
-                            packaged_config_text, propagate,
+                            architecture_to_dict, layer_flops, load_architecture,
+                            output_dim, packaged_config_text, propagate,
                             reference_architecture, toy_architecture)
 from splitplan.errors import (NonPositiveOutput, ParseError, ShapeMismatch,
                               ValidationError)
@@ -36,84 +36,70 @@ def unpool(channels, k, s=1, p=0):
 class TestLayerDims:
     def test_identity_conv(self):
         layer = conv(1, 1, k=1)
-        from splitplan.arch import conv_output_dim
-        assert conv_output_dim(7, layer, "w") == 7
+        assert output_dim(7, layer, "w") == 7
 
     def test_stride2_conv(self):
-        from splitplan.arch import conv_output_dim
         layer = conv(1, 1, k=3, s=2, p=1)
-        assert conv_output_dim(1024, layer, "w") == 512
+        assert output_dim(1024, layer, "w") == 512
 
     def test_conv_too_small(self):
-        from splitplan.arch import conv_output_dim
         layer = conv(1, 1, k=5)
         with pytest.raises(NonPositiveOutput):
-            conv_output_dim(2, layer, "w")
+            output_dim(2, layer, "w")
 
     def test_identity_transpose(self):
-        from splitplan.arch import transpose_output_dim
         layer = tconv(1, 1, k=1)
-        assert transpose_output_dim(7, layer, "w") == 7
+        assert output_dim(7, layer, "w") == 7
 
     def test_stride2_transpose_inverts_conv(self):
-        from splitplan.arch import transpose_output_dim
         layer = tconv(1, 1, k=3, s=2, p=1, po=1)
-        assert transpose_output_dim(512, layer, "w") == 1024
+        assert output_dim(512, layer, "w") == 1024
 
     def test_transpose_too_small(self):
-        from splitplan.arch import transpose_output_dim
         layer = tconv(1, 1, k=2, s=2, p=3)
         with pytest.raises(NonPositiveOutput):
-            transpose_output_dim(1, layer, "w")
+            output_dim(1, layer, "w")
 
     def test_identity_unpool(self):
-        from splitplan.arch import unpool_output_dim
         layer = unpool(1, k=1)
-        assert unpool_output_dim(1, layer, "w") == 1
+        assert output_dim(1, layer, "w") == 1
 
     def test_stride2_unpool(self):
-        from splitplan.arch import unpool_output_dim
         layer = unpool(1, k=2, s=2)
-        assert unpool_output_dim(512, layer, "w") == 1024
+        assert output_dim(512, layer, "w") == 1024
 
     def test_unpool_too_small(self):
-        from splitplan.arch import unpool_output_dim
         layer = unpool(1, k=1, s=1, p=1)
         with pytest.raises(NonPositiveOutput):
-            unpool_output_dim(1, layer, "w")
+            output_dim(1, layer, "w")
 
     def test_conv_round_trip_even_sizes(self):
         # stride-2 3x3 down then the matching transpose recovers even sizes
-        from splitplan.arch import conv_output_dim, transpose_output_dim
         down = conv(1, 1, k=3, s=2, p=1)
         up = tconv(1, 1, k=3, s=2, p=1, po=1)
         for x in range(2, 600, 2):
-            assert transpose_output_dim(conv_output_dim(x, down, "w"), up, "w") == x
+            assert output_dim(output_dim(x, down, "w"), up, "w") == x
 
     def test_pool_round_trip_even_sizes(self):
-        from splitplan.arch import conv_output_dim, unpool_output_dim
         down = pool(1, k=2, s=2)
         up = unpool(1, k=2, s=2)
         for x in range(2, 600, 2):
-            assert unpool_output_dim(conv_output_dim(x, down, "w"), up, "w") == x
+            assert output_dim(output_dim(x, down, "w"), up, "w") == x
 
 
 class TestLayerFlops:
     def test_conv_flops(self):
-        from splitplan.arch import layer_flops
         # 3->13 channels, 3x3 kernel, 512x1024 output: 2*3*13*9*512*1024
         layer = conv(3, 13, k=3, s=2, p=1)
         shape = TensorShape(3, 1024, 2048)
         assert layer_flops(layer, shape) == 368_050_176
 
     def test_pool_flops(self):
-        from splitplan.arch import layer_flops
         layer = pool(16, k=2, s=2)
         shape = TensorShape(16, 1024, 2048)
         assert layer_flops(layer, shape) == 25_165_824  # (4-1)*16*512*1024
 
     def test_unpool_is_free(self):
-        from splitplan.arch import layer_flops
         layer = unpool(16, k=2, s=2)
         assert layer_flops(layer, TensorShape(16, 64, 64)) == 0
 

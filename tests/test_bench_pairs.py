@@ -1,4 +1,5 @@
-"""The aggregation of ``tools/bench_pairs.py`` on synthetic ``run.py`` output."""
+"""The aggregation and the bytecode-cache check of ``tools/bench_pairs.py``, run on
+synthetic ``run.py`` output and ``tmp_path`` checkouts without starting a process."""
 
 import importlib.util
 import json
@@ -90,3 +91,45 @@ def test_a_metric_missing_from_a_run_is_an_error():
     del runs[0]["change"]["metrics"]["peak_rss_mb"]
     with pytest.raises(KeyError):
         bench_pairs.aggregate(BENCHMARK, runs)
+
+
+def checkout(root, *caches):
+    """A checkout skeleton under ``root`` with the given cache directories."""
+    for sub in ("src/splitplan", "perfbench", "tests", *caches):
+        (root / sub).mkdir(parents=True, exist_ok=True)
+    return root
+
+
+def test_stale_caches_names_every_cache_under_src_and_perfbench(tmp_path):
+    parent = checkout(tmp_path / "parent", "src/splitplan/__pycache__", "tests/__pycache__")
+    change = checkout(tmp_path / "change", "perfbench/__pycache__",
+                      "src/splitplan/data/__pycache__")
+    assert bench_pairs.stale_caches([parent, change]) == [
+        change / "perfbench/__pycache__",
+        change / "src/splitplan/data/__pycache__",
+        parent / "src/splitplan/__pycache__",
+    ]
+    assert bench_pairs.stale_caches([checkout(tmp_path / "clean")]) == []
+
+
+def test_main_refuses_before_the_first_run(tmp_path, monkeypatch, capsys):
+    parent = checkout(tmp_path / "parent", "src/splitplan/__pycache__")
+    change = checkout(tmp_path / "change", "perfbench/__pycache__")
+    (change / "BENCHMARK.json").write_text(json.dumps(
+        {"workloads": [{"name": "w"}], **BENCHMARK}))
+    monkeypatch.setattr(bench_pairs, "ROOT", change)
+
+    def no_runs(*args):
+        raise AssertionError("a side ran despite the caches")
+
+    monkeypatch.setattr(bench_pairs, "describe", no_runs)
+    monkeypatch.setattr(bench_pairs, "measure", no_runs)
+    out = tmp_path / "out.json"
+    with pytest.raises(SystemExit) as exit_info:
+        bench_pairs.main(["--parent", str(parent), "--workload", "w", "--pairs", "1",
+                          "--seed", "1", "--seconds", "1", "--out", str(out)])
+    assert exit_info.value.code == 2
+    err = capsys.readouterr().err
+    assert str(parent / "src/splitplan/__pycache__") in err
+    assert str(change / "perfbench/__pycache__") in err
+    assert not out.exists()

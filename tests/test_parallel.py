@@ -10,7 +10,7 @@ from conftest import (link_with_snr, oracle_benchmark_network, profile_from_list
                       random_network, random_profile, toy_network)
 from splitplan import parallel
 from splitplan.delay import Device, NetworkInstance, arrival_delay
-from splitplan.errors import NonConvergence, Unreachable, ValidationError, ZeroRate
+from splitplan.errors import NonConvergence, ValidationError, ZeroRate
 from splitplan.harness import ExperimentConfig, build_network
 from splitplan.oracle import GridSpec, dense_root_scan, oracle_parallel
 from splitplan.parallel import (CutTable, bandwidth_for_rate, equal_delay_split,
@@ -188,31 +188,31 @@ class TestRateInverse:
 
 class TestBandwidthForRate:
     def test_zero_rate(self):
-        assert bandwidth_for_rate(link_with_snr(1e6), 0.0) == 0.0
+        assert bandwidth_for_rate(1e6, 0.0) == 0.0
 
     def test_round_trip(self):
         link = link_with_snr(4.7e6)
         for b0 in (1e3, 5e4, 2e6, 8e7):
             rate = achievable_rate(b0, link)
-            back = bandwidth_for_rate(link, rate, rel_tol=1e-12)
+            back = bandwidth_for_rate(link.snr_hz(), rate, rel_tol=1e-12)
             assert back == pytest.approx(b0, rel=1e-9)
 
     def test_capacity_asymptote(self):
         link = link_with_snr(1e6)
         limit = link.rate_limit()
-        big = bandwidth_for_rate(link, 0.99 * limit)
+        big = bandwidth_for_rate(link.snr_hz(), 0.99 * limit)
         assert big > 40 * 1e6  # far into the wide-band regime
-        with pytest.raises(Unreachable):
-            bandwidth_for_rate(link, 1.01 * limit)
+        for rate in (1.01 * limit, limit * (1.0 - 1e-13)):  # past and inside the guard
+            assert bandwidth_for_rate(link.snr_hz(), rate) == math.inf
+            assert _required_bandwidth_u(link.snr_hz(), rate)[0] == math.inf
 
     def test_closed_form_inverse_agrees_with_bisection(self):
         link = link_with_snr(3.3e6)
         snr = link.snr_hz()
         for rate in (1e3, 1e5, 1e6, 0.6 * link.rate_limit(), 0.995 * link.rate_limit()):
             fast = _required_bandwidth_u(snr, rate)[0]
-            slow = bandwidth_for_rate(link, rate, rel_tol=1e-12)
+            slow = bandwidth_for_rate(snr, rate, rel_tol=1e-12)
             assert fast == pytest.approx(slow, rel=1e-8)
-
 
     @staticmethod
     def by_achievable_rate(link, rate, rel_tol=1e-9):
@@ -243,7 +243,7 @@ class TestBandwidthForRate:
                     with np.errstate(over="ignore"):  # numpy-scalar probes at 5e-324
                         want = self.by_achievable_rate(link, rate, tol)
                     for given in (float(rate), np.float64(rate)):
-                        got = bandwidth_for_rate(link, given, rel_tol=tol)
+                        got = bandwidth_for_rate(link.snr_hz(), given, rel_tol=tol)
                         assert type(got) is float and got == want
 
 
@@ -275,11 +275,23 @@ class TestArrivalKernel:
             with pytest.raises(ZeroRate):
                 arrival_delay(net.devices[1], cuts[1], 0.0)
 
-    def test_transmit_seconds_over_a_subnormal_share(self):
-        table = CutTable(random_network(np.random.default_rng(18), 2))
-        for bw in (5e-324, 1e-310, 0.0):
-            got = table.transmit_s(0, bw)
-            assert np.array_equal(got, np.where(table.bits[0] > 0, math.inf, 0.0))
+    def test_all_cut_rows_match_reference_arrival_delay(self):
+        """``CutTable.cut_arrivals`` against ``delay.arrival_delay`` at every
+        cut of every device, and ``inf`` at every cut over a zero or
+        subnormal share."""
+        rng = np.random.default_rng(18)
+        for _ in range(10):
+            net = random_network(rng, devices=3)
+            table = CutTable(net)
+            for i, dev in enumerate(net.devices):
+                bw = float(rng.uniform(0.0, net.total_bandwidth_hz))
+                got = table.cut_arrivals(i, bw)
+                assert got.shape == table.bits[i].shape
+                for cut, value in enumerate(got.tolist()):
+                    assert value == arrival_delay(dev, cut, bw)
+                for tiny in (5e-324, 1e-310, 0.0):
+                    assert np.array_equal(table.cut_arrivals(i, tiny),
+                                          np.full(got.shape, math.inf))
 
 
 class TestCutTable:

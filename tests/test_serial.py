@@ -8,6 +8,7 @@ import pytest
 from conftest import (link_with_snr, oracle_benchmark_network,
                       profile_from_lists, random_network, toy_network)
 from splitplan.delay import Device, NetworkInstance, queue_completions
+from splitplan.errors import ValidationError
 from splitplan.oracle import GridSpec, oracle_serial
 from splitplan.parallel import CutTable, SolverSettings
 from splitplan.serial import (queue_first_layer_policy, queue_heuristic,
@@ -169,8 +170,20 @@ class TestReallocateOnce:
         bw = np.full(3, 2.5e4)
         _, state, _, _ = _serial_eval(table, (1, 1, 1), bw)
         assert len(state.breaks) == 1
-        with pytest.raises(ValueError):
+        with pytest.raises(ValidationError, match="two gaps"):
             reallocate_once(table, (1, 1, 1), bw, state)
+
+    @pytest.mark.parametrize("donor_break", [-1, 1, 2])
+    def test_donor_break_out_of_range(self, donor_break):
+        # gaps at queue positions 1 and 3: only break 0 has a donor before
+        # the last gap
+        net = _rigged_net([1.0, 3.0, 4.0, 8.0], per_job=1.0)
+        table = CutTable(net)
+        bw = np.full(4, 2.5e4)
+        _, state, _, _ = _serial_eval(table, (1, 1, 1, 1), bw)
+        assert state.breaks == (1, 3)
+        with pytest.raises(ValidationError, match="before the last gap"):
+            reallocate_once(table, (1, 1, 1, 1), bw, state, donor_break=donor_break)
 
     def test_conserves_bandwidth_and_never_slows_queue(self):
         rng = np.random.default_rng(23)
@@ -202,7 +215,7 @@ def reselect_by_generator(table, cuts, bandwidth):
     other arrival from a generator over all k devices."""
     f_max = table.net.server_flops
     k = table.num_devices
-    cand_arr = [table.local_s[i] + table.transmit_s(i, bandwidth[i]) for i in range(k)]
+    cand_arr = [table.cut_arrivals(i, bandwidth[i]) for i in range(k)]
     arr = np.array([cand_arr[i][cuts[i]] for i in range(k)])
     res = np.array([table.resid[i][cuts[i]] for i in range(k)])
     new_cuts = list(cuts)

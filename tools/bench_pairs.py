@@ -9,6 +9,10 @@ of another checkout or a commit of this repository; a commit is checked out
 into a temporary detached ``git worktree``, which is removed afterwards.
 Each pair runs ``perfbench/run.py --trace 0`` of both sides for every
 workload, one process at a time, and alternates which side runs first.
+The tool refuses to start while either side has a ``__pycache__`` directory
+under ``src/`` or ``perfbench/``: a cache compiled from other sources, or
+present on one side only, moves ``peak_rss_mb`` and ``instance_cost_cal`` of
+code that did not change.
 
 Nothing here defines a metric. The names, units, directions and bounds are
 the ``end_to_end`` list of this checkout's ``BENCHMARK.json``, and the values
@@ -101,6 +105,13 @@ def describe(checkout: Path) -> dict:
         return {"sha": None, "dirty": None}
 
 
+def stale_caches(checkouts) -> list:
+    """Every ``__pycache__`` directory under the ``src/`` or ``perfbench/`` of
+    the given checkouts, sorted."""
+    return sorted(cache for root in checkouts for sub in ("src", "perfbench")
+                  for cache in (Path(root) / sub).rglob("__pycache__") if cache.is_dir())
+
+
 def run_side(checkout: Path, workload: str, seed: int, seconds: float) -> dict:
     proc = subprocess.run(
         [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed),
@@ -153,6 +164,10 @@ def main(argv=None) -> int:
             parent = worktree
         try:
             sides = {"parent": parent.resolve(), "change": ROOT}
+            stale = stale_caches(sides.values())
+            if stale:
+                ap.error("remove these bytecode caches before benchmarking:\n"
+                         + "\n".join(str(cache) for cache in stale))
             commits = {side: describe(path) for side, path in sides.items()}
             runs = measure(sides, args.workload, args.pairs, args.seed, args.seconds)
         finally:
