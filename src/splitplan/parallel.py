@@ -250,54 +250,69 @@ def _arrival_seconds(local_s, bits, rate):
         return local_s + bits / rate
 
 
-class CutTable:
-    """Per-device per-cut arrays: local seconds, payload bits, residual FLOPs.
+def _upload_rates(snr, bandwidth) -> np.ndarray:
+    """Each device's ``shannon_rate`` over its bandwidth, taken on Python floats."""
+    return np.array([shannon_rate(s, float(b)) for s, b in zip(snr.tolist(), bandwidth)])
 
-    Every cut uploads, so a link whose rate over the whole spectrum is not
-    positive (a zero or NaN SNR, or one that rounds away against the
+
+def _server_seconds(resid, shares):
+    """Server seconds ``resid / share``, elementwise under numpy broadcasting:
+    ``inf`` at a zero share, 0 without residual work (idle or padded cuts)."""
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        return np.where(resid > 0, resid / shares, 0.0)
+
+
+class CutTable:
+    """Local seconds, payload bits and residual FLOPs of every device at every
+    cut, as ``(k, C)`` arrays with C the largest cut count in the fleet.
+
+    A device with fewer cuts is padded with ``inf`` local seconds and bits and
+    zero residual, so a padded cut arrives at ``inf`` and never wins an
+    argmin. Every cut uploads, so a link whose rate over the whole spectrum is
+    not positive (a zero or NaN SNR, or one that rounds away against the
     bandwidth) raises :class:`ZeroRate`.
     """
 
     def __init__(self, net: NetworkInstance):
         self.net = net
-        self.local_s = []
-        self.bits = []
-        self.resid = []
-        for dev in net.devices:
+        k = net.num_devices
+        width = max(dev.profile.num_cuts for dev in net.devices) + 1
+        self.local_s = np.full((k, width), math.inf)
+        self.bits = np.full((k, width), math.inf)
+        self.resid = np.zeros((k, width))
+        for i, dev in enumerate(net.devices):
             prof = dev.profile
             cum = np.asarray(prof.cum_workload, dtype=float)
-            self.local_s.append(cum / dev.compute_flops)
+            cut = slice(0, cum.size)
+            self.local_s[i, cut] = cum / dev.compute_flops
             # payload_bits of every cut: integer sums first, as payload_bits adds
-            self.bits.append(np.add(prof.transmit_bits, prof.index_bits).astype(float))
-            self.resid.append(prof.total_workload - cum)
+            self.bits[i, cut] = np.add(prof.transmit_bits, prof.index_bits).astype(float)
+            self.resid[i, cut] = prof.total_workload - cum
         self.snr = np.array([dev.link.snr_hz() for dev in net.devices])
         for i, snr in enumerate(self.snr.tolist()):
             if not shannon_rate(snr, net.total_bandwidth_hz) > 0:  # NaN included
                 raise ZeroRate(f"device {i} gets no upload rate from a link with SNR {snr}")
         self.rate_limit = self.snr / LN2
+        self._rows = np.arange(k)
 
     @property
     def num_devices(self) -> int:
         return self.net.num_devices
 
     def view(self, cuts):
-        k = range(self.num_devices)
-        return _CutView(
-            local_s=np.array([self.local_s[i][cuts[i]] for i in k]),
-            bits=np.array([self.bits[i][cuts[i]] for i in k]),
-            resid=np.array([self.resid[i][cuts[i]] for i in k]),
-            snr=self.snr,
-            rate_limit=self.rate_limit,
-        )
+        at = (self._rows, np.asarray(cuts))
+        return _CutView(local_s=self.local_s[at], bits=self.bits[at], resid=self.resid[at],
+                        snr=self.snr, rate_limit=self.rate_limit)
 
     def min_data_cuts(self) -> tuple[int, ...]:
         """Per device, the first cut with the smallest transmit payload."""
-        return tuple(int(np.argmin(b)) for b in self.bits)
+        return tuple(self.bits.argmin(axis=1).tolist())
 
-    def cut_arrivals(self, i: int, bandwidth_hz: float) -> np.ndarray:
-        """Arrival seconds of device ``i`` at every cut over ``bandwidth_hz``."""
-        rate = shannon_rate(float(self.snr[i]), float(bandwidth_hz))
-        return _arrival_seconds(self.local_s[i], self.bits[i], rate)
+    def all_arrivals(self, bandwidth) -> np.ndarray:
+        """``(k, C)`` arrival seconds of every device at every cut, device i
+        uploading over ``bandwidth[i]``; ``inf`` on the padding."""
+        rates = _upload_rates(self.snr, bandwidth)
+        return _arrival_seconds(self.local_s, self.bits, rates[:, None])
 
 
 @dataclass
@@ -310,8 +325,7 @@ class _CutView:
 
     def arrivals(self, bandwidth) -> np.ndarray:
         """Local seconds plus upload seconds; ``inf`` at a zero rate."""
-        rates = [shannon_rate(snr, float(b)) for snr, b in zip(self.snr.tolist(), bandwidth)]
-        return _arrival_seconds(self.local_s, self.bits, np.array(rates))
+        return _arrival_seconds(self.local_s, self.bits, _upload_rates(self.snr, bandwidth))
 
 
 # ---------------------------------------------------------------------------
@@ -505,14 +519,13 @@ def _bandwidth_floor(view, budget, slack, warm):
         f[game] = shares
         warm.update(zip(game.tolist(), shares))
 
-    for i in range(k):
-        s = slack[i] - (view.resid[i] / f[i] if f[i] > 0 else 0.0)
-        if s <= 0:
+    s = slack - _server_seconds(view.resid, f)
+    if np.any(s <= 0):
+        return None
+    for i, (snr, rate) in enumerate(zip(view.snr.tolist(), (view.bits / s).tolist())):
+        bw[i], _ = _required_bandwidth_u(snr, rate)
+        if not math.isfinite(bw[i]):
             return None
-        b, _ = _required_bandwidth_u(float(view.snr[i]), float(view.bits[i] / s))
-        if not math.isfinite(b):
-            return None
-        bw[i] = b
     return bw.sum(), bw, f
 
 
@@ -523,8 +536,7 @@ def resource_subproblem(view, bandwidth_budget, compute_budget, t_seed=None):
     bandwidth meeting it fits the spectrum budget. Returns
     ``(objective, bandwidth, shares)`` with both budgets spent exactly.
     """
-    t_floor = float(np.max(view.local_s + np.where(
-        view.resid > 0, view.resid / compute_budget, 0.0)))
+    t_floor = float(np.max(view.local_s + _server_seconds(view.resid, compute_budget)))
     warm = {}
     best = {}
 
@@ -562,11 +574,7 @@ def resource_subproblem(view, bandwidth_budget, compute_budget, t_seed=None):
 def _plan_delays(view, bandwidth, shares):
     """(arrivals, totals) for an explicit allocation on one cut view."""
     arrivals = view.arrivals(bandwidth)
-    totals = arrivals.copy()
-    for i, resid in enumerate(view.resid):
-        if resid > 0:
-            totals[i] += resid / shares[i] if shares[i] > 0 else math.inf
-    return arrivals, totals
+    return arrivals, arrivals + _server_seconds(view.resid, shares)
 
 
 # ---------------------------------------------------------------------------
@@ -574,13 +582,9 @@ def _plan_delays(view, bandwidth, shares):
 
 def _reselect_parallel(table: CutTable, bandwidth, shares) -> tuple[int, ...]:
     """Per-device cut minimizing its own delay at frozen resources."""
-    cuts = []
-    for i in range(table.num_devices):
-        serve = np.where(table.resid[i] > 0,
-                         table.resid[i] / shares[i] if shares[i] > 0 else math.inf, 0.0)
-        j = table.cut_arrivals(i, bandwidth[i]) + serve
-        cuts.append(int(np.argmin(j)))
-    return tuple(cuts)
+    delays = table.all_arrivals(bandwidth) + _server_seconds(
+        table.resid, np.asarray(shares)[:, None])
+    return tuple(delays.argmin(axis=1).tolist())
 
 
 def _parallel_plan(policy, table, cuts, bandwidth, shares, iterations, history):

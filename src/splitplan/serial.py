@@ -94,16 +94,10 @@ def _reselect_serial(table: CutTable, cuts, bandwidth):
     max(arrival) + sum(residual)/f_max exactly."""
     f_max = table.net.server_flops
     k = table.num_devices
-    arr = np.empty(k)
-    res = np.empty(k)
-    cand_arr = []
-    cand_res = []
-    for i in range(k):
-        a = table.cut_arrivals(i, bandwidth[i])
-        cand_arr.append(a)
-        cand_res.append(table.resid[i])
-        arr[i] = a[cuts[i]]
-        res[i] = table.resid[i][cuts[i]]
+    cand_arr = table.all_arrivals(bandwidth)
+    at = (np.arange(k), np.asarray(cuts))
+    arr = cand_arr[at]
+    res = table.resid[at]
     # the largest arrival of the devices after i, before any re-pick
     after_max = np.append(np.maximum.accumulate(arr[::-1])[::-1][1:], -math.inf).tolist()
     new_cuts = list(cuts)
@@ -111,11 +105,11 @@ def _reselect_serial(table: CutTable, cuts, bandwidth):
     for i in range(k):
         others_max = max(before_max, after_max[i])
         others_res = res.sum() - res[i]
-        score = np.maximum(cand_arr[i], others_max) + (others_res + cand_res[i]) / f_max
+        score = np.maximum(cand_arr[i], others_max) + (others_res + table.resid[i]) / f_max
         best = int(np.argmin(score))
         new_cuts[i] = best
-        arr[i] = cand_arr[i][best]
-        res[i] = cand_res[i][best]
+        arr[i] = cand_arr[i, best]
+        res[i] = table.resid[i, best]
         before_max = max(before_max, arr[i])
     return tuple(new_cuts)
 
@@ -177,11 +171,11 @@ def reallocate_once(table: CutTable, cuts, bandwidth, state: QueueState,
 
     target = state.arrivals[b_pos] - state.residuals[donor_pos] / f_max
     cut = cuts[donor]
-    budget_s = target - table.local_s[donor][cut]
+    budget_s = target - table.local_s[donor, cut]
     if budget_s <= 0:
         raise StalledBreak(
             f"donor {donor} cannot delay its arrival to {target:.6g}s")
-    new_bw = bandwidth_for_rate(table.snr[donor], table.bits[donor][cut] / budget_s)
+    new_bw = bandwidth_for_rate(table.snr[donor], table.bits[donor, cut] / budget_s)
     moved = bandwidth[donor] - new_bw
     if moved <= 0:
         raise NoExcess(f"donor {donor} has no spare bandwidth to give")

@@ -1,5 +1,7 @@
 """Shared test fixtures and instance generators."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -63,6 +65,15 @@ def random_network(rng, devices=2, modules=4, bandwidth_hz=1.2e8,
     return NetworkInstance(tuple(devs),
                            server_flops=rng.uniform(0.8e11, 4e11),
                            total_bandwidth_hz=bandwidth_hz)
+
+
+def ragged_network(rng, devices=2, max_modules=6):
+    """``random_network`` whose devices get 1 to ``max_modules`` modules each,
+    so a fleet's cut counts differ and its cut table is padded."""
+    net = random_network(rng, devices=devices)
+    devs = tuple(replace(dev, profile=random_profile(rng, int(rng.integers(1, max_modules + 1))))
+                 for dev in net.devices)
+    return NetworkInstance(devs, net.server_flops, net.total_bandwidth_hz)
 
 
 @pytest.fixture(scope="session")

@@ -17,7 +17,10 @@ message)``. Inputs, in order: all policies on trials 0-5 of
 ``default_rng(2024)``, 8 oracle-benchmark networks under all policies and
 both 21-point oracles, and 20 random fleets of 5-9 devices under ``p1``,
 ``p3``, ``queue-heuristic`` and ``queue-first-layer``; then the same 20
-fleets under the short alternation caps in ``FLEET_SETTINGS``.
+fleets under the short alternation caps in ``FLEET_SETTINGS``; then, from
+``default_rng(2026)``, 30 ragged fleets of 2-8 devices with 1-6 modules each
+under all policies and 6 two-device ragged fleets under both 21-point
+oracles. The ragged fleets' cut tables are padded.
 """
 
 from __future__ import annotations
@@ -29,7 +32,7 @@ import math
 
 import numpy as np
 
-from conftest import oracle_benchmark_network, random_network
+from conftest import oracle_benchmark_network, ragged_network, random_network
 from splitplan.arch import propagate
 from splitplan.errors import SplitPlanError
 from splitplan.harness import (POLICIES, ExperimentConfig, build_network,
@@ -84,6 +87,15 @@ def plan_keys():
     for net in fleets:
         for name, settings in FLEET_SETTINGS:
             yield name, _key(lambda n: POLICIES[name](n, settings), net)
+    rng = np.random.default_rng(2026)
+    for _ in range(30):
+        net = ragged_network(rng, devices=int(rng.integers(2, 9)))
+        for name, solve in POLICIES.items():
+            yield name, _key(solve, net)
+    for _ in range(6):
+        net = ragged_network(rng, devices=2)
+        yield "oracle-parallel", _key(lambda n: oracle_parallel(n, grid), net)
+        yield "oracle-serial", _key(lambda n: oracle_serial(n, grid), net)
 
 
 def _objective(key):

@@ -133,3 +133,25 @@ def test_main_refuses_before_the_first_run(tmp_path, monkeypatch, capsys):
     assert str(parent / "src/splitplan/__pycache__") in err
     assert str(change / "perfbench/__pycache__") in err
     assert not out.exists()
+
+
+def test_main_refuses_a_parent_outside_git(tmp_path, monkeypatch, capsys):
+    parent = checkout(tmp_path / "parent")
+    change = checkout(tmp_path / "change")
+    (change / "BENCHMARK.json").write_text(json.dumps(
+        {"workloads": [{"name": "w"}], **BENCHMARK}))
+    monkeypatch.setattr(bench_pairs, "ROOT", change)
+
+    def no_runs(*args):
+        raise AssertionError("a side ran with a parent outside git")
+
+    monkeypatch.setattr(bench_pairs, "measure", no_runs)
+    out = tmp_path / "out.json"
+    with pytest.raises(SystemExit) as exit_info:
+        bench_pairs.main(["--parent", str(parent), "--workload", "w", "--pairs", "1",
+                          "--seed", "1", "--seconds", "1", "--out", str(out)])
+    assert exit_info.value.code == 2
+    err = capsys.readouterr().err
+    assert f"{parent} is not a git checkout" in err
+    assert "pass the parent commit instead" in err
+    assert not out.exists()

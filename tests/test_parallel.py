@@ -7,17 +7,17 @@ import numpy as np
 import pytest
 
 from conftest import (link_with_snr, oracle_benchmark_network, profile_from_lists,
-                      random_network, random_profile, toy_network)
+                      ragged_network, random_network, random_profile, toy_network)
 from splitplan import parallel
 from splitplan.delay import Device, NetworkInstance, arrival_delay
 from splitplan.errors import NonConvergence, ValidationError, ZeroRate
-from splitplan.harness import ExperimentConfig, build_network
-from splitplan.oracle import GridSpec, dense_root_scan, oracle_parallel
+from splitplan.harness import POLICIES, ExperimentConfig, build_network
+from splitplan.oracle import GridSpec, dense_root_scan, oracle_parallel, oracle_serial
 from splitplan.parallel import (CutTable, bandwidth_for_rate, equal_delay_split,
                                 first_layer_policy, min_data_layer_policy, solve_p1,
                                 solve_p2, _alternate, _bisect, _grow,
                                 _required_bandwidth_u)
-from splitplan.channel import achievable_rate
+from splitplan.channel import achievable_rate, shannon_rate
 
 ANALYTIC_ROOT = (15.0 - math.sqrt(125.0)) * 1e9  # worked two-device split
 
@@ -263,7 +263,8 @@ class TestArrivalKernel:
                                   net.total_bandwidth_hz)
             table = CutTable(net)
             draw = np.random.default_rng(int(rng.integers(1 << 30)))
-            cuts = tuple(int(draw.integers(0, len(bits))) for bits in table.bits)
+            cuts = tuple(int(draw.integers(0, dev.profile.num_cuts + 1))
+                         for dev in net.devices)
             bw = rng.uniform(0.0, net.total_bandwidth_hz, net.num_devices)
             bw[0], bw[1], bw[4] = 5e-324, 0.0, 1e-308
             got = table.view(cuts).arrivals(bw)
@@ -276,22 +277,26 @@ class TestArrivalKernel:
                 arrival_delay(net.devices[1], cuts[1], 0.0)
 
     def test_all_cut_rows_match_reference_arrival_delay(self):
-        """``CutTable.cut_arrivals`` against ``delay.arrival_delay`` at every
-        cut of every device, and ``inf`` at every cut over a zero or
-        subnormal share."""
+        """``CutTable.all_arrivals`` against ``delay.arrival_delay`` at every
+        real cut of every device of a ragged fleet, ``inf`` on the padding,
+        and ``inf`` at every cut over a zero or subnormal share."""
         rng = np.random.default_rng(18)
+        padded = 0
         for _ in range(10):
-            net = random_network(rng, devices=3)
+            net = ragged_network(rng, devices=3)
             table = CutTable(net)
+            bw = rng.uniform(0.0, net.total_bandwidth_hz, net.num_devices)
+            got = table.all_arrivals(bw)
+            assert got.shape == table.bits.shape
             for i, dev in enumerate(net.devices):
-                bw = float(rng.uniform(0.0, net.total_bandwidth_hz))
-                got = table.cut_arrivals(i, bw)
-                assert got.shape == table.bits[i].shape
-                for cut, value in enumerate(got.tolist()):
-                    assert value == arrival_delay(dev, cut, bw)
-                for tiny in (5e-324, 1e-310, 0.0):
-                    assert np.array_equal(table.cut_arrivals(i, tiny),
-                                          np.full(got.shape, math.inf))
+                real = dev.profile.num_cuts + 1
+                for cut, value in enumerate(got[i, :real].tolist()):
+                    assert value == arrival_delay(dev, cut, float(bw[i]))
+                assert (got[i, real:] == math.inf).all()
+                padded += got.shape[1] - real
+            for tiny in (5e-324, 1e-310, 0.0):
+                assert (table.all_arrivals(np.full(net.num_devices, tiny)) == math.inf).all()
+        assert padded > 0
 
 
 class TestCutTable:
@@ -311,6 +316,68 @@ class TestCutTable:
             got = CutTable(net).bits[0]
             assert got.dtype == want.dtype
             np.testing.assert_array_equal(got, want)
+
+
+def reselect_by_device(table, bandwidth, shares):
+    """The parallel cut re-selection as it was: one row per device over its
+    own cuts, each with its own server term."""
+    cuts = []
+    for i, dev in enumerate(table.net.devices):
+        real = slice(0, dev.profile.num_cuts + 1)
+        resid = table.resid[i, real]
+        rate = shannon_rate(float(table.snr[i]), float(bandwidth[i]))
+        serve = np.where(resid > 0, resid / shares[i] if shares[i] > 0 else math.inf, 0.0)
+        delays = parallel._arrival_seconds(table.local_s[i, real], table.bits[i, real], rate)
+        cuts.append(int(np.argmin(delays + serve)))
+    return tuple(cuts)
+
+
+class TestRaggedFleet:
+    """Fleets whose devices have 1 to 6 modules: padded cut tables."""
+
+    @staticmethod
+    def fleets(seed, count, sizes=(2, 9)):
+        rng = np.random.default_rng(seed)
+        return [ragged_network(rng, devices=int(rng.integers(*sizes))) for _ in range(count)]
+
+    def test_plans_and_oracles_keep_every_cut_in_its_device_range(self):
+        fleets = self.fleets(61, 6)
+        assert sum(len({d.profile.num_cuts for d in net.devices}) > 1 for net in fleets) >= 5
+        for net in fleets:
+            top = [dev.profile.num_cuts for dev in net.devices]
+            for name, solve in POLICIES.items():
+                plan = solve(net)
+                assert all(0 <= c <= n for c, n in zip(plan.cuts, top)), name
+                assert math.isfinite(plan.objective), name
+        for net in self.fleets(62, 3, sizes=(2, 3)):
+            top = [dev.profile.num_cuts for dev in net.devices]
+            for oracle in (oracle_parallel, oracle_serial):
+                result = oracle(net, GridSpec(bandwidth_points=21))
+                assert all(0 <= c <= n for c, n in zip(result.cuts, top))
+                assert math.isfinite(result.objective)
+
+    def test_min_data_cuts_are_each_devices_first_smallest_payload(self):
+        for net in self.fleets(63, 10):
+            want = tuple(int(np.argmin([d.profile.payload_bits(l)
+                                        for l in range(d.profile.num_cuts + 1)]))
+                         for d in net.devices)
+            assert CutTable(net).min_data_cuts() == want
+
+    def test_reselect_matches_the_per_device_form(self):
+        """Exact equality with the per-device loop on uniform and ragged
+        fleets, with some devices at a zero server share."""
+        rng = np.random.default_rng(64)
+        nets = self.fleets(65, 20) + [random_network(rng, devices=int(rng.integers(1, 9)))
+                                      for _ in range(20)]
+        for net in nets:
+            k = net.num_devices
+            table = CutTable(net)
+            for _ in range(5):
+                bw = rng.dirichlet(np.ones(k)) * net.total_bandwidth_hz
+                shares = rng.dirichlet(np.ones(k)) * net.server_flops
+                shares[rng.random(k) < 0.3] = 0.0
+                assert (parallel._reselect_parallel(table, bw, shares)
+                        == reselect_by_device(table, bw, shares))
 
 
 class TestMonotoneSearch:

@@ -215,7 +215,7 @@ def reselect_by_generator(table, cuts, bandwidth):
     other arrival from a generator over all k devices."""
     f_max = table.net.server_flops
     k = table.num_devices
-    cand_arr = [table.cut_arrivals(i, bandwidth[i]) for i in range(k)]
+    cand_arr = table.all_arrivals(bandwidth)
     arr = np.array([cand_arr[i][cuts[i]] for i in range(k)])
     res = np.array([table.resid[i][cuts[i]] for i in range(k)])
     new_cuts = list(cuts)

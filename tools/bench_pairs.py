@@ -5,8 +5,10 @@
         --pairs 5 --seed 3 --seconds 40 --out BENCH_7.json
 
 The change is the checkout this file sits in. The parent is either the path
-of another checkout or a commit of this repository; a commit is checked out
-into a temporary detached ``git worktree``, which is removed afterwards.
+of another git checkout or a commit of this repository; a commit is checked
+out into a temporary detached ``git worktree``, which is removed afterwards.
+A parent directory outside git (a ``git archive`` copy, say) is refused, since
+the record could not name the commit it measured.
 Each pair runs ``perfbench/run.py --trace 0`` of both sides for every
 workload, one process at a time, and alternates which side runs first.
 The tool refuses to start while either side has a ``__pycache__`` directory
@@ -169,6 +171,10 @@ def main(argv=None) -> int:
                 ap.error("remove these bytecode caches before benchmarking:\n"
                          + "\n".join(str(cache) for cache in stale))
             commits = {side: describe(path) for side, path in sides.items()}
+            if commits["parent"]["sha"] is None:
+                ap.error(f"{parent} is not a git checkout, so the record could not name "
+                         "its commit; pass the parent commit instead, which is checked "
+                         "out as a fresh worktree")
             runs = measure(sides, args.workload, args.pairs, args.seed, args.seconds)
         finally:
             if worktree is not None:
