@@ -1,9 +1,10 @@
 """Parallel-processing allocation policies.
 
 Covers the joint problem (cut selection + bandwidth + server-compute split,
-alternating between an epigraph-bisection convex step and per-device cut
-re-selection), the fixed-bandwidth variant whose server split has a one-root
-closed form, and the min-data / raw-input baselines.
+alternating a convex resource step, solved by safeguarded Newton steps on
+the epigraph's target delay, with per-device cut re-selection), the
+fixed-bandwidth variant whose server split has a one-root closed form, and
+the min-data / raw-input baselines.
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ from .delay import AllocationPlan, NetworkInstance
 from .errors import Infeasible, NonConvergence, ValidationError, ZeroRate
 
 
-#: Relative width at which the target-delay and rate bisections stop.
+#: Relative width at which the target-delay search and the rate bisection stop.
 _BISECT_REL_TOL = 1e-9
 #: An alternation stops once its objective moves by at most this, relative.
 _STALL_REL_TOL = 1e-6
@@ -329,9 +330,9 @@ class _CutView:
 
 
 # ---------------------------------------------------------------------------
-# convex resource subproblem (fixed cuts): epigraph bisection over the target
-# delay, with a water-filling multiplier equalizing the bandwidth/compute
-# marginals
+# convex resource subproblem (fixed cuts): safeguarded Newton steps on the
+# epigraph's target delay, with a water-filling multiplier equalizing the
+# bandwidth/compute marginals
 
 def _marginal(snr, bits, resid, slack, f):
     """-d(bandwidth)/d(compute share) at share ``f`` for one device."""
@@ -353,6 +354,10 @@ def _root_decreasing(fn, lo, hi, target, warm=None):
     most 90 probes; the left endpoint value may be infinite (treated as a
     pure bracket until a finite value lands there). ``warm`` seeds the first
     probe.
+
+    Its only caller is :func:`_share_for_price`, which only the tests use. It
+    stays here because the benchmark's tracing table ``perfbench.tracing.SPANNED``
+    names it, and ``Tracer.install`` fails on a name the module lacks.
     """
     a, b = lo, hi
     ga = math.inf
@@ -389,6 +394,11 @@ def _share_for_price(snr, bits, resid, slack, f_lo, f_hi, mu, warm=None):
     f = (resid + sqrt(LN2*bits*resid / (mu * D(u)))) / slack where only the
     spectral-efficiency factor D depends (weakly) on f, so the iteration
     contracts in a few steps. Falls back to bracketed root-finding if not.
+
+    Only the tests call it, as a per-device reference for :func:`_water_fill`.
+    It stays here because the benchmark's tracing table
+    ``perfbench.tracing.COUNTED`` names it, and ``Tracer.install`` fails on a
+    name the module lacks.
     """
     amp = LN2 * bits * resid
     lo = f_lo * (1.0 + 1e-13) + 1e-300
@@ -489,8 +499,15 @@ def _bandwidth_floor(view, budget, slack, warm):
 
     Splits the compute budget so that all marginal bandwidth savings agree
     (:func:`_water_fill`), then prices the resulting per-device rates.
-    Returns (total, B, f) or ``None`` when no compute split fits. ``warm``
-    maps each device to its share from the previous call.
+    Returns (total, B, f, slope) or ``None`` when no compute split fits.
+    ``warm`` maps each device to its share from the previous call.
+
+    ``slope`` is the derivative of the total in a common shift t of every
+    deadline. By the envelope theorem (Boyd & Vandenberghe, Convex
+    Optimization, 5.6.3) the shares stay put to first order, so each device
+    adds dB_i/ds_i = -LN2*b_i / (s_i**2 * D_i) at its upload time
+    s_i = slack_i - r_i/f_i, with D_i = log1p(u_i) - u_i/(1+u_i). ``slope``
+    is ``None`` when some D_i rounds to zero.
     """
     k = len(slack)
     bw = np.zeros(k)
@@ -522,47 +539,64 @@ def _bandwidth_floor(view, budget, slack, warm):
     s = slack - _server_seconds(view.resid, f)
     if np.any(s <= 0):
         return None
-    for i, (snr, rate) in enumerate(zip(view.snr.tolist(), (view.bits / s).tolist())):
-        bw[i], _ = _required_bandwidth_u(snr, rate)
+    slope = 0.0
+    for i, (snr, b, si) in enumerate(zip(view.snr.tolist(), view.bits.tolist(), s.tolist())):
+        bw[i], u = _required_bandwidth_u(snr, b / si)
         if not math.isfinite(bw[i]):
             return None
-    return bw.sum(), bw, f
+        d = math.log1p(u) - u / (1.0 + u)
+        if slope is not None and d > 0.0:
+            slope -= LN2 * b / (si * si * d)
+        else:
+            slope = None
+    return bw.sum(), bw, f, slope
 
 
 def resource_subproblem(view, bandwidth_budget, compute_budget, t_seed=None):
     """Min-max delay over joint (bandwidth, compute) splits for fixed cuts.
 
-    Bisects the target delay; a target is feasible when the minimal total
-    bandwidth meeting it fits the spectrum budget. Returns
-    ``(objective, bandwidth, shares)`` with both budgets spent exactly.
+    A target delay t is feasible when the minimal total bandwidth B*(t)
+    meeting it fits the spectrum budget W. B* is convex and decreasing, so
+    the tangent of W - B* at any probe crosses zero at or below the root:
+    each probe's tangent zero is a lower bound. Bracket growth from
+    ``t_seed`` finds a feasible target. Then, while the lower bound is a
+    tangent zero, the next probe goes just above it (a safeguarded Newton
+    step); otherwise, after a probe without a slope, it bisects the bracket.
+    The search stops once the smallest feasible target is within
+    ``_BISECT_REL_TOL`` of the lower bound, or after 100 more probes, and
+    keeps that target's allocation. Returns ``(objective,
+    bandwidth, shares)`` with both budgets spent exactly.
     """
     t_floor = float(np.max(view.local_s + _server_seconds(view.resid, compute_budget)))
     warm = {}
-    best = {}
+    # lower bound on the root and whether it is a tangent zero; smallest
+    # feasible target and its allocation
+    lo, newton, hi, best = t_floor, False, math.inf, None
 
-    def slack_of(t):
-        return t - view.local_s
-
-    def deficit(t):
-        """Spectrum left over at target ``t``; feasible iff >= 0."""
-        res = _bandwidth_floor(view, compute_budget, slack_of(t), warm)
+    def feasible(t):
+        nonlocal lo, newton, hi, best
+        res = _bandwidth_floor(view, compute_budget, t - view.local_s, warm)
         if res is None:
-            return -bandwidth_budget
-        total, bw, f = res
+            lo, newton = max(lo, t), False
+            return False
+        total, bw, f, slope = res
         gap = bandwidth_budget - total
-        if gap >= 0 and (not best or t < best["t"]):
-            best.update(t=t, bw=bw, f=f)
-        return gap
+        if gap < 0.0:
+            lo, newton = max(lo, t), False
+        elif t < hi:
+            hi, best = t, (bw, f)
+        if slope is not None and lo < t + gap / slope < hi:
+            lo, newton = t + gap / slope, True
+        return gap >= 0.0
 
     if t_seed is None or not t_seed > t_floor:
         t_seed = 2.0 * t_floor
-    t_hi = _grow(lambda t: deficit(t) >= 0, t_seed, 2.0, 200,
-                 "no feasible target delay found")
-
-    _root_decreasing(lambda t: -deficit(t), t_floor, t_hi, 0.0)
-    if not best:
-        raise NonConvergence("epigraph bisection retained no feasible point")
-    bw, f = best["bw"].copy(), best["f"].copy()
+    _grow(feasible, t_seed, 2.0, 200, "no feasible target delay found")
+    for _ in range(100):
+        if hi - lo <= _BISECT_REL_TOL * hi:
+            break
+        feasible(lo * (1.0 + 1e-3 * _BISECT_REL_TOL) if newton else 0.5 * (lo + hi))
+    bw, f = best[0].copy(), best[1].copy()
     bw *= bandwidth_budget / bw.sum()
     busy = f > 0
     if busy.any():
@@ -665,15 +699,20 @@ def solve_p1(net: NetworkInstance, settings: SolverSettings | None = None) -> Al
     table = CutTable(net)
     p2 = solve_p2(net, settings)
     memo = {}
+    seed = p2.objective_history[0]
 
     def price(cuts):
-        """Convex resource step for one cut vector (memoized); the first one
-        seeds its target-delay bracket with p2's first objective."""
+        """Convex resource step for one cut vector (memoized). The first one
+        seeds its target-delay bracket with p2's first objective, each later
+        one with the objective priced before it: re-selection leaves every
+        device's delay at the frozen resources no higher, so the previous
+        round's objective is a feasible target for the next cut vector."""
+        nonlocal seed
         if cuts not in memo:
-            seed = None if memo else p2.objective_history[0]
             obj, bw, f = resource_subproblem(
                 table.view(cuts), net.total_bandwidth_hz, net.server_flops, t_seed=seed)
             memo[cuts] = (obj, (bw, f))
+        seed = memo[cuts][0]
         return memo[cuts]
 
     best, history, rounds = _alternate(

@@ -4,7 +4,9 @@ A refactor that must keep plans bit-identical prints the same digest before
 and after. One that is not bit-identical dumps each plan's label, objective
 and hash on both sides and states the largest relative objective difference
 as its tolerance; ``--compare`` also breaks the differences down by policy
-(or oracle) label, so the plans that set the tolerance are named. Not collected by pytest; run it as
+(or oracle) label, so the plans that set the tolerance are named, and gives
+each label's largest relative rise and fall, so the tolerance says whether
+any plan got worse. Not collected by pytest; run it as
 
     PYTHONPATH=src:tests python tests/plan_digest.py [--dump OUT.json]
     PYTHONPATH=src:tests python tests/plan_digest.py --compare BEFORE.json AFTER.json
@@ -105,31 +107,44 @@ def _objective(key):
     return key[4] if len(key) == 7 else key[0]
 
 
-def largest_rel_diff(before, after):
-    """Largest ``|a - b| / |a|`` over two objective dumps; ``inf`` when the
-    dumps differ in length or a solve fails on one side only."""
+def largest_rel_moves(before, after):
+    """``(rise, fall)`` over two objective dumps: the largest relative rise
+    ``(b - a) / |a|`` and the largest relative fall ``(a - b) / |a|``, each 0
+    when no objective moved that way. An objective is a delay, so a rise is
+    a worse plan. Both are ``inf`` when the dumps differ in length or a solve
+    fails on one side only."""
     if len(before) != len(after):
-        return math.inf
-    worst = 0.0
+        return math.inf, math.inf
+    rise = fall = 0.0
     for a, b in zip(before, after):
         if isinstance(a, str) or isinstance(b, str):
             if a != b:
-                return math.inf
-        elif a != b:
-            worst = max(worst, abs(a - b) / abs(a))
-    return worst
+                return math.inf, math.inf
+        elif b > a:
+            rise = max(rise, (b - a) / abs(a))
+        elif b < a:
+            fall = max(fall, (a - b) / abs(a))
+    return rise, fall
+
+
+def largest_rel_diff(before, after):
+    """Largest ``|a - b| / |a|`` over two objective dumps; ``inf`` when the
+    dumps differ in length or a solve fails on one side only."""
+    return max(largest_rel_moves(before, after))
 
 
 def _report(label, before, after):
     """One line per label: how many objectives and whole plans differ between
-    two dumps of ``(label, objective, plan hash)`` entries, and the largest
-    relative objective difference."""
+    two dumps of ``(label, objective, plan hash)`` entries, the largest
+    relative objective difference, and the largest relative rise (a worse
+    plan) and fall (a better one)."""
     objs = [[e[1] for e in dump] for dump in (before, after)]
     diffs = sum(a != b for a, b in zip(*objs))
     plans = sum(a[2] != b[2] for a, b in zip(before, after))
+    rise, fall = largest_rel_moves(*objs)
     print(f"{label}: {len(before)} vs {len(after)} plans, {plans} not bit-identical, "
           f"{diffs} objectives differ, largest relative difference "
-          f"{largest_rel_diff(*objs):.3g}")
+          f"{max(rise, fall):.3g} (rise {rise:.3g}, fall {fall:.3g})")
 
 
 def main(argv=None):
@@ -139,8 +154,9 @@ def main(argv=None):
                              "to this JSON file")
     parser.add_argument("--compare", nargs=2, metavar=("BEFORE.json", "AFTER.json"),
                         help="print, overall and per label, how many plans and "
-                             "objectives differ between two dumps and the "
-                             "largest relative objective difference, and exit")
+                             "objectives differ between two dumps, the largest "
+                             "relative objective difference and the largest "
+                             "relative rise and fall, and exit")
     args = parser.parse_args(argv)
     if args.compare:
         before, after = (json.load(open(path)) for path in args.compare)

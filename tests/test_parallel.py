@@ -673,10 +673,11 @@ class TestWaterFill:
 class TestCapacityEdge:
     def test_two_device_fleet_at_the_edge_gets_shares(self, monkeypatch):
         """Random fleets whose shares sit near their floors (fleet 2 has two
-        devices): every compute split returns shares."""
+        devices): every compute split returns shares. Five fleets give the
+        search over the target delay enough probes for the count below."""
         calls = TestWaterFill.record(monkeypatch)
         rng = np.random.default_rng(99)
-        for _ in range(3):
+        for _ in range(5):
             net = random_network(rng, devices=int(rng.integers(2, 12)))
             solve_p1(net)
             first_layer_policy(net)
@@ -690,6 +691,80 @@ class TestCapacityEdge:
         calls = TestWaterFill.record(monkeypatch)
         solve_p1(build_network(ExperimentConfig(seed=1), 504))
         assert calls and all(out is not None for _, out in calls)
+
+
+def default_views(sizes=(4, 10, 32), trials=3):
+    """``(net, cuts, view)`` of default trials at each fleet size, at the
+    minimum-payload cuts, the all-raw cuts and ``p2``'s cuts."""
+    for k in sizes:
+        cfg = ExperimentConfig(devices=k)
+        for trial in range(trials):
+            net = build_network(cfg, trial)
+            table = CutTable(net)
+            for cuts in (table.min_data_cuts(), (0,) * k, solve_p2(net).cuts):
+                yield net, cuts, table.view(cuts)
+
+
+class TestEpigraphSlope:
+    def test_envelope_slope_matches_central_differences(self):
+        """The slope ``_bandwidth_floor`` returns is the derivative of its
+        total in the target delay: central differences with step 1e-6*t agree
+        within 1e-7 relative (seen: 2e-10), at the optimum and above it."""
+        for net, _, view in default_views():
+            budget = net.server_flops
+            obj = parallel.resource_subproblem(view, net.total_bandwidth_hz, budget)[0]
+            for t in obj * np.array([1.0, 1.05, 1.3, 2.0]):
+                h = 1e-6 * t
+                _, _, _, slope = parallel._bandwidth_floor(view, budget, t - view.local_s, {})
+                up, dn = (parallel._bandwidth_floor(view, budget, t + d - view.local_s, {})[0]
+                          for d in (h, -h))
+                central = (up - dn) / (2 * h)
+                assert slope < 0 and abs(slope - central) <= 1e-7 * abs(central)
+
+
+class TestResourceSubproblem:
+    @staticmethod
+    def bisected_target(view, bandwidth_budget, compute_budget):
+        """Least feasible target delay by plain bisection on the same
+        feasibility test, to relative width 1e-9: the reference."""
+        def fits(t):
+            res = parallel._bandwidth_floor(view, compute_budget, t - view.local_s, {})
+            return res is not None and res[0] <= bandwidth_budget
+
+        t_floor = float(np.max(view.local_s + view.resid / compute_budget))
+        hi = _grow(fits, 2.0 * t_floor, 2.0, 200, "no feasible target")
+        return _bisect(fits, t_floor, hi, 1e-9)[1]
+
+    def test_matches_bisection_and_spends_both_budgets(self):
+        for net, cuts, view in default_views():
+            bw_budget, compute = net.total_bandwidth_hz, net.server_flops
+            obj, bw, f = parallel.resource_subproblem(view, bw_budget, compute)
+            ref = self.bisected_target(view, bw_budget, compute)
+            assert abs(obj - ref) <= 1e-9 * ref
+            assert abs(bw.sum() - bw_budget) <= 1e-12 * bw_budget
+            assert abs(f.sum() - compute) <= 1e-12 * compute
+            busy = [arrival_delay(dev, cut, b) + r / fi
+                    for dev, cut, b, r, fi in zip(net.devices, cuts, bw, view.resid, f)
+                    if r > 0]
+            assert busy and max(abs(d - obj) for d in busy) <= 1e-9 * obj
+
+    def test_probes_per_convex_step(self, monkeypatch):
+        """A count, not a timing: on 10 default k = 10 trials, ``p1``,
+        ``min-data`` and ``first-layer`` average at most 8 ``_bandwidth_floor``
+        probes per ``resource_subproblem`` call."""
+        counts = {"steps": 0, "probes": 0}
+        for name, key in (("resource_subproblem", "steps"), ("_bandwidth_floor", "probes")):
+            def spy(*args, _fn=getattr(parallel, name), _key=key, **kwargs):
+                counts[_key] += 1
+                return _fn(*args, **kwargs)
+            monkeypatch.setattr(parallel, name, spy)
+        cfg = ExperimentConfig()
+        for trial in range(10):
+            net = build_network(cfg, trial)
+            for policy in (solve_p1, min_data_layer_policy, first_layer_policy):
+                policy(net)
+        assert counts["steps"] > 0
+        assert counts["probes"] / counts["steps"] <= 8
 
 
 class TestBaselinePolicies:
