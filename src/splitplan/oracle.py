@@ -136,13 +136,13 @@ def oracle_serial(net: NetworkInstance, grid: GridSpec | None = None) -> OracleR
 def dense_root_scan(arrivals, residuals, budget, points: int = 10 ** 6):
     """Bracket the equal-delay budget root by a dense scan.
 
-    Builds the budget-consumption curve of :func:`equal_delay_split`'s
-    anchor share from the inputs alone: with the earliest busy arrival as
-    anchor ``a``, share x costs ``x + sum(r_i*x / (r_a + x*(a_a - a_i)))``
+    Builds, from the inputs alone, the budget-consumption curve in the share
+    x of the earliest busy arrival ``a``, which :func:`equal_delay_split`
+    does not solve in: x costs ``x + sum(r_i*x / (r_a + x*(a_a - a_i)))``
     over the other busy devices, and ``inf`` past the first pole. Scans it
     over the share interval and returns the unique sign-change bracket
-    ``(lo, hi)``; anything other than exactly one sign change falsifies the
-    one-root guarantee and raises.
+    ``(lo, hi)`` of that share; anything other than exactly one sign change
+    falsifies the one-root guarantee and raises.
     """
     arrivals = np.asarray(arrivals, dtype=float)
     residuals = np.asarray(residuals, dtype=float)

@@ -86,13 +86,15 @@ def equal_delay_split(arrivals, residuals, budget):
     share the k ``residuals``; a stack gives ``(P, k)`` shares and P values
     of T, each bit-identical to the single-row call on its row.
 
-    With two or more busy devices the split is parameterized by the share x
-    of the earliest busy arrival (the anchor): device i then takes
-    ``r_i*x / (r_a + x*(a_a - a_i))``, and the budget equation
-    sum(shares) = budget has exactly one root below the first pole, which a
-    bisection finds to relative width 1e-13. A single row bisects on Python
-    floats, which is cheapest for one row; a stack bisects all its rows in
-    one numpy pass per step.
+    With two or more busy devices the split is parameterized by the server
+    seconds y of the latest busy arrival: device i then takes
+    ``r_i / (y + gap_i)`` with ``gap_i = max(a) - a_i >= 0``. Every share is
+    positive and decreasing in y, so sum(shares) = budget has exactly one
+    root in (0, sum(r)/budget], which a bisection finds to relative width
+    1e-13. A single row bisects on Python floats, which is cheapest for one
+    row; a stack bisects all its rows in one numpy pass per step. Server
+    seconds that overflow give shares in proportion to the work and T =
+    inf; server seconds that underflow to 0 raise :class:`Infeasible`.
     """
     arrivals = np.asarray(arrivals, dtype=float)
     residuals = np.asarray(residuals, dtype=float)
@@ -118,67 +120,52 @@ def equal_delay_split(arrivals, residuals, budget):
         if r.size == 1:
             sub = np.full(a.shape, float(budget))
         else:
-            sub = _anchor_split(a, r, budget)
+            sub = _busy_split(a, r, budget)
         shares[:, busy] = sub
-        t = np.maximum((a + r / sub).max(axis=1), t)
+        t = np.maximum((a + _server_seconds(r, sub)).max(axis=1), t)
     if arrivals.ndim == 1:
         return shares[0], float(t[0])
     return shares, t
 
 
-def _anchor_split(a, r, budget):
+def _busy_split(a, r, budget):
     """Equal-delay shares of ``(P, n)`` busy arrivals ``a`` (n >= 2) with
     residuals ``r``, rescaled to spend ``budget`` exactly in every row. One
     row bisects on Python floats, a stack with :func:`_bisect_rows`."""
-    rows = np.arange(len(a))
-    m = a.argmin(axis=1)  # the anchor: earliest busy arrival, first on ties
-    fm = r[m]
-    delta = a[rows, m][:, None] - a  # <= 0: the anchor arrives first
-    j = np.arange(r.size - 1)
-    cols = j + (j >= m[:, None])  # the followers, in their own order
-    fk, d = r[cols], delta[rows[:, None], cols]
-    poles = np.divide(-fm[:, None], d, out=np.full(d.shape, math.inf), where=d != 0.0)
-    hi = np.minimum(poles.min(axis=1), budget)
-    if len(a) == 1:
-        fm0, fk0, d0 = fm[0], fk[0], d[0]
-
-        def spends_budget(x):
-            den = fm0 + x * d0
-            if np.any(den <= 0.0):  # past a pole the consumption is infinite
-                return True
-            return x + float((x * fk0 / den).sum()) >= budget
-
-        lo0, hi0 = _bisect(spends_budget, 0.0, float(hi[0]), 1e-13)
-        x0 = np.array([0.5 * (lo0 + hi0)])
+    # contiguous, so a stacked row sums in the order of its single-row call
+    gap = np.ascontiguousarray(a.max(axis=1)[:, None] - a)
+    hi = float(r.sum()) / float(budget)  # y at which no share can exceed its work/y
+    if math.isinf(hi):  # the limit y -> inf: shares in proportion to the work
+        sub = np.tile(r / r.max(), (len(a), 1))
     else:
-        x0 = _bisect_rows(fm, fk, d, budget, hi)
-    sub = r * x0[:, None] / (fm[:, None] + x0[:, None] * delta)
-    sub[rows, m] = x0
-    if (sub <= 0).any():
-        raise Infeasible("negative compute share: infeasible root")
+        if len(a) == 1:
+            gap0 = gap[0]
+            lo0, hi0 = _bisect(lambda y: float((r / (y + gap0)).sum()) <= budget,
+                               0.0, hi, 1e-13)
+            y = np.array([0.5 * (lo0 + hi0)])
+        else:
+            y = _bisect_rows(r, gap, budget, np.full(len(a), hi))
+        if not (y > 0.0).all():
+            raise Infeasible("the latest busy device's server time underflows to 0")
+        sub = r / (y[:, None] + gap)
     sub *= (budget / sub.sum(axis=1))[:, None]  # land exactly on the budget
     return sub
 
 
-def _bisect_rows(fm, fk, d, budget, hi):
-    """Anchor share of every row of a stack: ``_bisect``'s narrowing of
+def _bisect_rows(r, gap, budget, hi):
+    """Server seconds y of every row of a stack: ``_bisect``'s narrowing of
     ``(0, hi]`` on the budget equation, one numpy pass per step. A row that
     meets ``_bisect``'s stop rule no longer moves, so it stays stopped and
     ends where the single-row search would."""
     lo = np.zeros_like(hi)
-    fm = fm[:, None]
-    with np.errstate(divide="ignore", invalid="ignore"):  # rows past a pole
-        while True:
-            mid = 0.5 * (lo + hi)
-            live = (hi - lo > 1e-13 * hi) & (mid > lo) & (mid < hi)
-            if not live.any():
-                return mid
-            x = mid[:, None]
-            den = fm + x * d
-            spent = mid + np.add.reduce(x * fk / den, axis=1)
-            up = live & ((spent >= budget) | np.logical_or.reduce(den <= 0.0, axis=1))
-            np.copyto(hi, mid, where=up)
-            np.copyto(lo, mid, where=live ^ up)
+    while True:
+        mid = 0.5 * (lo + hi)
+        live = (hi - lo > 1e-13 * hi) & (mid > lo) & (mid < hi)
+        if not live.any():
+            return mid
+        up = live & (np.add.reduce(r / (mid[:, None] + gap), axis=1) <= budget)
+        np.copyto(hi, mid, where=up)
+        np.copyto(lo, mid, where=live ^ up)
 
 
 # ---------------------------------------------------------------------------
@@ -347,44 +334,17 @@ def _marginal(snr, bits, resid, slack, f):
     return LN2 * bits * resid / ((s * f) ** 2 * dissip)
 
 
-def _root_decreasing(fn, lo, hi, target, warm=None):
-    """Root of a decreasing ``fn`` on (lo, hi] with fn(lo+) >= target >= fn(hi).
-
-    Illinois-damped regula falsi to relative width ``_BISECT_REL_TOL``, at
-    most 90 probes; the left endpoint value may be infinite (treated as a
-    pure bracket until a finite value lands there). ``warm`` seeds the first
-    probe.
+def _root_decreasing(fn, lo, hi, target):
+    """Root of a decreasing ``fn`` on (lo, hi] with fn(lo+) >= target >= fn(hi):
+    the midpoint of :func:`_bisect`'s bracket, narrowed to relative width
+    ``_BISECT_REL_TOL``. The left endpoint value may be infinite.
 
     Its only caller is :func:`_share_for_price`, which only the tests use. It
     stays here because the benchmark's tracing table ``perfbench.tracing.SPANNED``
     names it, and ``Tracer.install`` fails on a name the module lacks.
     """
-    a, b = lo, hi
-    ga = math.inf
-    gb = fn(b) - target
-    if gb >= 0.0:
-        return b
-    side = 0
-    x = warm if (warm is not None and a < warm < b) else 0.5 * (a + b)
-    for _ in range(90):
-        g = fn(x) - target
-        if g >= 0.0:
-            if side == 1 and math.isfinite(gb):
-                gb *= 0.5
-            a, ga, side = x, g, 1
-        else:
-            if side == -1 and math.isfinite(ga):
-                ga *= 0.5
-            b, gb, side = x, g, -1
-        if b - a <= _BISECT_REL_TOL * max(abs(b), 1e-300):
-            break
-        if math.isfinite(ga) and ga != gb:
-            x = b - gb * (b - a) / (gb - ga)
-            span = b - a
-            x = min(max(x, a + 1e-3 * span), b - 1e-3 * span)
-        else:
-            x = 0.5 * (a + b)
-    return 0.5 * (a + b)
+    lo, hi = _bisect(lambda x: fn(x) <= target, lo, hi, _BISECT_REL_TOL)
+    return 0.5 * (lo + hi)
 
 
 def _share_for_price(snr, bits, resid, slack, f_lo, f_hi, mu, warm=None):
@@ -415,8 +375,7 @@ def _share_for_price(snr, bits, resid, slack, f_lo, f_hi, mu, warm=None):
         if abs(nf - f) <= 1e-11 * f:
             return nf
         f = nf
-    return _root_decreasing(
-        lambda x: _marginal(snr, bits, resid, slack, x), lo, f_hi, mu, warm=f)
+    return _root_decreasing(lambda x: _marginal(snr, bits, resid, slack, x), lo, f_hi, mu)
 
 
 def _step_inside(f, df, lo):

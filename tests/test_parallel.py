@@ -10,7 +10,7 @@ from conftest import (link_with_snr, oracle_benchmark_network, profile_from_list
                       ragged_network, random_network, random_profile, toy_network)
 from splitplan import parallel
 from splitplan.delay import Device, NetworkInstance, arrival_delay
-from splitplan.errors import NonConvergence, ValidationError, ZeroRate
+from splitplan.errors import Infeasible, NonConvergence, ValidationError, ZeroRate
 from splitplan.harness import POLICIES, ExperimentConfig, build_network
 from splitplan.oracle import GridSpec, dense_root_scan, oracle_parallel, oracle_serial
 from splitplan.parallel import (CutTable, bandwidth_for_rate, equal_delay_split,
@@ -66,9 +66,10 @@ class TestEqualDelaySplit:
     @pytest.mark.parametrize("busy", ["all", "some", "one", "none"])
     def test_stack_rows_match_single_rows(self, busy):
         rng = np.random.default_rng(7)
-        for k in range(2, 12):
+        for k in range(2, 34):  # every size criterion 1 draws
             arrivals = rng.uniform(0.1, 5.0, (12, k))
-            arrivals[:4, 0] = arrivals[:4].min(axis=1)  # tied earliest arrivals: d = 0
+            arrivals[:4, 0] = arrivals[:4].min(axis=1)  # tied earliest arrivals
+            arrivals[4:8, -1] = arrivals[4:8].max(axis=1)  # tied latest: two zero gaps
             residuals = rng.uniform(0.5e9, 5e10, k)
             keep = {"all": k, "some": (k + 1) // 2, "one": 1, "none": 0}[busy]
             residuals[rng.permutation(k)[keep:]] = 0.0
@@ -107,6 +108,37 @@ class TestEqualDelaySplit:
             spread = (delays.max() - delays.min()) / delays.max()
             assert spread <= 1e-6
             assert t == delays.max()
+
+    def test_busy_delays_equal_across_decades_of_work(self):
+        # residuals spanning three decades; an earliest-arrival share
+        # parametrization, near its pole, spread these delays by 2e-8
+        rng = np.random.default_rng(8)
+        for _ in range(2000):
+            arrivals, residuals, budget = random_problem(rng)
+            residuals *= 10.0 ** rng.integers(-3, 1, residuals.size)
+            shares, t = equal_delay_split(arrivals, residuals, budget)
+            delays = arrivals + residuals / shares
+            assert np.abs(delays - t).max() <= 1e-12 * t
+
+    @pytest.mark.parametrize("arrivals", [[1.0, 2.0], [[1.0, 2.0], [2.0, 1.0], [3.0, 3.0]]],
+                             ids=["row", "stack"])
+    def test_server_time_extremes(self, arrivals):
+        # sum(r)/budget underflows to 0: no positive server time spends the budget
+        with pytest.raises(Infeasible, match="underflows"):
+            equal_delay_split(arrivals, [1e-300, 2e-300], 1e300)
+        # sum(r)/budget overflows: the limit of infinite server time, no warning
+        shares, t = equal_delay_split(arrivals, [1e300, 2e300], 1e-300)
+        shares = np.atleast_2d(shares)
+        assert np.all(np.isinf(t))
+        assert np.allclose(shares * 1e300, [1 / 3, 2 / 3], rtol=1e-15, atol=0.0)
+        assert np.allclose(shares.sum(axis=1) * 1e300, 1.0, rtol=1e-15, atol=0.0)
+
+    def test_p2_at_a_vanishing_server_budget(self):
+        # every device-side cut wins once the server time overflows
+        net = build_network(ExperimentConfig(server_flops=1e-300, devices=3), 0)
+        plan = solve_p2(net)
+        assert plan.cuts == tuple(dev.profile.num_cuts for dev in net.devices)
+        assert plan.objective == pytest.approx(3.6102, rel=1e-4)
 
     def test_followers_keep_positive_denominators(self):
         rng = np.random.default_rng(4)
