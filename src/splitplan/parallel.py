@@ -134,7 +134,7 @@ def _busy_split(a, r, budget):
     row bisects on Python floats, a stack with :func:`_bisect_rows`."""
     # contiguous, so a stacked row sums in the order of its single-row call
     gap = np.ascontiguousarray(a.max(axis=1)[:, None] - a)
-    hi = float(r.sum()) / float(budget)  # y at which no share can exceed its work/y
+    hi = float(r.sum()) / float(budget)  # the shares sum to at most the budget here
     if math.isinf(hi):  # the limit y -> inf: shares in proportion to the work
         sub = np.tile(r / r.max(), (len(a), 1))
     else:
