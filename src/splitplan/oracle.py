@@ -19,10 +19,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channel import shannon_rate
 from .delay import NetworkInstance
 from .errors import NoBracket, TooLarge, ValidationError
-from .parallel import CutTable, _arrival_seconds, equal_delay_split
+from .parallel import CutTable, _arrival_seconds, _upload_rates, equal_delay_split
 
 
 #: Largest fleet and deepest network the exhaustive cut enumeration accepts.
@@ -82,9 +81,7 @@ def _grid_min(net: NetworkInstance, grid: GridSpec | None, score) -> OracleResul
     table = CutTable(net)
     k = net.num_devices
     bw = _bandwidth_grid(net.total_bandwidth_hz, k, grid.bandwidth_points)
-    snr = table.snr.tolist()
-    rates = np.array([[shannon_rate(snr[i], b) for i, b in enumerate(point)]
-                      for point in bw.tolist()]).reshape(-1, k)
+    rates = np.array([_upload_rates(table.snr, point) for point in bw.tolist()]).reshape(-1, k)
     finite = np.all(rates > 0, axis=1)
     bw, rates = bw[finite], rates[finite]
     if not len(bw):

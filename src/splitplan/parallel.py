@@ -1,10 +1,10 @@
 """Parallel-processing allocation policies.
 
 Covers the joint problem (cut selection + bandwidth + server-compute split,
-alternating a convex resource step, solved by safeguarded Newton steps on
-the epigraph's target delay, with per-device cut re-selection), the
+alternating a convex resource step with per-device cut re-selection), the
 fixed-bandwidth variant whose server split has a one-root closed form, and
-the min-data / raw-input baselines.
+the min-data / raw-input baselines. :func:`_least_target` is the one
+target-delay search, for the convex step and the serial shaping alike.
 """
 
 from __future__ import annotations
@@ -458,7 +458,7 @@ def _bandwidth_floor(view, budget, slack, warm):
 
     Splits the compute budget so that all marginal bandwidth savings agree
     (:func:`_water_fill`), then prices the resulting per-device rates.
-    Returns (total, B, f, slope) or ``None`` when no compute split fits.
+    Returns ``(total, (B, f), slope)`` or ``None`` when no compute split fits.
     ``warm`` maps each device to its share from the previous call.
 
     ``slope`` is the derivative of the total in a common shift t of every
@@ -508,54 +508,60 @@ def _bandwidth_floor(view, budget, slack, warm):
             slope -= LN2 * b / (si * si * d)
         else:
             slope = None
-    return bw.sum(), bw, f, slope
+    return bw.sum(), (bw, f), slope
 
 
-def resource_subproblem(view, bandwidth_budget, compute_budget, t_seed=None):
-    """Min-max delay over joint (bandwidth, compute) splits for fixed cuts.
+def _least_target(floor, budget, t_floor, t_seed=None):
+    """Least target delay t > ``t_floor`` at which ``floor(t)`` fits ``budget``.
 
-    A target delay t is feasible when the minimal total bandwidth B*(t)
-    meeting it fits the spectrum budget W. B* is convex and decreasing, so
-    the tangent of W - B* at any probe crosses zero at or below the root:
-    each probe's tangent zero is a lower bound. Bracket growth from
-    ``t_seed`` finds a feasible target. Then, while the lower bound is a
-    tangent zero, the next probe goes just above it (a safeguarded Newton
-    step); otherwise, after a probe without a slope, it bisects the bracket.
-    The search stops once the smallest feasible target is within
-    ``_BISECT_REL_TOL`` of the lower bound, or after 100 more probes, and
-    keeps that target's allocation. Returns ``(objective,
-    bandwidth, shares)`` with both budgets spent exactly.
+    ``floor(t)`` is ``None`` when nothing meets t, else ``(total, allocation,
+    slope)``: the least total meeting t (decreasing in t), an allocation that
+    attains it, and the total's slope in t or ``None``. A total with a slope
+    must be convex, so each tangent zero is a lower bound on the root.
+    Doubling from ``t_seed`` (else ``2 * t_floor``, or 2e-9 s at a zero floor)
+    finds a feasible t; then each probe goes just above a tangent-zero lower
+    bound (a safeguarded Newton step), or else bisects, until the bracket is
+    ``_BISECT_REL_TOL`` wide or 100 probes pass. Returns the least feasible t
+    and its allocation; a non-finite ``t_floor`` raises :class:`Infeasible`.
     """
-    t_floor = float(np.max(view.local_s + _server_seconds(view.resid, compute_budget)))
-    warm = {}
+    if not math.isfinite(t_floor):
+        raise Infeasible(f"no finite target delay: its floor is {t_floor} s")
     # lower bound on the root and whether it is a tangent zero; smallest
     # feasible target and its allocation
     lo, newton, hi, best = t_floor, False, math.inf, None
 
     def feasible(t):
         nonlocal lo, newton, hi, best
-        res = _bandwidth_floor(view, compute_budget, t - view.local_s, warm)
-        if res is None:
-            lo, newton = max(lo, t), False
-            return False
-        total, bw, f, slope = res
-        gap = bandwidth_budget - total
+        total, alloc, slope = floor(t) or (math.inf, None, None)  # None: t is infeasible
+        gap = budget - total
         if gap < 0.0:
             lo, newton = max(lo, t), False
         elif t < hi:
-            hi, best = t, (bw, f)
+            hi, best = t, alloc
         if slope is not None and lo < t + gap / slope < hi:
             lo, newton = t + gap / slope, True
         return gap >= 0.0
 
     if t_seed is None or not t_seed > t_floor:
-        t_seed = 2.0 * t_floor
+        t_seed = 2.0 * t_floor if t_floor > 0 else 2e-9
     _grow(feasible, t_seed, 2.0, 200, "no feasible target delay found")
     for _ in range(100):
         if hi - lo <= _BISECT_REL_TOL * hi:
             break
         feasible(lo * (1.0 + 1e-3 * _BISECT_REL_TOL) if newton else 0.5 * (lo + hi))
-    bw, f = best[0].copy(), best[1].copy()
+    return hi, best
+
+
+def resource_subproblem(view, bandwidth_budget, compute_budget, t_seed=None):
+    """Min-max delay over joint (bandwidth, compute) splits for fixed cuts:
+    the least target delay whose minimal total bandwidth (convex, decreasing,
+    :func:`_bandwidth_floor`) fits the spectrum, by :func:`_least_target` with
+    warm-started compute splits. Returns ``(objective, bandwidth, shares)``
+    with both budgets spent exactly."""
+    t_floor = float(np.max(view.local_s + _server_seconds(view.resid, compute_budget)))
+    warm = {}
+    _, (bw, f) = _least_target(lambda t: _bandwidth_floor(
+        view, compute_budget, t - view.local_s, warm), bandwidth_budget, t_floor, t_seed)
     bw *= bandwidth_budget / bw.sum()
     busy = f > 0
     if busy.any():

@@ -11,13 +11,14 @@ tail without disturbing earlier sub-queues.
 from __future__ import annotations
 
 import math
+from dataclasses import replace
 
 import numpy as np
 
 from .delay import AllocationPlan, NetworkInstance, QueueState, serial_total_delay
-from .errors import NoExcess, StalledBreak, ValidationError, ZeroRate
-from .parallel import (_BISECT_REL_TOL, CutTable, SolverSettings, _alternate, _bisect,
-                       _grow, bandwidth_for_rate)
+from .errors import Infeasible, NoExcess, StalledBreak, ValidationError, ZeroRate
+from .parallel import (CutTable, SolverSettings, _alternate, _least_target,
+                       bandwidth_for_rate)
 
 
 def _serial_eval(table: CutTable, cuts, bandwidth):
@@ -30,9 +31,11 @@ def _serial_eval(table: CutTable, cuts, bandwidth):
 
 def _serial_plan(policy, table, cuts, bandwidth, iterations, history):
     objective, state, arrivals, view = _serial_eval(table, cuts, bandwidth)
-    if not math.isfinite(objective):
-        raise ZeroRate(f"{policy} plan has objective {objective}: some upload rate is zero")
     f_max = table.net.server_flops
+    if not math.isfinite(objective):
+        if np.isfinite(arrivals).all():
+            raise Infeasible(f"{policy}: the server budget {f_max} FLOP/s is too small")
+        raise ZeroRate(f"{policy} plan has objective {objective}: some upload rate is zero")
     delays = list(arrivals)
     for pos, dev in enumerate(state.order):
         delays[dev] = state.completions[pos]
@@ -57,37 +60,30 @@ def _serial_plan(policy, table, cuts, bandwidth, iterations, history):
 def _common_arrival_bandwidth(table: CutTable, cuts):
     """Smallest common arrival time T and the bandwidth split achieving it.
 
-    Bisects T above the last local finish; a target is feasible when every
-    device's bandwidth requirement is finite and their sum fits the budget. The spare
-    spectrum at the returned T goes out pro rata.
+    :func:`~splitplan.parallel._least_target` bisects T above the last local
+    finish (the floor gives no slope): a target is feasible when every
+    device's bandwidth requirement is finite and their sum fits the budget.
+    The spare spectrum at the returned T goes out pro rata.
     """
     view = table.view(cuts)
     budget = table.net.total_bandwidth_hz
-    k = table.num_devices
-    t_floor = float(np.max(view.local_s))
-    best = None  # requirement vector at the smallest feasible target probed
 
-    def fits(t):
-        nonlocal best
-        need = np.zeros(k)
-        for i in range(k):
+    def floor(t):
+        need = np.zeros(table.num_devices)
+        for i in range(len(need)):
             room = t - view.local_s[i]
             if room <= 0:
-                return False
+                return None
             need[i] = bandwidth_for_rate(view.snr[i], view.bits[i] / room)
             if need[i] == math.inf:
-                return False
-        if not need.sum() <= budget:
-            return False
-        best = need
-        return True
+                return None
+        return need.sum(), need, None
 
-    t_hi = _grow(fits, 2.0 * (t_floor if t_floor > 0 else 1e-9), 2.0, 200,
-                 "no common arrival target is feasible")
-    _, hi = _bisect(fits, t_floor, t_hi, _BISECT_REL_TOL)
-    return hi, best * (budget / best.sum())
+    t, need = _least_target(floor, budget, float(np.max(view.local_s)))
+    return t, need * (budget / need.sum())
 
 
+@np.errstate(over="ignore")  # a vanishing server budget scores every cut inf
 def _reselect_serial(table: CutTable, cuts, bandwidth):
     """Coordinate pass over devices: re-pick each cut at fixed bandwidth to
     minimize the simultaneous-arrival objective
@@ -138,7 +134,8 @@ def queue_first_layer_policy(net: NetworkInstance,
     table = CutTable(net)
     cuts = tuple(0 for _ in range(table.num_devices))
     _, bw = _common_arrival_bandwidth(table, cuts)
-    return _serial_plan("queue-first-layer", table, cuts, bw, 1, [])
+    plan = _serial_plan("queue-first-layer", table, cuts, bw, 1, [])
+    return replace(plan, objective_history=(plan.objective,))
 
 
 # ---------------------------------------------------------------------------

@@ -5,9 +5,11 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from splitplan.arch import CutProfile, propagate, toy_architecture
+from splitplan.arch import (Architecture, BottleneckModule, CutProfile, LayerKind, LayerSpec,
+                            TensorShape, propagate, toy_architecture)
 from splitplan.channel import LinkParams
 from splitplan.delay import Device, NetworkInstance
+from splitplan.harness import ExperimentConfig, build_network
 
 # link whose wide-band capacity is snr_hz/ln2; unit path loss at d = lambda/(4*pi)
 UNIT_DISTANCE = 0.05 / (4.0 * np.pi)
@@ -74,6 +76,24 @@ def ragged_network(rng, devices=2, max_modules=6):
     devs = tuple(replace(dev, profile=random_profile(rng, int(rng.integers(1, max_modules + 1))))
                  for dev in net.devices)
     return NetworkInstance(devs, net.server_flops, net.total_bandwidth_hz)
+
+
+def zero_workload_architecture():
+    """A 3x8x8 input through a 1x1 stride-2 max-pool (module 1, ``down``) and
+    a 2x2 stride-2 max-unpool (module 2, ``up``): neither layer costs a FLOP,
+    so every cut's cumulative workload is 0 and nothing is left to compute."""
+    pool = LayerSpec(LayerKind.MAX_POOL, 3, 3, 1, 1, sw=2, sh=2)
+    unpool = LayerSpec(LayerKind.MAX_UNPOOL, 3, 3, 2, 2, sw=2, sh=2)
+    return Architecture((BottleneckModule(1, (pool,), sampling="down"),
+                         BottleneckModule(2, (unpool,), sampling="up")),
+                        TensorShape(3, 8, 8))
+
+
+def zero_workload_network(trial, devices=3):
+    """Trial ``trial`` of ``ExperimentConfig(devices=devices)`` on
+    :func:`zero_workload_architecture`."""
+    return build_network(ExperimentConfig(devices=devices), trial,
+                         profile=propagate(zero_workload_architecture()))
 
 
 @pytest.fixture(scope="session")

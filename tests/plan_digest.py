@@ -22,7 +22,9 @@ both 21-point oracles, and 20 random fleets of 5-9 devices under ``p1``,
 fleets under the short alternation caps in ``FLEET_SETTINGS``; then, from
 ``default_rng(2026)``, 30 ragged fleets of 2-8 devices with 1-6 modules each
 under all policies and 6 two-device ragged fleets under both 21-point
-oracles. The ragged fleets' cut tables are padded.
+oracles. The ragged fleets' cut tables are padded. Last, all policies on
+trials 0-5 of ``ExperimentConfig(devices=3)`` on the zero-workload network
+of ``conftest.zero_workload_network``, whose target-delay floor is 0.
 """
 
 from __future__ import annotations
@@ -34,7 +36,8 @@ import math
 
 import numpy as np
 
-from conftest import oracle_benchmark_network, ragged_network, random_network
+from conftest import (oracle_benchmark_network, ragged_network, random_network,
+                      zero_workload_network)
 from splitplan.arch import propagate
 from splitplan.errors import SplitPlanError
 from splitplan.harness import (POLICIES, ExperimentConfig, build_network,
@@ -98,6 +101,10 @@ def plan_keys():
         net = ragged_network(rng, devices=2)
         yield "oracle-parallel", _key(lambda n: oracle_parallel(n, grid), net)
         yield "oracle-serial", _key(lambda n: oracle_serial(n, grid), net)
+    for trial in range(6):
+        net = zero_workload_network(trial)
+        for name, solve in POLICIES.items():
+            yield name, _key(solve, net)
 
 
 def _objective(key):

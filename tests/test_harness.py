@@ -5,14 +5,16 @@ import json
 import math
 import time
 
+import numpy as np
 import pytest
 
+from conftest import ragged_network
 from splitplan import harness
 from splitplan.delay import NetworkInstance, arrival_delay
 from splitplan.harness import (ALL_POLICIES, POLICIES, ExperimentConfig, SweepResult,
                                apply_sweep_value, bench_scaling, build_network,
                                run_sweep, run_trial, write_tables)
-from splitplan.errors import ValidationError, ZeroRate
+from splitplan.errors import SplitPlanError, ValidationError, ZeroRate
 from splitplan.oracle import oracle_parallel, oracle_serial
 
 FAST = ExperimentConfig(devices=3, trials=2, seed=11,
@@ -166,6 +168,37 @@ class TestZeroSnrLink:
         for cut in range(dev.profile.num_cuts + 1):
             with pytest.raises(ZeroRate):
                 arrival_delay(dev, cut, 1e6)
+
+
+class TestVanishingServer:
+    """A server budget of 1e-300 FLOP/s on the default uploads: only the
+    all-local cuts have a finite delay. Every other policy names the
+    server, without a ``RuntimeWarning`` on the way."""
+
+    NET = build_network(ExperimentConfig(server_flops=1e-300, devices=3), 0)
+
+    def test_p2_keeps_the_all_local_plan(self):
+        plan = POLICIES["p2"](self.NET)
+        assert plan.objective == pytest.approx(3.6102, rel=1e-4)
+        assert sum(plan.residuals) == 0
+
+    @pytest.mark.parametrize("policy", [p for p in ALL_POLICIES if p != "p2"])
+    def test_other_policies_raise_a_typed_error_that_is_not_zero_rate(self, policy):
+        with pytest.raises(SplitPlanError) as err:
+            POLICIES[policy](self.NET)
+        assert not isinstance(err.value, ZeroRate)
+
+
+def test_history_has_one_entry_per_iteration():
+    """Every policy reports one best objective per iteration, on a default
+    trial and on ragged fleets."""
+    rng = np.random.default_rng(66)
+    nets = [build_network(ExperimentConfig(), 0)]
+    nets += [ragged_network(rng, devices=int(rng.integers(2, 9))) for _ in range(4)]
+    for net in nets:
+        for name, solve in POLICIES.items():
+            plan = solve(net)
+            assert len(plan.objective_history) == plan.iterations, name
 
 
 class TestSweep:

@@ -7,7 +7,8 @@ import numpy as np
 import pytest
 
 from conftest import (link_with_snr, oracle_benchmark_network, profile_from_lists,
-                      ragged_network, random_network, random_profile, toy_network)
+                      ragged_network, random_network, random_profile, toy_network,
+                      zero_workload_network)
 from splitplan import parallel
 from splitplan.delay import Device, NetworkInstance, arrival_delay
 from splitplan.errors import Infeasible, NonConvergence, ValidationError, ZeroRate
@@ -445,6 +446,59 @@ class TestMonotoneSearch:
             assert hi == at and lo == np.nextafter(at, 0.0)
 
 
+class TestLeastTarget:
+    @staticmethod
+    def floor_from(at, probes):
+        """Floor that nothing meets up to ``at / 2`` and whose total ``at / t``
+        fits a unit budget from ``at`` on; no slope, and t as the allocation."""
+        def floor(t):
+            probes.append(t)
+            return None if t <= 0.5 * at else (at / t, t, None)
+        return floor
+
+    def test_without_a_slope_it_matches_plain_bisection(self):
+        rng = np.random.default_rng(71)
+        for at in rng.uniform(1e-6, 1e3, 50):
+            t_floor = at * rng.uniform(0.0, 0.9)
+            t, alloc = parallel._least_target(self.floor_from(at, []), 1.0, t_floor)
+
+            def ok(x):
+                res = self.floor_from(at, [])(x)
+                return res is not None and res[0] <= 1.0
+
+            seed = 2.0 * t_floor if t_floor > 0 else 2e-9
+            ref = _bisect(ok, t_floor, _grow(ok, seed, 2.0, 200, "unused"), 1e-9)[1]
+            assert alloc == t and abs(t - ref) <= 1e-9 * ref
+
+    def test_a_zero_floor_seeds_at_two_nanoseconds(self):
+        probes = []
+        t, _ = parallel._least_target(self.floor_from(1e-6, probes), 1.0, 0.0)
+        assert probes[0] == 2e-9 and abs(t - 1e-6) <= 1e-9 * t
+        probes.clear()
+        parallel._least_target(self.floor_from(1e-6, probes), 1.0, 0.0, t_seed=3e-6)
+        assert probes[0] == 3e-6
+
+    @pytest.mark.parametrize("t_floor", [math.inf, math.nan])
+    def test_a_non_finite_floor_raises_infeasible(self, t_floor):
+        probes = []
+        with pytest.raises(Infeasible):
+            parallel._least_target(self.floor_from(1.0, probes), 1.0, t_floor)
+        assert probes == []
+
+
+class TestZeroWorkload:
+    """Nothing to compute anywhere: the target-delay floor is 0."""
+
+    def test_every_policy_and_oracle_gives_a_finite_plan(self):
+        net = zero_workload_network(0)
+        assert net.devices[0].profile.cum_workload == (0, 0, 0)
+        plans = {name: solve(net) for name, solve in POLICIES.items()}
+        assert all(math.isfinite(plan.objective) for plan in plans.values())
+        assert plans["min-data"].objective == plans["p1"].objective
+        for oracle in (oracle_parallel, oracle_serial):
+            assert math.isfinite(oracle(net, GridSpec(bandwidth_points=21)).objective)
+
+
 class TestAlternate:
     """The one alternation loop of p1, p2 and p3, on synthetic steps: round
     ``n`` evaluates cut vector ``(n,)`` to ``objectives[n]``."""
@@ -747,7 +801,7 @@ class TestEpigraphSlope:
             obj = parallel.resource_subproblem(view, net.total_bandwidth_hz, budget)[0]
             for t in obj * np.array([1.0, 1.05, 1.3, 2.0]):
                 h = 1e-6 * t
-                _, _, _, slope = parallel._bandwidth_floor(view, budget, t - view.local_s, {})
+                _, _, slope = parallel._bandwidth_floor(view, budget, t - view.local_s, {})
                 up, dn = (parallel._bandwidth_floor(view, budget, t + d - view.local_s, {})[0]
                           for d in (h, -h))
                 central = (up - dn) / (2 * h)
