@@ -494,7 +494,7 @@ class TestZeroWorkload:
         assert net.devices[0].profile.cum_workload == (0, 0, 0)
         plans = {name: solve(net) for name, solve in POLICIES.items()}
         assert all(math.isfinite(plan.objective) for plan in plans.values())
-        assert plans["min-data"].objective == plans["p1"].objective
+        assert plans["min-data"].objective == pytest.approx(plans["p1"].objective, rel=1e-9)
         for oracle in (oracle_parallel, oracle_serial):
             assert math.isfinite(oracle(net, GridSpec(bandwidth_points=21)).objective)
 
