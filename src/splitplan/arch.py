@@ -342,20 +342,19 @@ def _known_keys(obj, keys, where: str) -> dict:
     return obj
 
 
-def _number(value, whole: bool = False):
-    """A config number as a float, or as an int when ``whole``; booleans,
-    non-numbers, non-finite values and (when ``whole``) fractions raise
-    ``ValueError`` or ``TypeError``."""
+def _number(value, name: str, whole: bool = False):
+    """A config number as a float, or as an int when ``whole``; a boolean, a
+    non-number, a non-finite value or (when ``whole``) a fraction raises
+    ``ValidationError`` naming ``name``."""
+    kind = "integers" if whole else "finite numbers"
     if isinstance(value, bool) or not isinstance(value, numbers.Real):
-        raise TypeError(f"{value!r} is not a number")
+        raise ValidationError(f"{name} takes {kind}, got {value!r}")
     if whole and isinstance(value, numbers.Integral):
         return int(value)
-    value = float(value)
-    if not math.isfinite(value):
-        raise ValueError(f"{value!r} is not finite")
-    if whole and not value.is_integer():
-        raise ValueError(f"{value!r} is not an integer")
-    return int(value) if whole else value
+    number = float(value) if abs(value) <= sys.float_info.max else math.inf
+    if not math.isfinite(number) or whole and not number.is_integer():
+        raise ValidationError(f"{name} takes {kind}, got {value!r}")
+    return int(number) if whole else number
 
 
 def _entry(obj: dict, key: str, where: str, default=None):
@@ -369,10 +368,7 @@ def _entry(obj: dict, key: str, where: str, default=None):
 
 
 def _whole(obj: dict, key: str, where: str, default=None) -> int:
-    try:
-        return _number(_entry(obj, key, where, default), whole=True)
-    except (TypeError, ValueError) as exc:
-        raise ValidationError(f"{where}: bad {key} ({exc})") from None
+    return _number(_entry(obj, key, where, default), f"{where}: {key}", whole=True)
 
 
 def _list(obj: dict, key: str, where: str, default=None) -> list:

@@ -52,7 +52,7 @@ class AllocationPlan:
     ``server_flops`` holds the per-device parallel share; serial-mode plans
     store the full budget for every queued device since jobs run one at a
     time at full speed. ``objective_history`` is the best objective after
-    each outer solver iteration.
+    each outer solver iteration, one entry per iteration.
     """
 
     policy: str
@@ -64,8 +64,11 @@ class AllocationPlan:
     residuals: tuple[float, ...]
     delays: tuple[float, ...]
     objective: float
-    iterations: int = 1
     objective_history: tuple[float, ...] = ()
+
+    @property
+    def iterations(self) -> int:
+        return len(self.objective_history)
 
 
 def arrival_delay(device: Device, cut: int, bandwidth_hz: float) -> float:
@@ -194,4 +197,4 @@ def serial_total_delay(arrivals, residuals, server_flops):
     objective = state.total_delay
     if local_only:
         objective = max(objective, max(arrivals[k] for k in local_only))
-    return objective, state
+    return float(objective), state

@@ -11,6 +11,9 @@ is -174 dBm/Hz, but the bundled scenario pins a noisier default so that
 transmission and computation are comparably expensive (the regime where
 splitting is an interesting trade). Override ``channel.noise_dbm_per_hz``
 in the config to change it; absolute delays scale with it directly.
+
+:class:`ExperimentConfig` checks, coerces and completes its own values, so
+a JSON config, a sweep value and a ``dataclasses.replace`` pass one set of rules.
 """
 
 from __future__ import annotations
@@ -23,11 +26,10 @@ from pathlib import Path
 import numpy as np
 
 from . import serial
-from .arch import (Architecture, _known_keys, _number, _parse_json, propagate,
-                   resolve_architecture)
+from .arch import Architecture, _known_keys, _number, propagate, resolve_architecture
 from .channel import LinkParams, trial_fading
 from .delay import Device, NetworkInstance
-from .errors import SplitPlanError, ValidationError
+from .errors import DomainError, SplitPlanError, ValidationError
 from .parallel import (SolverSettings, first_layer_policy, min_data_layer_policy,
                        solve_p1, solve_p2)
 
@@ -73,7 +75,9 @@ def default_channel() -> dict:
 
 @dataclass(frozen=True)
 class ExperimentConfig:
-    """One experiment: network scale, channel defaults, trials and policies."""
+    """One experiment: network scale, channel defaults, trials and policies.
+    A partial ``channel`` is completed from :func:`default_channel`; whole
+    floats are taken as ints; a bad value raises :class:`ValidationError`."""
 
     arch: str = "reference"  # bundled name or a config file path
     devices: int = 10
@@ -87,59 +91,52 @@ class ExperimentConfig:
     solver: SolverSettings = field(default_factory=SolverSettings)
 
     def __post_init__(self):
+        for key, whole in _NUMBER_KEYS.items():
+            object.__setattr__(self, key, _number(getattr(self, key), key, whole=whole))
+        if self.trials < 1 or self.devices < 1:
+            raise ValidationError("trial and device counts must be >= 1")
+        if not all(v > 0 for v in (self.device_flops, self.server_flops, self.bandwidth_hz)):
+            raise ValidationError("physical budgets must be positive")
+        channel = {**default_channel(),
+                   **_known_keys(self.channel, LinkParams.CONFIG_KEYS, "channel")}
+        channel = {key: _number(value, f"channel {key}") for key, value in channel.items()}
+        try:
+            LinkParams.from_config(channel)  # overflows in the dB conversions
+        except (OverflowError, DomainError) as exc:
+            raise ValidationError(f"channel: {exc}") from None
+        object.__setattr__(self, "channel", channel)
+        if not isinstance(self.solver, SolverSettings):
+            raise ValidationError(f"solver must be SolverSettings, not {self.solver!r}")
+        if not isinstance(self.policies, (list, tuple)) or not self.policies:
+            raise ValidationError(f"the policy list is empty or not a list: {self.policies!r}")
         object.__setattr__(self, "policies", tuple(self.policies))
-        if self.trials < 1:
-            raise ValidationError("trial count must be >= 1")
-        if self.devices < 1:
-            raise ValidationError("device count must be >= 1")
-        if not all(0 < v < math.inf
-                   for v in (self.device_flops, self.server_flops, self.bandwidth_hz)):
-            raise ValidationError("physical budgets must be positive and finite")
-        if not self.policies:
-            raise ValidationError("the policy list is empty")
-        bad = [p for p in self.policies if p not in POLICIES]
+        bad = [p for p in self.policies if not isinstance(p, str) or p not in POLICIES]
         if bad:
             raise ValidationError(f"unknown policies {bad}; choose from {sorted(POLICIES)}")
 
     @classmethod
     def from_dict(cls, cfg: dict) -> "ExperimentConfig":
-        _known_keys(cfg, _CONFIG_KEYS, "config")
-        chan = default_channel()
-        chan.update(_known_keys(cfg.get("channel", {}), LinkParams.CONFIG_KEYS, "channel"))
-        solver = _known_keys(cfg.get("solver", {}), _SOLVER_KEYS, "solver")
-        named = {key: cfg[key] for key in ("arch", "policies") if key in cfg}
-        try:
-            named.update((key, _number(cfg[key], whole=whole))
-                         for key, whole in _NUMBER_KEYS.items() if key in cfg)
-            channel = {key: _number(value) for key, value in chan.items()}
-            LinkParams.from_config(channel)  # overflows in the dB conversions
-            return cls(
-                **named,
-                channel=channel,
-                solver=SolverSettings(**{cap: _number(value, whole=True)
-                                         for cap, value in solver.items()}),
-            )
-        except (TypeError, ValueError, OverflowError) as exc:
-            raise ValidationError(f"bad config value: {exc}") from None
-
-    @classmethod
-    def from_json(cls, text: str) -> "ExperimentConfig":
-        return cls.from_dict(_parse_json(text))
+        """The config of a JSON object; its keys are checked here, its values
+        by the constructor."""
+        named = dict(_known_keys(cfg, _CONFIG_KEYS, "config"))
+        named["solver"] = SolverSettings(
+            **_known_keys(named.get("solver", {}), _SOLVER_KEYS, "solver"))
+        return cls(**named)
 
 
 def load_experiment_architecture(cfg: ExperimentConfig) -> Architecture:
     return resolve_architecture(cfg.arch)
 
 
-#: Sweep parameter -> (whether its values must be whole, config setter).
+#: Sweep parameter -> config setter; the config checks each value.
 _SWEEPS = {
-    "devices": (True, lambda cfg, v: replace(cfg, devices=v)),
-    "power": (False, lambda cfg, v: replace(cfg, channel={**cfg.channel, "power_w": v})),
-    "bandwidth": (False, lambda cfg, v: replace(cfg, bandwidth_hz=v)),
-    "fdev": (False, lambda cfg, v: replace(cfg, device_flops=v)),
-    "fserver": (False, lambda cfg, v: replace(cfg, server_flops=v)),
-    "iters": (True, lambda cfg, v: replace(cfg, solver=replace(
-        cfg.solver, max_alternations=v, outer_iters=v))),
+    "devices": lambda cfg, v: replace(cfg, devices=v),
+    "power": lambda cfg, v: replace(cfg, channel={**cfg.channel, "power_w": v}),
+    "bandwidth": lambda cfg, v: replace(cfg, bandwidth_hz=v),
+    "fdev": lambda cfg, v: replace(cfg, device_flops=v),
+    "fserver": lambda cfg, v: replace(cfg, server_flops=v),
+    "iters": lambda cfg, v: replace(cfg, solver=replace(
+        cfg.solver, max_alternations=v, outer_iters=v)),
 }
 
 SWEEP_PARAMS = tuple(_SWEEPS)
@@ -149,12 +146,9 @@ def apply_sweep_value(cfg: ExperimentConfig, param: str, value: float) -> Experi
     """``cfg`` with sweep parameter ``param`` set to ``value``."""
     if param not in _SWEEPS:
         raise ValidationError(f"unknown sweep parameter {param!r}; choose from {SWEEP_PARAMS}")
-    whole, setter = _SWEEPS[param]
     if not 0 < value < math.inf:
         raise ValidationError("sweep values must be positive and finite")
-    if whole and not float(value).is_integer():
-        raise ValidationError(f"{param} sweep values must be integers")
-    return setter(cfg, int(value) if whole else float(value))
+    return _SWEEPS[param](cfg, value)
 
 
 def build_network(cfg: ExperimentConfig, trial_index: int,

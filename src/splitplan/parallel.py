@@ -10,11 +10,11 @@ target-delay search, for the convex step and the serial shaping alike.
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import dataclass
 
 import numpy as np
 
+from .arch import _number
 from .channel import LN2, shannon_rate
 from .delay import AllocationPlan, NetworkInstance
 from .errors import Infeasible, NonConvergence, ValidationError, ZeroRate
@@ -32,17 +32,19 @@ class SolverSettings:
 
     ``max_alternations`` caps the cut/resource alternation of ``p1``, ``p2``
     and ``p3``; ``outer_iters`` is the serial heuristic's outer loop count.
+    Each cap is a whole number >= 1 (a whole float such as 2.0 is stored as
+    the int 2); anything else raises :class:`ValidationError`.
     """
 
     max_alternations: int = 20
     outer_iters: int = 4
 
     def __post_init__(self):
-        for cap in (self.max_alternations, self.outer_iters):
-            if isinstance(cap, bool) or not isinstance(cap, numbers.Integral):
-                raise ValidationError(f"iteration caps must be integers, got {cap!r}")
+        for name in ("max_alternations", "outer_iters"):
+            cap = _number(getattr(self, name), name, whole=True)
             if cap < 1:
                 raise ValidationError("iteration caps must be >= 1")
+            object.__setattr__(self, name, cap)
 
 
 # ---------------------------------------------------------------------------
@@ -518,11 +520,12 @@ def _least_target(floor, budget, t_floor, t_seed=None):
     slope)``: the least total meeting t (decreasing in t), an allocation that
     attains it, and the total's slope in t or ``None``. A total with a slope
     must be convex, so each tangent zero is a lower bound on the root.
-    Doubling from ``t_seed`` (else ``2 * t_floor``, or 2e-9 s at a zero floor)
-    finds a feasible t; then each probe goes just above a tangent-zero lower
-    bound (a safeguarded Newton step), or else bisects, until the bracket is
-    ``_BISECT_REL_TOL`` wide or 100 probes pass. Returns the least feasible t
-    and its allocation; a non-finite ``t_floor`` raises :class:`Infeasible`.
+    Doubling from a finite ``t_seed`` above ``t_floor`` (else ``2 * t_floor``,
+    or 2e-9 s at a zero floor) finds a feasible t; then each probe goes just
+    above a tangent-zero lower bound (a safeguarded Newton step), or else
+    bisects, until the bracket is ``_BISECT_REL_TOL`` wide or 100 probes
+    pass. Returns the least feasible t and its allocation; a non-finite
+    ``t_floor`` raises :class:`Infeasible`.
     """
     if not math.isfinite(t_floor):
         raise Infeasible(f"no finite target delay: its floor is {t_floor} s")
@@ -542,7 +545,7 @@ def _least_target(floor, budget, t_floor, t_seed=None):
             lo, newton = t + gap / slope, True
         return gap >= 0.0
 
-    if t_seed is None or not t_seed > t_floor:
+    if t_seed is None or not t_floor < t_seed < math.inf:
         t_seed = 2.0 * t_floor if t_floor > 0 else 2e-9
     _grow(feasible, t_seed, 2.0, 200, "no feasible target delay found")
     for _ in range(100):
@@ -586,7 +589,7 @@ def _reselect_parallel(table: CutTable, bandwidth, shares) -> tuple[int, ...]:
     return tuple(delays.argmin(axis=1).tolist())
 
 
-def _parallel_plan(policy, table, cuts, bandwidth, shares, iterations, history):
+def _parallel_plan(policy, table, cuts, bandwidth, shares, history):
     view = table.view(cuts)
     arrivals, totals = _plan_delays(
         view, np.asarray(bandwidth, float), np.asarray(shares, float))
@@ -600,7 +603,6 @@ def _parallel_plan(policy, table, cuts, bandwidth, shares, iterations, history):
         residuals=tuple(float(r) for r in view.resid),
         delays=tuple(float(d) for d in totals),
         objective=float(np.max(totals)),
-        iterations=iterations,
         objective_history=tuple(history),
     )
 
@@ -611,15 +613,14 @@ def _alternate(cuts, evaluate, reselect, max_iter):
     ``evaluate(cuts)`` returns ``(objective, allocation)`` and
     ``reselect(cuts, allocation)`` the next cut vector. Stops on a fixed cut
     vector, on a stall (the objective moved by at most ``_STALL_REL_TOL``
-    relative) or after ``max_iter`` rounds. Returns ``(best, history,
-    rounds)``: ``best`` is the ``(objective, cuts, allocation)`` of the first
-    round with the lowest objective, ``history`` the best objective after
-    each round.
+    relative) or after ``max_iter`` rounds. Returns ``(best, history)``:
+    ``best`` is the ``(objective, cuts, allocation)`` of the first round with
+    the lowest objective, ``history`` the best objective after each round.
     """
     best = None
     history = []
     prev = math.inf
-    for rounds in range(1, max_iter + 1):
+    for _ in range(max_iter):
         obj, alloc = evaluate(cuts)
         if best is None or obj < best[0]:
             best = (obj, cuts, alloc)
@@ -629,7 +630,7 @@ def _alternate(cuts, evaluate, reselect, max_iter):
             break
         prev = obj
         cuts = new_cuts
-    return best, history, rounds
+    return best, history
 
 
 def solve_p2(net: NetworkInstance, settings: SolverSettings | None = None) -> AllocationPlan:
@@ -646,11 +647,11 @@ def solve_p2(net: NetworkInstance, settings: SolverSettings | None = None) -> Al
             view.arrivals(bw), view.resid, net.server_flops)
         return obj, shares
 
-    (_, cuts, shares), history, rounds = _alternate(
+    (_, cuts, shares), history = _alternate(
         table.min_data_cuts(), evaluate,
         lambda cuts, shares: _reselect_parallel(table, bw, shares),
         settings.max_alternations)
-    return _parallel_plan("p2", table, cuts, bw, shares, rounds, history)
+    return _parallel_plan("p2", table, cuts, bw, shares, history)
 
 
 def solve_p1(net: NetworkInstance, settings: SolverSettings | None = None) -> AllocationPlan:
@@ -671,18 +672,22 @@ def solve_p1(net: NetworkInstance, settings: SolverSettings | None = None) -> Al
         seeds its target-delay bracket with p2's first objective, each later
         one with the objective priced before it: re-selection leaves every
         device's delay at the frozen resources no higher, so the previous
-        round's objective is a feasible target for the next cut vector."""
+        round's objective is a feasible target for the next cut vector. A cut
+        vector without a finite target delay prices at inf, with no allocation."""
         nonlocal seed
         if cuts not in memo:
-            obj, bw, f = resource_subproblem(
-                table.view(cuts), net.total_bandwidth_hz, net.server_flops, t_seed=seed)
-            memo[cuts] = (obj, (bw, f))
+            try:
+                obj, bw, f = resource_subproblem(
+                    table.view(cuts), net.total_bandwidth_hz, net.server_flops, t_seed=seed)
+                memo[cuts] = (obj, (bw, f))
+            except Infeasible:
+                memo[cuts] = (math.inf, None)
         seed = memo[cuts][0]
         return memo[cuts]
 
-    best, history, rounds = _alternate(
+    best, history = _alternate(
         table.min_data_cuts(), price,
-        lambda cuts, alloc: _reselect_parallel(table, *alloc),
+        lambda cuts, alloc: cuts if alloc is None else _reselect_parallel(table, *alloc),
         settings.max_alternations)
     for cuts in (p2.cuts, tuple(0 for _ in range(table.num_devices))):
         obj, alloc = price(cuts)
@@ -690,14 +695,14 @@ def solve_p1(net: NetworkInstance, settings: SolverSettings | None = None) -> Al
             best = (obj, cuts, alloc)
     obj, cuts, (bw, f) = best
     history = [min(h, obj) for h in history]
-    return _parallel_plan("p1", table, cuts, bw, f, rounds, history)
+    return _parallel_plan("p1", table, cuts, bw, f, history)
 
 
 def _fixed_cut_policy(name, table, cuts):
     net = table.net
     obj, bw, f = resource_subproblem(
         table.view(cuts), net.total_bandwidth_hz, net.server_flops)
-    return _parallel_plan(name, table, cuts, bw, f, 1, [obj])
+    return _parallel_plan(name, table, cuts, bw, f, [obj])
 
 
 def min_data_layer_policy(net: NetworkInstance,

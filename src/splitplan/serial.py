@@ -11,7 +11,6 @@ tail without disturbing earlier sub-queues.
 from __future__ import annotations
 
 import math
-from dataclasses import replace
 
 import numpy as np
 
@@ -29,7 +28,9 @@ def _serial_eval(table: CutTable, cuts, bandwidth):
     return objective, state, arrivals, view
 
 
-def _serial_plan(policy, table, cuts, bandwidth, iterations, history):
+def _serial_plan(policy, table, cuts, bandwidth, history=None):
+    """The plan of one allocation; ``history`` holds the best objective after
+    each iteration, and a one-shot policy leaves it out for ``(objective,)``."""
     objective, state, arrivals, view = _serial_eval(table, cuts, bandwidth)
     f_max = table.net.server_flops
     if not math.isfinite(objective):
@@ -48,9 +49,8 @@ def _serial_plan(policy, table, cuts, bandwidth, iterations, history):
         arrivals=tuple(float(a) for a in arrivals),
         residuals=tuple(float(r) for r in view.resid),
         delays=tuple(float(d) for d in delays),
-        objective=float(objective),
-        iterations=iterations,
-        objective_history=tuple(history),
+        objective=objective,
+        objective_history=(objective,) if history is None else tuple(history),
     )
 
 
@@ -121,11 +121,11 @@ def solve_p3(net: NetworkInstance, settings: SolverSettings | None = None) -> Al
         _, bw = _common_arrival_bandwidth(table, cuts)
         return _serial_eval(table, cuts, bw)[0], bw
 
-    (_, cuts, bw), history, rounds = _alternate(
+    (_, cuts, bw), history = _alternate(
         table.min_data_cuts(), evaluate,
         lambda cuts, bw: _reselect_serial(table, cuts, bw),
         settings.max_alternations)
-    return _serial_plan("p3", table, cuts, bw, rounds, history)
+    return _serial_plan("p3", table, cuts, bw, history)
 
 
 def queue_first_layer_policy(net: NetworkInstance,
@@ -134,8 +134,7 @@ def queue_first_layer_policy(net: NetworkInstance,
     table = CutTable(net)
     cuts = tuple(0 for _ in range(table.num_devices))
     _, bw = _common_arrival_bandwidth(table, cuts)
-    plan = _serial_plan("queue-first-layer", table, cuts, bw, 1, [])
-    return replace(plan, objective_history=(plan.objective,))
+    return _serial_plan("queue-first-layer", table, cuts, bw)
 
 
 # ---------------------------------------------------------------------------
@@ -225,4 +224,4 @@ def queue_heuristic(net: NetworkInstance,
         history.append(best[0])
 
     _, cuts, bw = best
-    return _serial_plan("queue-heuristic", table, cuts, bw, settings.outer_iters, history)
+    return _serial_plan("queue-heuristic", table, cuts, bw, history)

@@ -22,9 +22,11 @@ both 21-point oracles, and 20 random fleets of 5-9 devices under ``p1``,
 fleets under the short alternation caps in ``FLEET_SETTINGS``; then, from
 ``default_rng(2026)``, 30 ragged fleets of 2-8 devices with 1-6 modules each
 under all policies and 6 two-device ragged fleets under both 21-point
-oracles. The ragged fleets' cut tables are padded. Last, all policies on
+oracles. The ragged fleets' cut tables are padded. Then all policies on
 trials 0-5 of ``ExperimentConfig(devices=3)`` on the zero-workload network
-of ``conftest.zero_workload_network``, whose target-delay floor is 0.
+of ``conftest.zero_workload_network``, whose target-delay floor is 0. Last,
+all policies on trials 0-5 of ``ExperimentConfig(server_flops=1e-300,
+devices=3)``, where only the all-local cuts have a finite delay.
 """
 
 from __future__ import annotations
@@ -103,6 +105,11 @@ def plan_keys():
         yield "oracle-serial", _key(lambda n: oracle_serial(n, grid), net)
     for trial in range(6):
         net = zero_workload_network(trial)
+        for name, solve in POLICIES.items():
+            yield name, _key(solve, net)
+    cfg = ExperimentConfig(server_flops=1e-300, devices=3)
+    for trial in range(6):
+        net = build_network(cfg, trial)
         for name, solve in POLICIES.items():
             yield name, _key(solve, net)
 

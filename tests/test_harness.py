@@ -8,7 +8,7 @@ import time
 import numpy as np
 import pytest
 
-from conftest import ragged_network
+from conftest import ragged_network, zero_workload_network
 from splitplan import harness
 from splitplan.delay import NetworkInstance, arrival_delay
 from splitplan.harness import (ALL_POLICIES, POLICIES, ExperimentConfig, SweepResult,
@@ -16,6 +16,7 @@ from splitplan.harness import (ALL_POLICIES, POLICIES, ExperimentConfig, SweepRe
                                run_sweep, run_trial, write_tables)
 from splitplan.errors import SplitPlanError, ValidationError, ZeroRate
 from splitplan.oracle import oracle_parallel, oracle_serial
+from splitplan.parallel import SolverSettings
 
 FAST = ExperimentConfig(devices=3, trials=2, seed=11,
                         policies=("p2", "queue-heuristic"))
@@ -31,11 +32,11 @@ class TestConfig:
         assert set(cfg.policies) == set(ALL_POLICIES)
 
     def test_from_json(self):
-        cfg = ExperimentConfig.from_json(json.dumps({
+        cfg = ExperimentConfig.from_dict(json.loads("""{
             "devices": 4, "trials": 3,
             "channel": {"noise_dbm_per_hz": -150.0},
-            "solver": {"max_alternations": 2.0, "outer_iters": 3.0},
-        }))
+            "solver": {"max_alternations": 2.0, "outer_iters": 3.0}
+        }"""))
         assert cfg.devices == 4
         # whole-float caps are taken as ints, the way devices is
         assert (cfg.solver.max_alternations, cfg.solver.outer_iters) == (2, 3)
@@ -45,6 +46,50 @@ class TestConfig:
 
     def test_from_empty_dict_is_the_default(self):
         assert ExperimentConfig.from_dict({}) == ExperimentConfig()
+
+    @pytest.mark.parametrize("values", [
+        {"channel": {"bogus": 1.0}},
+        {"channel": 1.0},
+        {"channel": {"noise_dbm_per_hz": 1e308}},
+        {"channel": {"power_w": -1.0}},
+        {"devices": 2.5},
+        {"devices": True},
+        {"seed": 1.5},
+        {"trials": 2.5},
+        {"device_flops": "1e9"},
+        {"server_flops": 10 ** 400},
+        {"policies": 5},
+        {"policies": [["p1"]]},
+    ], ids=["unknown-channel-key", "channel-not-object", "noise-overflows",
+            "negative-power", "fractional-devices", "bool-devices",
+            "fractional-seed", "fractional-trials", "string-flops",
+            "flops-beyond-float", "policies-number", "policies-unhashable"])
+    def test_malformed_value_raises_on_both_paths(self, values):
+        with pytest.raises(ValidationError):
+            ExperimentConfig(**values)
+        with pytest.raises(ValidationError):
+            ExperimentConfig.from_dict(values)
+
+    def test_solver_must_be_settings(self):
+        with pytest.raises(ValidationError):
+            ExperimentConfig(solver={"max_alternations": 3})
+
+    def test_partial_channel_is_completed_on_both_paths(self):
+        cfg = ExperimentConfig(channel={"power_w": 1.0})
+        assert cfg == ExperimentConfig.from_dict({"channel": {"power_w": 1.0}})
+        assert cfg.channel == ExperimentConfig().channel
+
+    def test_replace_is_checked(self):
+        with pytest.raises(ValidationError):
+            dataclasses.replace(ExperimentConfig(), devices=2.5)
+
+    def test_whole_floats_become_ints(self):
+        cfg = ExperimentConfig(devices=4.0, seed=np.int64(3))
+        assert (cfg.devices, cfg.seed) == (4, 3)
+        assert type(cfg.devices) is int and type(cfg.seed) is int
+        settings = SolverSettings(max_alternations=2.0)
+        assert settings.max_alternations == 2
+        assert type(settings.max_alternations) is int
 
     def test_rejects_unknown_policy(self):
         with pytest.raises(ValidationError):
@@ -170,10 +215,12 @@ class TestZeroSnrLink:
                 arrival_delay(dev, cut, 1e6)
 
 
+@pytest.mark.filterwarnings("error")
 class TestVanishingServer:
     """A server budget of 1e-300 FLOP/s on the default uploads: only the
-    all-local cuts have a finite delay. Every other policy names the
-    server, without a ``RuntimeWarning`` on the way."""
+    all-local cuts have a finite delay. ``p2`` keeps them, ``p1`` prices the
+    server-bound cut vectors at inf and does no worse than ``p2``, and every
+    other policy names the server, without a ``RuntimeWarning`` on the way."""
 
     NET = build_network(ExperimentConfig(server_flops=1e-300, devices=3), 0)
 
@@ -182,7 +229,13 @@ class TestVanishingServer:
         assert plan.objective == pytest.approx(3.6102, rel=1e-4)
         assert sum(plan.residuals) == 0
 
-    @pytest.mark.parametrize("policy", [p for p in ALL_POLICIES if p != "p2"])
+    def test_p1_is_no_worse_than_p2(self):
+        plan = POLICIES["p1"](self.NET)
+        assert plan.objective == pytest.approx(3.4233, rel=1e-4)
+        assert plan.objective <= POLICIES["p2"](self.NET).objective
+        assert sum(plan.residuals) == 0
+
+    @pytest.mark.parametrize("policy", [p for p in ALL_POLICIES if p not in ("p1", "p2")])
     def test_other_policies_raise_a_typed_error_that_is_not_zero_rate(self, policy):
         with pytest.raises(SplitPlanError) as err:
             POLICIES[policy](self.NET)
@@ -190,15 +243,17 @@ class TestVanishingServer:
 
 
 def test_history_has_one_entry_per_iteration():
-    """Every policy reports one best objective per iteration, on a default
-    trial and on ragged fleets."""
+    """Every policy reports one best objective per iteration, as a Python
+    float, on a default trial, on ragged fleets and on the zero-workload
+    network."""
     rng = np.random.default_rng(66)
-    nets = [build_network(ExperimentConfig(), 0)]
+    nets = [build_network(ExperimentConfig(), 0), zero_workload_network(0)]
     nets += [ragged_network(rng, devices=int(rng.integers(2, 9))) for _ in range(4)]
     for net in nets:
         for name, solve in POLICIES.items():
             plan = solve(net)
             assert len(plan.objective_history) == plan.iterations, name
+            assert all(type(h) is float for h in plan.objective_history), name
 
 
 class TestSweep:

@@ -515,29 +515,29 @@ class TestAlternate:
         return _alternate((0,), evaluate, reselect, max_iter)
 
     def test_stops_on_fixed_cuts(self):
-        best, history, rounds = self.run([5.0, 4.0, 3.0, 2.0, 1.0], 10, fixed_at=2)
-        assert rounds == 3
+        best, history = self.run([5.0, 4.0, 3.0, 2.0, 1.0], 10, fixed_at=2)
+        assert len(history) == 3
         assert best == (3.0, (2,), "alloc2")
         assert history == [5.0, 4.0, 3.0]
 
     def test_stops_on_stall_within_relative_tolerance(self):
-        best, history, rounds = self.run([5.0, 4.0, 4.0 * (1 + 0.9e-6), 1.0], 10)
-        assert rounds == 3
+        best, history = self.run([5.0, 4.0, 4.0 * (1 + 0.9e-6), 1.0], 10)
+        assert len(history) == 3
         assert best == (4.0, (1,), "alloc1")
         # a move just above the tolerance does not stop it
-        _, _, rounds = self.run([5.0, 4.0, 4.0 * (1 + 2e-6), 1.0, 0.5], 4)
-        assert rounds == 4
+        _, history = self.run([5.0, 4.0, 4.0 * (1 + 2e-6), 1.0, 0.5], 4)
+        assert len(history) == 4
 
     def test_stops_at_the_cap(self):
-        best, history, rounds = self.run([9.0, 1.0, 7.0, 3.0, 8.0, 2.0], 4)
-        assert rounds == 4
+        best, history = self.run([9.0, 1.0, 7.0, 3.0, 8.0, 2.0], 4)
+        assert len(history) == 4
         assert best == (1.0, (1,), "alloc1")
         assert history == [9.0, 1.0, 1.0, 1.0]
 
     def test_first_of_equal_objectives_wins_and_history_never_rises(self):
         objectives = [6.0, 2.0, 5.0, 2.0, 3.0, 2.0]
-        best, history, rounds = self.run(objectives, len(objectives))
-        assert rounds == len(objectives)
+        best, history = self.run(objectives, len(objectives))
+        assert len(history) == len(objectives)
         assert best == (2.0, (1,), "alloc1")
         assert history == [6.0, 2.0, 2.0, 2.0, 2.0, 2.0]
         assert all(b <= a for a, b in zip(history, history[1:]))
