@@ -103,7 +103,7 @@ class ExperimentConfig:
         try:
             LinkParams.from_config(channel)  # overflows in the dB conversions
         except (OverflowError, DomainError) as exc:
-            raise ValidationError(f"channel: {exc}") from None
+            raise ValidationError(f"channel value out of range: {exc}") from None
         object.__setattr__(self, "channel", channel)
         if not isinstance(self.solver, SolverSettings):
             raise ValidationError(f"solver must be SolverSettings, not {self.solver!r}")
