@@ -325,10 +325,11 @@ def propagate(arch: Architecture) -> CutProfile:
 # config I/O: the JSON reading rules shared with the experiment config
 
 def _parse_json(text: str):
-    """The value of a JSON config text; malformed text raises ``ParseError``."""
+    """The value of a JSON config text; malformed text, or an integer literal
+    past Python's digit limit, raises ``ParseError``."""
     try:
         return json.loads(text)
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # JSONDecodeError, or the int conversion's ValueError
         raise ParseError(f"config is not valid JSON: {exc}") from None
 
 

@@ -4,11 +4,14 @@ Exhaustive cut enumeration crossed with a dense bandwidth-simplex grid, plus
 a dense scan certifying the equal-delay root bracket. Guarded to toy sizes.
 
 The grid is one ``(P, k)`` array, built once with one upload rate per point
-and device. Each cut vector turns it into P arrival rows and scores them all
-in one call: the parallel oracle through the stacked form of
+and device. The cut vectors are grouped by busy pattern (the devices left
+with residual work), and each group crossed with the grid becomes one stack
+of arrival rows with one residual row each, scored in one call: the parallel
+oracle through the stacked form of
 :func:`~splitplan.parallel.equal_delay_split`, the serial one through the
-queue recursion run down the columns. Both keep the first minimum in cut
-order and then grid order.
+queue recursion run down the columns. A group too big for one call of at
+most ``_MAX_GRID_POINTS`` rows is scored in chunks of whole cut vectors. Both
+oracles keep the first minimum in cut order and then grid order.
 """
 
 from __future__ import annotations
@@ -73,9 +76,10 @@ def _bandwidth_grid(total: float, k: int, points: int) -> np.ndarray:
 
 
 def _grid_min(net: NetworkInstance, grid: GridSpec | None, score) -> OracleResult:
-    """Minimum of ``score(arrival_rows, residuals, server_flops)``, which scores
-    every row, over every cut vector crossed with the bandwidth-simplex grid.
-    Grid points where some device gets a zero rate are left out."""
+    """Minimum of ``score(arrival_rows, residual_rows, server_flops)``, which
+    scores every row of a stack sharing one busy pattern, over every cut
+    vector crossed with the bandwidth-simplex grid. Grid points where some
+    device gets a zero rate are left out."""
     grid = grid or GridSpec()
     _guard(net, grid)
     table = CutTable(net)
@@ -86,28 +90,47 @@ def _grid_min(net: NetworkInstance, grid: GridSpec | None, score) -> OracleResul
     bw, rates = bw[finite], rates[finite]
     if not len(bw):
         raise TooLarge("no finite grid point (all rates zero?)")
-    best = None
-    for cuts in itertools.product(*(range(d.profile.num_cuts + 1) for d in net.devices)):
-        view = table.view(cuts)
-        rows = _arrival_seconds(view.local_s, view.bits, rates)
-        scores = score(rows, view.resid, net.server_flops)
-        p = int(np.argmin(scores))
-        if best is None or scores[p] < best[0]:
-            best = (scores[p], cuts, p)
-    return OracleResult(float(best[0]), best[1], tuple(bw[best[2]]))
+    vectors = list(itertools.product(*(range(d.profile.num_cuts + 1) for d in net.devices)))
+    at = (np.arange(k), np.array(vectors).reshape(-1, k))
+    local_s, bits, resid = table.local_s[at], table.bits[at], table.resid[at]
+    groups = {}  # busy pattern -> its cut vectors' indices, in cut order
+    for c, busy in enumerate((resid > 0).tolist()):
+        groups.setdefault(tuple(busy), []).append(c)
+    points = len(bw)
+    chunk = max(1, _MAX_GRID_POINTS // points)
+    best = None  # (score, cut index, grid index), least first
+    for members in groups.values():
+        for start in range(0, len(members), chunk):
+            idx = members[start:start + chunk]
+            rows = _arrival_seconds(local_s[idx, None], bits[idx, None], rates)
+            scores = score(rows.reshape(-1, k), np.repeat(resid[idx], points, axis=0),
+                           net.server_flops)
+            flat = int(np.argmin(scores))
+            c, p = divmod(flat, points)
+            found = (float(scores[flat]), idx[c], p)
+            best = found if best is None else min(best, found)
+    return OracleResult(best[0], vectors[best[1]], tuple(bw[best[2]]))
 
 
 def _queue_totals(arrivals, residuals, server_flops):
     """``delay.serial_total_delay(row, residuals, server_flops)[0]`` of every
     row of ``arrivals``: the queued devices in (arrival, id) order through
-    I = max(I, C_p) + F_p/f, then the latest local-only arrival if later."""
+    I = max(I, C_p) + F_p/f, then the latest local-only arrival if later.
+    ``residuals`` is one row for all or one per row; every row must queue
+    the same devices, or :class:`ValidationError` is raised."""
     queued = residuals > 0
+    if queued.ndim == 2:  # one residual row per arrival row
+        pattern = queued.any(axis=0)
+        if (queued != pattern).any():
+            raise ValidationError("every row of residuals must queue the same devices")
+        queued = pattern
     totals = np.zeros(len(arrivals))
     if queued.any():
         c = arrivals[:, queued]
         order = np.argsort(c, axis=1, kind="stable")  # ties go by id
         c = np.take_along_axis(c, order, axis=1)
-        service = residuals[queued][order] / server_flops
+        work = np.broadcast_to(residuals, arrivals.shape)[:, queued]
+        service = np.take_along_axis(work, order, axis=1) / server_flops
         totals = c[:, 0] + service[:, 0]
         for p in range(1, c.shape[1]):
             totals = np.maximum(totals, c[:, p]) + service[:, p]

@@ -84,9 +84,12 @@ def equal_delay_split(arrivals, residuals, budget):
     Devices with residual work share ``budget`` so that each busy
     ``arrival + residual/share`` takes one value T; idle devices get share 0.
     Returns ``(shares, T)``, where T is also at least the latest idle arrival.
-    ``arrivals`` is one row of k devices or a ``(P, k)`` stack of rows that
-    share the k ``residuals``; a stack gives ``(P, k)`` shares and P values
-    of T, each bit-identical to the single-row call on its row.
+    ``arrivals`` is one row of k devices or a ``(P, k)`` stack of rows.
+    ``residuals`` is one row of k, shared by every row, or, for a stack, a
+    ``(P, k)`` array with one row per arrival row; every row of it must have
+    work on the same devices (one busy pattern), or :class:`ValidationError`
+    is raised. A stack gives ``(P, k)`` shares and P values of T, each
+    bit-identical to the single-row call on its row.
 
     With two or more busy devices the split is parameterized by the server
     seconds y of the latest busy arrival: device i then takes
@@ -94,16 +97,18 @@ def equal_delay_split(arrivals, residuals, budget):
     positive and decreasing in y, so sum(shares) = budget has exactly one
     root in (0, sum(r)/budget], which a bisection finds to relative width
     1e-13. A single row bisects on Python floats, which is cheapest for one
-    row; a stack bisects all its rows in one numpy pass per step. Server
-    seconds that overflow give shares in proportion to the work and T =
-    inf; server seconds that underflow to 0 raise :class:`Infeasible`.
+    row; a stack bisects all its rows in one numpy pass per step. A row
+    whose server seconds overflow gets shares in proportion to its work and
+    T = inf; server seconds that underflow to 0 in any row raise
+    :class:`Infeasible`.
     """
     arrivals = np.asarray(arrivals, dtype=float)
     residuals = np.asarray(residuals, dtype=float)
-    if arrivals.ndim not in (1, 2) or residuals.ndim != 1:
+    if arrivals.ndim not in (1, 2):
         raise ValidationError("arrivals must be one row or a (P, k) stack of rows")
-    if arrivals.shape[-1] != residuals.shape[0]:
-        raise ValidationError("arrivals and residuals must have equal length")
+    if residuals.shape != arrivals.shape[-1:] and residuals.shape != arrivals.shape:
+        raise ValidationError("arrivals and residuals must have equal length "
+                              "(residuals: one row, or one row per arrival row)")
     if not (residuals >= 0).all():
         raise ValidationError("residual work must be >= 0")
     if not budget > 0:
@@ -115,11 +120,19 @@ def equal_delay_split(arrivals, residuals, budget):
         raise ZeroRate(
             f"device {i} arrives at {rows[p, i]}{where}: its upload rate is zero")
     busy = residuals > 0
+    if busy.ndim == 2:  # one residual row per arrival row
+        pattern = busy.any(axis=0)
+        if (busy != pattern).any():
+            raise ValidationError("every row of residuals must have the same busy devices")
+        busy = pattern
+        r = np.ascontiguousarray(residuals[:, busy])  # sums in single-row order
+    else:
+        r = residuals[busy]
     shares = np.zeros(rows.shape)
     t = rows[:, ~busy].max(axis=1, initial=-math.inf)  # latest idle arrival
     if busy.any():
-        a, r = rows[:, busy], residuals[busy]
-        if r.size == 1:
+        a = rows[:, busy]
+        if r.shape[-1] == 1:
             sub = np.full(a.shape, float(budget))
         else:
             sub = _busy_split(a, r, budget)
@@ -132,33 +145,47 @@ def equal_delay_split(arrivals, residuals, budget):
 
 def _busy_split(a, r, budget):
     """Equal-delay shares of ``(P, n)`` busy arrivals ``a`` (n >= 2) with
-    residuals ``r``, rescaled to spend ``budget`` exactly in every row. One
-    row bisects on Python floats, a stack with :func:`_bisect_rows`."""
+    residuals ``r``, one ``(n,)`` row for all or one per row, rescaled to
+    spend ``budget`` exactly in every row. One row bisects on Python floats,
+    a stack with :func:`_bisect_rows`."""
     # contiguous, so a stacked row sums in the order of its single-row call
     gap = np.ascontiguousarray(a.max(axis=1)[:, None] - a)
-    hi = float(r.sum()) / float(budget)  # the shares sum to at most the budget here
-    if math.isinf(hi):  # the limit y -> inf: shares in proportion to the work
-        sub = np.tile(r / r.max(), (len(a), 1))
-    else:
-        if len(a) == 1:
+    if len(a) == 1:
+        if r.ndim == 2:
+            r = r[0]
+        hi = float(r.sum()) / float(budget)  # the shares sum to at most the budget here
+        if math.isinf(hi):  # the limit y -> inf: shares in proportion to the work
+            sub = (r / r.max())[None]
+        else:
             gap0 = gap[0]
             lo0, hi0 = _bisect(lambda y: float((r / (y + gap0)).sum()) <= budget,
                                0.0, hi, 1e-13)
-            y = np.array([0.5 * (lo0 + hi0)])
-        else:
-            y = _bisect_rows(r, gap, budget, np.full(len(a), hi))
+            y = 0.5 * (lo0 + hi0)
+            if not y > 0.0:
+                raise Infeasible("the latest busy device's server time underflows to 0")
+            sub = r / (y + gap)
+    else:
+        with np.errstate(over="ignore"):
+            hi = np.full(len(a), r.sum(axis=-1) / budget)
+        y = _bisect_rows(r, gap, budget, hi)  # a row with hi = inf stays at inf
         if not (y > 0.0).all():
             raise Infeasible("the latest busy device's server time underflows to 0")
         sub = r / (y[:, None] + gap)
+        over = np.isinf(y)
+        if over.any():  # the limit y -> inf, per row: shares in proportion to the work
+            r_over = np.broadcast_to(r, a.shape)[over]
+            sub[over] = r_over / r_over.max(axis=1, keepdims=True)
     sub *= (budget / sub.sum(axis=1))[:, None]  # land exactly on the budget
     return sub
 
 
+@np.errstate(divide="ignore")  # a stopped row at y = 0 may divide by a zero gap
 def _bisect_rows(r, gap, budget, hi):
     """Server seconds y of every row of a stack: ``_bisect``'s narrowing of
-    ``(0, hi]`` on the budget equation, one numpy pass per step. A row that
-    meets ``_bisect``'s stop rule no longer moves, so it stays stopped and
-    ends where the single-row search would."""
+    ``(0, hi]`` on the budget equation, one numpy pass per step; ``r`` is
+    one row for all or one per row. A row that meets ``_bisect``'s stop
+    rule no longer moves, so it stays stopped and ends where the single-row
+    search would; a row with ``hi`` = 0 or inf stops at once, there."""
     lo = np.zeros_like(hi)
     while True:
         mid = 0.5 * (lo + hi)

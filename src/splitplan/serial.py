@@ -87,7 +87,9 @@ def _common_arrival_bandwidth(table: CutTable, cuts):
 def _reselect_serial(table: CutTable, cuts, bandwidth):
     """Coordinate pass over devices: re-pick each cut at fixed bandwidth to
     minimize the simultaneous-arrival objective
-    max(arrival) + sum(residual)/f_max exactly."""
+    max(arrival) + sum(residual)/f_max exactly. Where every cut of a device
+    scores inf (a server budget so small that any residual work overflows),
+    the device takes its cut with the least residual work."""
     f_max = table.net.server_flops
     k = table.num_devices
     cand_arr = table.all_arrivals(bandwidth)
@@ -103,6 +105,8 @@ def _reselect_serial(table: CutTable, cuts, bandwidth):
         others_res = res.sum() - res[i]
         score = np.maximum(cand_arr[i], others_max) + (others_res + table.resid[i]) / f_max
         best = int(np.argmin(score))
+        if score[best] == math.inf:  # the whole row is inf
+            best = int(np.argmin(table.resid[i]))
         new_cuts[i] = best
         arr[i] = cand_arr[i, best]
         res[i] = table.resid[i, best]

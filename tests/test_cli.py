@@ -128,6 +128,16 @@ class TestSimulate:
         err = json.loads(capsys.readouterr().err)
         assert err["error"] == "ParseError"
 
+    def test_integer_past_the_digit_limit_exits_2(self, capsys, tmp_path):
+        # json.loads raises a plain ValueError here, not a JSONDecodeError
+        path = tmp_path / "big.json"
+        path.write_text('{"device_flops": ' + "9" * 5000 + "}")
+        assert main(["simulate", "--config", str(path), "--trials", "1",
+                     "--policy", "p2"]) == 2
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"] == "ParseError"
+        assert "digits" in err["message"]
+
     @pytest.mark.parametrize("cfg, named", [
         ({"solver": {"bisect_tol": 1e-9}}, "bisect_tol"),
         ([1], "object"),

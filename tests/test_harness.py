@@ -219,8 +219,10 @@ class TestZeroSnrLink:
 class TestVanishingServer:
     """A server budget of 1e-300 FLOP/s on the default uploads: only the
     all-local cuts have a finite delay. ``p2`` keeps them, ``p1`` prices the
-    server-bound cut vectors at inf and does no worse than ``p2``, and every
-    other policy names the server, without a ``RuntimeWarning`` on the way."""
+    server-bound cut vectors at inf and does no worse than ``p2``, ``p3`` and
+    ``queue-heuristic`` re-pick every device's least-work cut once all its
+    cuts score inf, and the fixed-cut policies name the server, without a
+    ``RuntimeWarning`` on the way."""
 
     NET = build_network(ExperimentConfig(server_flops=1e-300, devices=3), 0)
 
@@ -235,7 +237,15 @@ class TestVanishingServer:
         assert plan.objective <= POLICIES["p2"](self.NET).objective
         assert sum(plan.residuals) == 0
 
-    @pytest.mark.parametrize("policy", [p for p in ALL_POLICIES if p not in ("p1", "p2")])
+    @pytest.mark.parametrize("policy, objective", [("p3", 3.4233), ("queue-heuristic", 3.6102)])
+    def test_serial_cut_pickers_return_an_all_local_plan_no_worse_than_p2(self, policy,
+                                                                         objective):
+        plan = POLICIES[policy](self.NET)
+        assert plan.objective == pytest.approx(objective, rel=1e-4)
+        assert plan.objective <= POLICIES["p2"](self.NET).objective
+        assert sum(plan.residuals) == 0
+
+    @pytest.mark.parametrize("policy", ["min-data", "first-layer", "queue-first-layer"])
     def test_other_policies_raise_a_typed_error_that_is_not_zero_rate(self, policy):
         with pytest.raises(SplitPlanError) as err:
             POLICIES[policy](self.NET)

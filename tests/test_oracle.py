@@ -2,15 +2,19 @@
 
 import itertools
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from conftest import toy_network
+from conftest import ragged_network, toy_network
 from splitplan import oracle, parallel
 from splitplan.channel import shannon_rate
 from splitplan.delay import NetworkInstance, serial_total_delay
-from splitplan.errors import TooLarge
+from splitplan.errors import TooLarge, ValidationError
 from splitplan.harness import ExperimentConfig, build_network
 from splitplan.oracle import (GridSpec, OracleResult, dense_root_scan, oracle_parallel,
                               oracle_serial)
@@ -143,12 +147,92 @@ class TestBatchedScoring:
     ])
     def test_oracles_equal_the_per_point_walk(self, seed, devices, points):
         grid = GridSpec(bandwidth_points=points)
-        for net in (toy_network(np.random.default_rng(seed), devices=devices),
-                    symmetric_network(seed, devices)):
+        nets = [toy_network(np.random.default_rng(seed), devices=devices),
+                symmetric_network(seed, devices)]
+        if devices == 2:  # cut counts that differ by device
+            nets.append(ragged_network(np.random.default_rng(seed), devices=2))
+        for net in nets:
             assert oracle_parallel(net, grid) == walk_reference(
                 net, grid, lambda *point: equal_delay_split(*point)[1])
             assert oracle_serial(net, grid) == walk_reference(
                 net, grid, lambda *point: serial_total_delay(*point)[0])
+
+
+    def test_queue_totals_take_one_residual_row_per_arrival_row(self):
+        rng = np.random.default_rng(52)
+        arrivals = rng.uniform(0.1, 5.0, (20, 3))
+        arrivals[:5, 1] = arrivals[:5, 0]  # ties go by id
+        residuals = rng.uniform(1e9, 5e10, (20, 3))
+        residuals[:, 2] = 0.0  # device 2 finishes locally in every row
+        totals = oracle._queue_totals(arrivals, residuals, 3e10)
+        for row, resid, total in zip(arrivals, residuals, totals):
+            assert total == serial_total_delay(row, resid, 3e10)[0]
+        residuals[7, 2] = 1e9
+        with pytest.raises(ValidationError, match="same devices"):
+            oracle._queue_totals(arrivals, residuals, 3e10)
+
+    @pytest.mark.parametrize("cap", [10 ** 5, 38], ids=["one-call-a-pattern", "two-vectors-a-call"])
+    def test_ties_go_to_the_first_cut_vector_then_grid_point(self, monkeypatch, cap):
+        # a coarse score ties across busy patterns and across the calls of one
+        # pattern; 38 rows hold two cut vectors of the 19-point grid
+        monkeypatch.setattr(oracle, "_MAX_GRID_POINTS", cap)
+
+        def coarse(rows, residuals, server_flops):
+            return np.floor(np.atleast_2d(rows).sum(axis=-1) * 10.0) % 3.0
+
+        net = toy_network(np.random.default_rng(54), devices=2)
+        grid = GridSpec(bandwidth_points=21)
+        assert oracle._grid_min(net, grid, coarse) == walk_reference(
+            net, grid, lambda *point: float(coarse(*point)[0]))
+
+    def test_ties_across_busy_patterns_go_to_the_first_cut_vector(self):
+        # all-busy vectors from device 0's cut 1 on tie with every vector that
+        # keeps device 1 local; the all-busy ones are scored first, but
+        # (0, last) comes first in cut order
+        net = toy_network(np.random.default_rng(55), devices=2)
+        top = CutTable(net).resid[0, 0]
+
+        def score(rows, residuals, server_flops):
+            r = np.atleast_2d(residuals)
+            busy_late = (r > 0).all(axis=1) & (r[:, 0] < top)
+            return np.where(busy_late | (r[:, 1] == 0), 0.0, 1.0)
+
+        grid = GridSpec(bandwidth_points=11)
+        best = oracle._grid_min(net, grid, score)
+        assert best.cuts == (0, net.devices[1].profile.num_cuts)
+        assert best == walk_reference(net, grid, lambda *point: float(score(*point)[0]))
+
+    def test_stacked_calls_stay_within_the_grid_cap(self, monkeypatch):
+        rows = []
+
+        def recording(arrivals, residuals, budget):
+            rows.append(len(arrivals))
+            return equal_delay_split(arrivals, residuals, budget)
+
+        monkeypatch.setattr(oracle, "equal_delay_split", recording)
+        net = toy_network(np.random.default_rng(53), devices=3)
+        oracle_parallel(net, GridSpec(bandwidth_points=101))
+        points = math.comb(99, 2)
+        vectors = math.prod(d.profile.num_cuts + 1 for d in net.devices)
+        assert sum(rows) == vectors * points  # every cut vector at every grid point, once
+        assert points < max(rows) <= oracle._MAX_GRID_POINTS
+
+    def test_oracles_import_no_masked_arrays(self):
+        # ``np.unique`` pulls in ``numpy.ma``, megabytes of resident memory
+        code = ("import sys\n"
+                "from splitplan.harness import ExperimentConfig, build_network\n"
+                "from splitplan.oracle import GridSpec, oracle_parallel, oracle_serial\n"
+                "net = build_network(ExperimentConfig(arch='toy', devices=3), 0)\n"
+                "oracle_parallel(net, GridSpec(21))\n"
+                "oracle_serial(net, GridSpec(21))\n"
+                "print('numpy.ma' in sys.modules)\n")
+        src = str(Path(__file__).resolve().parent.parent / "src")
+        env = {**os.environ,
+               "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+        proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                              text=True, timeout=60)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "False"
 
 
 class TestDenseRootScan:

@@ -81,14 +81,50 @@ class TestEqualDelaySplit:
                 one_shares, one_t = equal_delay_split(row, residuals, budget)
                 assert np.array_equal(one_shares, row_shares) and one_t == row_t
 
+    @pytest.mark.parametrize("busy", ["all", "some", "one", "none"])
+    def test_stack_rows_with_own_residuals_match_single_rows(self, busy):
+        rng = np.random.default_rng(9)
+        for k in range(2, 34):
+            arrivals = rng.uniform(0.1, 5.0, (12, k))
+            arrivals[:4, 0] = arrivals[:4].min(axis=1)
+            arrivals[4:8, -1] = arrivals[4:8].max(axis=1)
+            residuals = rng.uniform(0.5e9, 5e10, (12, k))
+            residuals *= 10.0 ** rng.integers(-3, 1, residuals.shape)  # decades of work
+            keep = {"all": k, "some": (k + 1) // 2, "one": 1, "none": 0}[busy]
+            residuals[:, rng.permutation(k)[keep:]] = 0.0  # one busy pattern
+            budget = rng.uniform(1e10, 5e11)
+            shares, t = equal_delay_split(arrivals, residuals, budget)
+            assert shares.shape == arrivals.shape and t.shape == (12,)
+            for row, row_resid, row_shares, row_t in zip(arrivals, residuals, shares, t):
+                one_shares, one_t = equal_delay_split(row, row_resid, budget)
+                assert np.array_equal(one_shares, row_shares) and one_t == row_t
+
+    def test_stack_overflows_and_underflows_row_by_row(self):
+        arrivals = [[1.0, 2.0], [2.0, 1.0], [3.0, 3.0]]
+        # the middle row's server seconds overflow; the others bisect
+        residuals = [[1e10, 2e10], [1e300, 2e300], [3e10, 1e10]]
+        shares, t = equal_delay_split(arrivals, residuals, 1e-10)
+        assert np.isinf(t).tolist() == [False, True, False]
+        for row, row_resid, row_shares, row_t in zip(arrivals, residuals, shares, t):
+            one_shares, one_t = equal_delay_split(row, row_resid, 1e-10)
+            assert np.array_equal(one_shares, row_shares) and one_t == row_t
+        # one row whose server seconds underflow sinks the stack
+        with pytest.raises(Infeasible, match="underflows"):
+            equal_delay_split(arrivals, [[1e10, 2e10], [1e-300, 2e-300], [3e10, 1e10]],
+                              1e300)
+
     @pytest.mark.parametrize("arrivals, residuals, budget, named", [
         ([1.0, 2.0], [1e9], 1e9, "equal length"),
         ([[1.0, 2.0], [3.0, 4.0]], [1e9, 1e9, 1e9], 1e9, "equal length"),
         ([[[1.0, 2.0]]], [1e9, 1e9], 1e9, "stack of rows"),
         ([1.0, 2.0], [1e9, -1.0], 1e9, "residual"),
         ([1.0, 2.0], [1e9, 1e9], 0.0, "budget"),
+        ([[1.0, 2.0], [3.0, 4.0]], [[1e9, 1e9]] * 3, 1e9, "equal length"),
+        ([1.0, 2.0], [[1e9, 1e9]], 1e9, "equal length"),
+        ([[1.0, 2.0], [3.0, 4.0]], [[1e9, 1e9], [1e9, 0.0]], 1e9, "same busy devices"),
     ], ids=["mismatched-lengths", "mismatched-stack", "3-d-arrivals",
-            "negative-residual", "zero-budget"])
+            "negative-residual", "zero-budget", "mismatched-residual-rows",
+            "residual-rows-for-one-row", "mixed-busy-patterns"])
     def test_rejects_malformed_input(self, arrivals, residuals, budget, named):
         with pytest.raises(ValidationError, match=named):
             equal_delay_split(arrivals, residuals, budget)
