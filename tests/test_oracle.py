@@ -157,7 +157,6 @@ class TestBatchedScoring:
             assert oracle_serial(net, grid) == walk_reference(
                 net, grid, lambda *point: serial_total_delay(*point)[0])
 
-
     def test_queue_totals_take_one_residual_row_per_arrival_row(self):
         rng = np.random.default_rng(52)
         arrivals = rng.uniform(0.1, 5.0, (20, 3))
@@ -171,7 +170,8 @@ class TestBatchedScoring:
         with pytest.raises(ValidationError, match="same devices"):
             oracle._queue_totals(arrivals, residuals, 3e10)
 
-    @pytest.mark.parametrize("cap", [10 ** 5, 38], ids=["one-call-a-pattern", "two-vectors-a-call"])
+    @pytest.mark.parametrize("cap", [10 ** 5, 38],
+                             ids=["one-call-a-pattern", "two-vectors-a-call"])
     def test_ties_go_to_the_first_cut_vector_then_grid_point(self, monkeypatch, cap):
         # a coarse score ties across busy patterns and across the calls of one
         # pattern; 38 rows hold two cut vectors of the 19-point grid
