@@ -7,6 +7,7 @@ recursion with its break structure and closed-form totals.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 from .arch import CutProfile
@@ -21,8 +22,8 @@ class Device:
     profile: CutProfile
 
     def __post_init__(self):
-        if self.compute_flops <= 0:
-            raise ValidationError("device compute must be positive")
+        if not 0 < self.compute_flops < math.inf:
+            raise ValidationError("device compute must be positive and finite")
 
 
 @dataclass(frozen=True)
@@ -37,8 +38,9 @@ class NetworkInstance:
         object.__setattr__(self, "devices", tuple(self.devices))
         if not self.devices:
             raise ValidationError("need at least one device")
-        if self.server_flops <= 0 or self.total_bandwidth_hz <= 0:
-            raise ValidationError("server compute and spectrum budgets must be positive")
+        if not (0 < self.server_flops < math.inf and 0 < self.total_bandwidth_hz < math.inf):
+            raise ValidationError(
+                "server compute and spectrum budgets must be positive and finite")
 
     @property
     def num_devices(self) -> int:

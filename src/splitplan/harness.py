@@ -51,9 +51,6 @@ POLICIES = {
 
 ALL_POLICIES = tuple(POLICIES)
 
-_CONFIG_KEYS = ("arch", "devices", "device_flops", "server_flops", "bandwidth_hz",
-                "trials", "seed", "policies", "channel", "solver")
-
 #: Top-level config numbers, each with whether it must be whole.
 _NUMBER_KEYS = {"devices": True, "device_flops": False, "server_flops": False,
                 "bandwidth_hz": False, "trials": True, "seed": True}
@@ -118,7 +115,7 @@ class ExperimentConfig:
     def from_dict(cls, cfg: dict) -> "ExperimentConfig":
         """The config of a JSON object; its keys are checked here, its values
         by the constructor."""
-        named = dict(_known_keys(cfg, _CONFIG_KEYS, "config"))
+        named = dict(_known_keys(cfg, tuple(f.name for f in fields(cls)), "config"))
         named["solver"] = SolverSettings(
             **_known_keys(named.get("solver", {}), _SOLVER_KEYS, "solver"))
         return cls(**named)

@@ -2,9 +2,10 @@
 
 Covers the joint problem (cut selection + bandwidth + server-compute split,
 alternating a convex resource step with per-device cut re-selection), the
-fixed-bandwidth variant whose server split has a one-root closed form, and
-the min-data / raw-input baselines. :func:`_least_target` is the one
-target-delay search, for the convex step and the serial shaping alike.
+fixed-bandwidth variant (optimal cuts and server shares from one
+target-delay search), and the min-data / raw-input baselines.
+:func:`_least_target` is the one target-delay search, for the convex step,
+the fixed-bandwidth variant and the serial shaping alike.
 """
 
 from __future__ import annotations
@@ -30,8 +31,9 @@ _STALL_REL_TOL = 1e-6
 class SolverSettings:
     """Shared solver knobs.
 
-    ``max_alternations`` caps the cut/resource alternation of ``p1``, ``p2``
-    and ``p3``; ``outer_iters`` is the serial heuristic's outer loop count.
+    ``max_alternations`` caps the cut/resource alternation of ``p1`` and
+    ``p3`` (``p2`` has none); ``outer_iters`` is the serial heuristic's outer
+    loop count.
     Each cap is a whole number >= 1 (a whole float such as 2.0 is stored as
     the int 2); anything else raises :class:`ValidationError`.
     """
@@ -661,42 +663,51 @@ def _alternate(cuts, evaluate, reselect, max_iter):
 
 
 def solve_p2(net: NetworkInstance, settings: SolverSettings | None = None) -> AllocationPlan:
-    """Fixed equal bandwidth; alternate the closed-form server split with
-    per-device cut re-selection."""
-    settings = settings or SolverSettings()
+    """Fixed equal bandwidth, optimal over cuts and server shares together.
+
+    Compute is the only shared budget, so a target delay t is feasible when
+    the devices' least shares fit it: device i at cut c meets t with
+    ``r_ic / (t - a_ic)``, a cut without residual work needs 0 once it has
+    arrived, and a cut that has not arrived cannot meet t. Every share
+    decreases in t, so :func:`_least_target` on the sum of the per-device
+    minima over the ``(k, C)`` arrival matrix gives the optimum; the
+    equal-delay split at its cuts gives the shares. ``settings`` is accepted
+    for a uniform policy signature; no cap applies.
+    """
     table = CutTable(net)
     k = table.num_devices
     bw = np.full(k, net.total_bandwidth_hz / k)
+    arrivals = table.all_arrivals(bw)
 
-    def evaluate(cuts):
-        view = table.view(cuts)
-        shares, obj = equal_delay_split(
-            view.arrivals(bw), view.resid, net.server_flops)
-        return obj, shares
+    def least_shares(t):
+        slack = t - arrivals  # r / slack is a share, as r / share is seconds
+        need = np.where(slack >= 0.0, _server_seconds(table.resid, slack), math.inf)
+        return float(need.min(axis=1).sum()), need, None
 
-    (_, cuts, shares), history = _alternate(
-        table.min_data_cuts(), evaluate,
-        lambda cuts, shares: _reselect_parallel(table, bw, shares),
-        settings.max_alternations)
-    return _parallel_plan("p2", table, cuts, bw, shares, history)
+    _, need = _least_target(least_shares, net.server_flops,
+                            float(arrivals.min(axis=1).max()))
+    cuts = need.argmin(axis=1)
+    view = table.view(cuts)
+    shares, obj = equal_delay_split(view.arrivals(bw), view.resid, net.server_flops)
+    return _parallel_plan("p2", table, cuts, bw, shares, [obj])
 
 
 def solve_p1(net: NetworkInstance, settings: SolverSettings | None = None) -> AllocationPlan:
     """Joint cut + bandwidth + compute optimization by alternation.
 
     The alternation can stall in a local optimum, so the fixed-bandwidth
-    solution's cuts and the all-raw cut vector are also priced through the
-    convex step and the best plan wins.
+    solution's cuts are also priced through the convex step and the better
+    plan wins. (The all-raw cuts are the ``first-layer`` policy.)
     """
     settings = settings or SolverSettings()
     table = CutTable(net)
-    p2 = solve_p2(net, settings)
+    p2 = solve_p2(net)
     memo = {}
-    seed = p2.objective_history[0]
+    seed = p2.objective
 
     def price(cuts):
         """Convex resource step for one cut vector (memoized). The first one
-        seeds its target-delay bracket with p2's first objective, each later
+        seeds its target-delay bracket with p2's objective, each later
         one with the objective priced before it: re-selection leaves every
         device's delay at the frozen resources no higher, so the previous
         round's objective is a feasible target for the next cut vector. A cut
@@ -716,10 +727,9 @@ def solve_p1(net: NetworkInstance, settings: SolverSettings | None = None) -> Al
         table.min_data_cuts(), price,
         lambda cuts, alloc: cuts if alloc is None else _reselect_parallel(table, *alloc),
         settings.max_alternations)
-    for cuts in (p2.cuts, tuple(0 for _ in range(table.num_devices))):
-        obj, alloc = price(cuts)
-        if obj < best[0]:
-            best = (obj, cuts, alloc)
+    obj, alloc = price(p2.cuts)
+    if obj < best[0]:
+        best = (obj, p2.cuts, alloc)
     obj, cuts, (bw, f) = best
     history = [min(h, obj) for h in history]
     return _parallel_plan("p1", table, cuts, bw, f, history)

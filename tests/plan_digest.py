@@ -50,7 +50,8 @@ from splitplan.parallel import SolverSettings
 FLEET_POLICIES = ("p1", "p3", "queue-heuristic", "queue-first-layer")
 
 #: (policy, settings) pairs that run a loop away from its default: a short
-#: alternation cap for the three alternating policies.
+#: alternation cap for the two alternating policies, ``p1`` and ``p3``, and
+#: for ``p2``, which has no loop, so the cap must leave its plans as they are.
 FLEET_SETTINGS = (
     ("p1", SolverSettings(max_alternations=2)),
     ("p2", SolverSettings(max_alternations=2)),

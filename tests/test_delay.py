@@ -10,7 +10,7 @@ from splitplan.delay import (Device, NetworkInstance, arrival_delay,
                              broken_queue_total, parallel_delay,
                              queue_completions, residual_workload,
                              serial_total_delay)
-from splitplan.errors import MissingServerCompute, ZeroRate
+from splitplan.errors import MissingServerCompute, ValidationError, ZeroRate
 
 
 def _device_with_exact_rate(rate, profile):
@@ -166,6 +166,18 @@ class TestSerialObjective:
 
 class TestNetworkValidation:
     def test_needs_devices(self):
-        from splitplan.errors import ValidationError
         with pytest.raises(ValidationError):
             NetworkInstance((), server_flops=1.0, total_bandwidth_hz=1.0)
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf])
+    @pytest.mark.parametrize("budget", ["compute_flops", "server_flops", "total_bandwidth_hz"])
+    def test_rejects_a_non_finite_budget(self, budget, value):
+        """Every budget must be positive and finite, as in ExperimentConfig;
+        a NaN or inf one would otherwise surface later as a misleading
+        policy error (a ZeroRate, a RuntimeWarning, a non-positive budget)."""
+        budgets = {"compute_flops": 30e9, "server_flops": 300e9,
+                   "total_bandwidth_hz": 200e6, budget: value}
+        with pytest.raises(ValidationError, match="finite"):
+            dev = Device(link=link_with_snr(1e8), compute_flops=budgets["compute_flops"],
+                         profile=profile_from_lists([1e9], [1e6]))
+            NetworkInstance((dev,), budgets["server_flops"], budgets["total_bandwidth_hz"])

@@ -1,6 +1,7 @@
 """Equal-delay split, rate inversion and the parallel policies."""
 
 import decimal
+import itertools
 import math
 
 import numpy as np
@@ -10,13 +11,13 @@ from conftest import (link_with_snr, oracle_benchmark_network, profile_from_list
                       ragged_network, random_network, random_profile, toy_network,
                       zero_workload_network)
 from splitplan import parallel
-from splitplan.delay import Device, NetworkInstance, arrival_delay
+from splitplan.delay import Device, NetworkInstance, arrival_delay, residual_workload
 from splitplan.errors import Infeasible, NonConvergence, ValidationError, ZeroRate
 from splitplan.harness import POLICIES, ExperimentConfig, build_network
 from splitplan.oracle import GridSpec, dense_root_scan, oracle_parallel, oracle_serial
-from splitplan.parallel import (CutTable, bandwidth_for_rate, equal_delay_split,
-                                first_layer_policy, min_data_layer_policy, solve_p1,
-                                solve_p2, _alternate, _bisect, _grow,
+from splitplan.parallel import (CutTable, SolverSettings, bandwidth_for_rate,
+                                equal_delay_split, first_layer_policy, min_data_layer_policy,
+                                solve_p1, solve_p2, _alternate, _bisect, _grow,
                                 _required_bandwidth_u)
 from splitplan.channel import achievable_rate, shannon_rate
 
@@ -536,7 +537,7 @@ class TestZeroWorkload:
 
 
 class TestAlternate:
-    """The one alternation loop of p1, p2 and p3, on synthetic steps: round
+    """The one alternation loop of p1 and p3, on synthetic steps: round
     ``n`` evaluates cut vector ``(n,)`` to ``objectives[n]``."""
 
     @staticmethod
@@ -624,6 +625,56 @@ class TestFixedBandwidthPolicy:
             hist = plan.objective_history
             assert all(b <= a * (1 + 1e-9) for a, b in zip(hist, hist[1:]))
 
+    @staticmethod
+    def cut_rows(net):
+        """Per device, the ``(arrival, residual)`` of every cut at the equal
+        bandwidth, from the reference delay algebra."""
+        bw = net.total_bandwidth_hz / net.num_devices
+        return [[(arrival_delay(dev, c, bw), residual_workload(dev.profile, c))
+                 for c in range(dev.profile.num_cuts + 1)] for dev in net.devices]
+
+    def test_no_cut_vector_meets_a_lower_target(self):
+        """Optimality over cuts and shares: each device at each cut meets a
+        target t with the server share r/(t - a) (0 for an arrived cut
+        without residual work, inf for one not yet arrived). At
+        T * (1 - 1e-9), T being p2's objective, the least such shares of the
+        devices overrun the budget, so no cut vector meets that target; at T
+        the busy shares spend the budget."""
+        def need(arrival, resid, t):
+            if arrival > t or (resid > 0 and arrival == t):
+                return math.inf
+            return resid / (t - arrival) if resid > 0 else 0.0
+
+        rng = np.random.default_rng(5)
+        for _ in range(100):
+            net = random_network(rng, devices=int(rng.integers(2, 10)))
+            plan = solve_p2(net)
+            lower = plan.objective * (1 - 1e-9)
+            assert sum(min(need(a, r, lower) for a, r in row)
+                       for row in self.cut_rows(net)) > net.server_flops
+            if any(r > 0 for r in plan.residuals):
+                assert math.fsum(plan.server_flops) == pytest.approx(net.server_flops,
+                                                                      rel=1e-12)
+
+    def test_no_cut_vector_beats_it(self):
+        """Full enumeration of cut vectors, each priced by its equal-delay
+        split, on uniform and ragged fleets of 2-4 devices."""
+        rng = np.random.default_rng(17)
+        fleets = ([random_network(rng, devices=int(rng.integers(2, 5))) for _ in range(15)]
+                  + [ragged_network(rng, devices=int(rng.integers(2, 4))) for _ in range(10)])
+        for net in fleets:
+            best = min(equal_delay_split(*zip(*cells), net.server_flops)[1]
+                       for cells in itertools.product(*self.cut_rows(net)))
+            assert solve_p2(net).objective <= best * (1 + 1e-9)
+
+    def test_plans_do_not_depend_on_the_alternation_cap(self):
+        rng = np.random.default_rng(18)
+        for _ in range(10):
+            net = random_network(rng, devices=int(rng.integers(2, 10)))
+            plan = solve_p2(net, SolverSettings(max_alternations=1))
+            assert plan == solve_p2(net, SolverSettings(max_alternations=20))
+            assert plan.objective_history == (plan.objective,)
+
 
 class TestJointPolicy:
     def test_single_device_gets_everything(self):
@@ -661,8 +712,9 @@ class TestJointPolicy:
 
     def test_dominance_chain(self):
         rng = np.random.default_rng(15)
-        for _ in range(20):
-            net = random_network(rng, devices=4)
+        fleets = ([random_network(rng, devices=4) for _ in range(20)]
+                  + [ragged_network(rng, devices=int(rng.integers(2, 9))) for _ in range(20)])
+        for net in fleets:
             p1 = solve_p1(net)
             md = min_data_layer_policy(net)
             fl = first_layer_policy(net)
