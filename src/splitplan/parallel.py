@@ -258,6 +258,19 @@ def _required_bandwidth_u(snr_hz: float, rate: float):
     raise NonConvergence(f"rate inverse did not settle for rho = {rho!r}")
 
 
+def _add_upload_slope(slope, bits, seconds, u):
+    """``slope`` plus dB/ds = -LN2*bits / (seconds**2 * D), the derivative of
+    the least bandwidth B that uploads ``bits`` in ``seconds``, where
+    D = log1p(u) - u/(1+u) at the in-band SNR u = snr/B of that bandwidth;
+    ``None`` when D rounds to zero. B is convex and increasing in the rate
+    bits/seconds, which is convex and decreasing in seconds, so B is convex
+    and decreasing in seconds."""
+    d = math.log1p(u) - u / (1.0 + u)
+    if not d > 0.0:
+        return None
+    return slope - LN2 * bits / (seconds * seconds * d)
+
+
 # ---------------------------------------------------------------------------
 # arrival times and per-cut views of a network
 
@@ -495,9 +508,8 @@ def _bandwidth_floor(view, budget, slack, warm):
     ``slope`` is the derivative of the total in a common shift t of every
     deadline. By the envelope theorem (Boyd & Vandenberghe, Convex
     Optimization, 5.6.3) the shares stay put to first order, so each device
-    adds dB_i/ds_i = -LN2*b_i / (s_i**2 * D_i) at its upload time
-    s_i = slack_i - r_i/f_i, with D_i = log1p(u_i) - u_i/(1+u_i). ``slope``
-    is ``None`` when some D_i rounds to zero.
+    adds its :func:`_add_upload_slope` term at its upload time
+    s_i = slack_i - r_i/f_i. ``slope`` is ``None`` when some term is.
     """
     k = len(slack)
     bw = np.zeros(k)
@@ -534,15 +546,12 @@ def _bandwidth_floor(view, budget, slack, warm):
         bw[i], u = _required_bandwidth_u(snr, b / si)
         if not math.isfinite(bw[i]):
             return None
-        d = math.log1p(u) - u / (1.0 + u)
-        if slope is not None and d > 0.0:
-            slope -= LN2 * b / (si * si * d)
-        else:
-            slope = None
+        if slope is not None:
+            slope = _add_upload_slope(slope, b, si, u)
     return bw.sum(), (bw, f), slope
 
 
-def _least_target(floor, budget, t_floor, t_seed=None):
+def _least_target(floor, budget, t_floor, t_seed=None, settled=None):
     """Least target delay t > ``t_floor`` at which ``floor(t)`` fits ``budget``.
 
     ``floor(t)`` is ``None`` when nothing meets t, else ``(total, allocation,
@@ -553,20 +562,26 @@ def _least_target(floor, budget, t_floor, t_seed=None):
     or 2e-9 s at a zero floor) finds a feasible t; then each probe goes just
     above a tangent-zero lower bound (a safeguarded Newton step), or else
     bisects, until the bracket is ``_BISECT_REL_TOL`` wide or 100 probes
-    pass. Returns the least feasible t and its allocation; a non-finite
-    ``t_floor`` raises :class:`Infeasible`.
+    pass. For a floor without slope, ``settled(refused, feasible)`` may end
+    the search sooner: it gets the allocations at the largest refused and
+    the smallest feasible target, and returns true once the answer is the
+    feasible one. Returns the least feasible t and its allocation; a
+    non-finite ``t_floor`` raises :class:`Infeasible`.
     """
     if not math.isfinite(t_floor):
         raise Infeasible(f"no finite target delay: its floor is {t_floor} s")
-    # lower bound on the root and whether it is a tangent zero; smallest
-    # feasible target and its allocation
-    lo, newton, hi, best = t_floor, False, math.inf, None
+    # lower bound on the root and whether it is a tangent zero; the
+    # allocation of the largest refused target; smallest feasible target and
+    # its allocation
+    lo, newton, refused, hi, best = t_floor, False, None, math.inf, None
 
     def feasible(t):
-        nonlocal lo, newton, hi, best
+        nonlocal lo, newton, refused, hi, best
         total, alloc, slope = floor(t) or (math.inf, None, None)  # None: t is infeasible
         gap = budget - total
         if gap < 0.0:
+            if t > lo:
+                refused = alloc
             lo, newton = max(lo, t), False
         elif t < hi:
             hi, best = t, alloc
@@ -579,6 +594,8 @@ def _least_target(floor, budget, t_floor, t_seed=None):
     _grow(feasible, t_seed, 2.0, 200, "no feasible target delay found")
     for _ in range(100):
         if hi - lo <= _BISECT_REL_TOL * hi:
+            break
+        if settled is not None and refused is not None and settled(refused, best):
             break
         feasible(lo * (1.0 + 1e-3 * _BISECT_REL_TOL) if newton else 0.5 * (lo + hi))
     return hi, best
@@ -670,11 +687,21 @@ def solve_p2(net: NetworkInstance, settings: SolverSettings | None = None) -> Al
     ``r_ic / (t - a_ic)``, a cut without residual work needs 0 once it has
     arrived, and a cut that has not arrived cannot meet t. Every share
     decreases in t, so :func:`_least_target` on the sum of the per-device
-    minima over the ``(k, C)`` arrival matrix gives the optimum; the
-    equal-delay split at its cuts gives the shares. ``settings`` is accepted
+    minima over the ``(k, C)`` arrival matrix gives the optimum cuts, and the
+    equal-delay split at those cuts gives the shares and T exactly.
+
+    The search stops once the cuts are settled: when each device's least-share
+    cut at the largest refused t is the one at the smallest feasible t, and
+    every device has a finite least share at the refused t. Above both of
+    their arrivals two cuts' share curves r/(t - a) cross at most once, so no
+    device can change its cut inside that bracket. ``settings`` is accepted
     for a uniform policy signature; no cap applies.
     """
-    table = CutTable(net)
+    return _solve_p2(CutTable(net))
+
+
+def _solve_p2(table: CutTable) -> AllocationPlan:
+    net = table.net
     k = table.num_devices
     bw = np.full(k, net.total_bandwidth_hz / k)
     arrivals = table.all_arrivals(bw)
@@ -684,8 +711,12 @@ def solve_p2(net: NetworkInstance, settings: SolverSettings | None = None) -> Al
         need = np.where(slack >= 0.0, _server_seconds(table.resid, slack), math.inf)
         return float(need.min(axis=1).sum()), need, None
 
+    def settled(refused, need):
+        return (np.isfinite(refused.min(axis=1)).all()
+                and (refused.argmin(axis=1) == need.argmin(axis=1)).all())
+
     _, need = _least_target(least_shares, net.server_flops,
-                            float(arrivals.min(axis=1).max()))
+                            float(arrivals.min(axis=1).max()), settled=settled)
     cuts = need.argmin(axis=1)
     view = table.view(cuts)
     shares, obj = equal_delay_split(view.arrivals(bw), view.resid, net.server_flops)
@@ -701,7 +732,7 @@ def solve_p1(net: NetworkInstance, settings: SolverSettings | None = None) -> Al
     """
     settings = settings or SolverSettings()
     table = CutTable(net)
-    p2 = solve_p2(net)
+    p2 = _solve_p2(table)
     memo = {}
     seed = p2.objective
 

@@ -16,8 +16,8 @@ import numpy as np
 
 from .delay import AllocationPlan, NetworkInstance, QueueState, serial_total_delay
 from .errors import Infeasible, NoExcess, StalledBreak, ValidationError, ZeroRate
-from .parallel import (CutTable, SolverSettings, _alternate, _least_target,
-                       bandwidth_for_rate)
+from .parallel import (CutTable, SolverSettings, _add_upload_slope, _alternate,
+                       _least_target, bandwidth_for_rate)
 
 
 def _serial_eval(table: CutTable, cuts, bandwidth):
@@ -60,26 +60,39 @@ def _serial_plan(policy, table, cuts, bandwidth, history=None):
 def _common_arrival_bandwidth(table: CutTable, cuts):
     """Smallest common arrival time T and the bandwidth split achieving it.
 
-    :func:`~splitplan.parallel._least_target` bisects T above the last local
-    finish (the floor gives no slope): a target is feasible when every
-    device's bandwidth requirement is finite and their sum fits the budget.
-    The spare spectrum at the returned T goes out pro rata.
+    A target T is feasible when every device's least bandwidth B_i(T) that
+    uploads its payload by T is finite and their sum fits the budget.
+    Each B_i comes from :func:`~splitplan.parallel.bandwidth_for_rate` at the
+    rate b_i/(T - l_i), which is convex and decreasing in T, and B is convex
+    and increasing in the rate, so the sum is convex and decreasing: the
+    floor returns its slope (:func:`~splitplan.parallel._add_upload_slope`
+    at u_i = snr_i/B_i), and :func:`~splitplan.parallel._least_target` takes
+    safeguarded Newton steps in T above the last local finish. The search
+    starts at the latest arrival under an equal split, a feasible T but for
+    the rate bisection's 1e-9 top-of-bracket rounding, which can cost one
+    doubling. The spare spectrum at the returned T goes out pro rata.
     """
     view = table.view(cuts)
     budget = table.net.total_bandwidth_hz
+    k = table.num_devices
 
     def floor(t):
-        need = np.zeros(table.num_devices)
-        for i in range(len(need)):
-            room = t - view.local_s[i]
+        need = np.zeros(k)
+        slope = 0.0
+        for i, (snr, b, local) in enumerate(zip(view.snr.tolist(), view.bits.tolist(),
+                                                view.local_s.tolist())):
+            room = t - local
             if room <= 0:
                 return None
-            need[i] = bandwidth_for_rate(view.snr[i], view.bits[i] / room)
-            if need[i] == math.inf:
+            need[i] = bw = bandwidth_for_rate(snr, b / room)
+            if bw == math.inf:
                 return None
-        return need.sum(), need, None
+            if slope is not None:
+                slope = _add_upload_slope(slope, b, room, snr / bw)
+        return need.sum(), need, slope
 
-    t, need = _least_target(floor, budget, float(np.max(view.local_s)))
+    t_seed = float(np.max(view.arrivals(np.full(k, budget / k))))
+    t, need = _least_target(floor, budget, float(np.max(view.local_s)), t_seed)
     return t, need * (budget / need.sum())
 
 

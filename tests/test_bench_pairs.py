@@ -1,16 +1,28 @@
 """The aggregation and the bytecode-cache check of ``tools/bench_pairs.py``, run on
-synthetic ``run.py`` output and ``tmp_path`` checkouts without starting a process."""
+synthetic ``run.py`` output and ``tmp_path`` checkouts without starting a process,
+and ``tools/scaling_pairs.py``, which reuses its checkouts: once on synthetic
+results and once for real, with one run per side."""
 
 import importlib.util
 import json
+import sys
 from pathlib import Path
 
 import pytest
 
-_PATH = Path(__file__).resolve().parent.parent / "tools" / "bench_pairs.py"
-_SPEC = importlib.util.spec_from_file_location("bench_pairs", _PATH)
-bench_pairs = importlib.util.module_from_spec(_SPEC)
-_SPEC.loader.exec_module(bench_pairs)
+_TOOLS = Path(__file__).resolve().parent.parent / "tools"
+
+
+def _load(name):
+    spec = importlib.util.spec_from_file_location(name, _TOOLS / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[name] = module  # scaling_pairs imports bench_pairs by name
+    spec.loader.exec_module(module)
+    return module
+
+
+bench_pairs = _load("bench_pairs")
+scaling_pairs = _load("scaling_pairs")
 
 BENCHMARK = {"end_to_end": [
     {"name": "instance_cost_cal", "unit": "ratio", "better": "lower", "bound": 0.12},
@@ -155,3 +167,71 @@ def test_main_refuses_a_parent_outside_git(tmp_path, monkeypatch, capsys):
     assert f"{parent} is not a git checkout" in err
     assert "pass the parent commit instead" in err
     assert not out.exists()
+
+
+def scaling_result(growth, p1=2.0, heuristic=1.5):
+    """A ``bench_scaling`` result whose ``p2`` grows ``growth`` and ``p3`` 2.0."""
+    ratios = {"p1": p1, "p2": growth, "p3": 2.0, "queue-heuristic": heuristic}
+    return {"growth_ratio": ratios, "ordering": {
+        "p2_grows_slower_than_p1": growth < p1,
+        "heuristic_grows_slower_than_p3": heuristic < 2.0}}
+
+
+def test_scaling_failures_and_growth_per_side():
+    runs = [{"parent": scaling_result(g), "change": scaling_result(1.0, heuristic=h)}
+            for g, h in ((1.0, 1.5), (3.0, 2.5), (1.5, 1.5))]
+    out = scaling_pairs.aggregate(runs)
+    assert out["parent"]["failures"] == {"p2_grows_slower_than_p1": 1,
+                                         "heuristic_grows_slower_than_p3": 0}
+    assert out["change"]["failures"] == {"p2_grows_slower_than_p1": 0,
+                                         "heuristic_grows_slower_than_p3": 1}
+    assert out["parent"]["growth"]["p2"] == {"median": 1.5, "min": 1.0, "max": 3.0,
+                                             "values": [1.0, 3.0, 1.5]}
+    assert out["change"]["growth"]["queue-heuristic"]["median"] == 1.5
+
+
+def test_scaling_pairs_refuses_a_parent_outside_git(tmp_path, monkeypatch, capsys):
+    parent = checkout(tmp_path / "parent")
+    monkeypatch.setattr(bench_pairs, "ROOT", checkout(tmp_path / "change"))
+
+    def no_runs(*args):
+        raise AssertionError("a side ran with a parent outside git")
+
+    monkeypatch.setattr(scaling_pairs, "run_scaling", no_runs)
+    out = tmp_path / "out.json"
+    with pytest.raises(SystemExit) as exit_info:
+        scaling_pairs.main(["--parent", str(parent), "--runs", "1", "--out", str(out)])
+    assert exit_info.value.code == 2
+    assert f"{parent} is not a git checkout" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_scaling_pairs_one_run_per_side(tmp_path, monkeypatch):
+    """Both sides are this checkout, whose commit and bytecode caches the
+    test does not control, so only those two checks are stubbed; the two
+    ``bench_scaling`` processes run."""
+    monkeypatch.setattr(bench_pairs, "describe", lambda path: {"sha": "0" * 40,
+                                                              "dirty": False})
+    monkeypatch.setattr(bench_pairs, "stale_caches", lambda checkouts: [])
+    order = []
+    run_scaling = scaling_pairs.run_scaling
+
+    def spy(path):
+        order.append(path)
+        return run_scaling(path)
+
+    monkeypatch.setattr(scaling_pairs, "run_scaling", spy)
+    out = tmp_path / "out.json"
+    assert scaling_pairs.main(["--parent", str(bench_pairs.ROOT), "--runs", "1",
+                               "--out", str(out)]) == 0
+    assert order == [bench_pairs.ROOT.resolve(), bench_pairs.ROOT]
+    record = json.loads(out.read_text())
+    assert record["runs"] == 1 and record["parent"]["sha"] == "0" * 40
+    for side in ("parent", "change"):
+        result = record["sides"][side]
+        assert set(result["failures"]) == {"p2_grows_slower_than_p1",
+                                           "heuristic_grows_slower_than_p3"}
+        assert set(result["failures"].values()) <= {0, 1}
+        assert len(result["growth"]) == 7
+        for growth in result["growth"].values():
+            assert growth["min"] == growth["median"] == growth["max"] > 0

@@ -7,11 +7,12 @@ import pytest
 
 from conftest import (link_with_snr, oracle_benchmark_network,
                       profile_from_lists, random_network, toy_network)
+from splitplan import serial
 from splitplan.delay import Device, NetworkInstance, arrival_delay, queue_completions
 from splitplan.errors import ValidationError
 from splitplan.harness import ExperimentConfig, build_network
 from splitplan.oracle import GridSpec, oracle_serial
-from splitplan.parallel import CutTable, SolverSettings
+from splitplan.parallel import CutTable, SolverSettings, bandwidth_for_rate
 from splitplan.serial import (queue_first_layer_policy, queue_heuristic,
                               reallocate_once, solve_p3, _common_arrival_bandwidth,
                               _reselect_serial, _serial_eval)
@@ -297,6 +298,66 @@ class TestSimultaneousArrival:
                 assert abs(bw.sum() - budget) <= 1e-12 * budget
                 for dev, cut, b in zip(net.devices, cuts, bw):
                     assert t * (1 - 5e-9) <= arrival_delay(dev, cut, b) <= t * (1 + 1e-12)
+
+
+    @pytest.mark.parametrize("k", [4, 10, 32])
+    def test_probes_per_common_arrival_search(self, k, monkeypatch):
+        """A count, not a timing: on 10 default trials, ``p3`` and
+        ``queue-first-layer`` average at most 10 floor probes per
+        ``_common_arrival_bandwidth`` call (a bisection took about 46)."""
+        counts = {"searches": 0, "probes": 0}
+        search = serial._least_target
+
+        def spy(floor, *args, **kwargs):
+            def counted(t):
+                counts["probes"] += 1
+                return floor(t)
+            counts["searches"] += 1
+            return search(counted, *args, **kwargs)
+
+        monkeypatch.setattr(serial, "_least_target", spy)
+        cfg = ExperimentConfig(devices=k)
+        for trial in range(10):
+            net = build_network(cfg, trial)
+            solve_p3(net)
+            queue_first_layer_policy(net)
+        assert counts["searches"] >= 20
+        assert counts["probes"] / counts["searches"] <= 10
+
+    def test_floor_slope_matches_a_central_difference(self, monkeypatch):
+        """The floor's slope in T is the derivative of the sum of the
+        devices' least bandwidths: within 1e-4 relative of a central
+        difference of ``bandwidth_for_rate`` (narrowed to 1e-14) at the
+        returned T and above it."""
+        floors = []
+        search = serial._least_target
+
+        def keep(floor, *args, **kwargs):
+            floors.append(floor)
+            return search(floor, *args, **kwargs)
+
+        monkeypatch.setattr(serial, "_least_target", keep)
+        rng = np.random.default_rng(36)
+        nets = [build_network(ExperimentConfig(devices=k), trial)
+                for k in (4, 10, 32) for trial in range(2)]
+        nets += [random_network(rng, devices=int(rng.integers(1, 9))) for _ in range(6)]
+        for net in nets:
+            table = CutTable(net)
+            for cuts in (table.min_data_cuts(), (0,) * net.num_devices):
+                floors.clear()
+                t_common, _ = _common_arrival_bandwidth(table, cuts)
+                view = table.view(cuts)
+
+                def total(t):
+                    return math.fsum(bandwidth_for_rate(snr, b / (t - local), 1e-14)
+                                     for snr, b, local in zip(view.snr, view.bits,
+                                                              view.local_s))
+
+                for t in (t_common, 1.5 * t_common):
+                    h = 1e-5 * (t - view.local_s.max())
+                    slope = floors[0](t)[2]
+                    central = (total(t + h) - total(t - h)) / (2 * h)
+                    assert slope == pytest.approx(central, rel=1e-4)
 
 
 class TestQueueHeuristic:

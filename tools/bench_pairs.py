@@ -28,6 +28,7 @@ and ``nproc``.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import os
 import statistics
@@ -114,6 +115,39 @@ def stale_caches(checkouts) -> list:
                   for cache in (Path(root) / sub).rglob("__pycache__") if cache.is_dir())
 
 
+@contextlib.contextmanager
+def checkouts(parent_arg: str, refuse):
+    """Yield ``(sides, commits)``: the ``parent`` and ``change`` checkout
+    paths and each one's :func:`describe`. A ``parent_arg`` that is not a
+    directory names a commit, which is checked out into a temporary detached
+    ``git worktree`` and removed on exit. ``refuse(message)`` must raise; it
+    is called before anything runs when either side has a bytecode cache
+    (:func:`stale_caches`) or the parent is not a git checkout."""
+    with tempfile.TemporaryDirectory(prefix="bench-parent-") as tmp:
+        parent = Path(parent_arg)
+        worktree = None
+        if not parent.is_dir():
+            sha = git(ROOT, "rev-parse", "--verify", f"{parent_arg}^{{commit}}")
+            worktree = Path(tmp) / "parent"
+            git(ROOT, "worktree", "add", "--detach", str(worktree), sha)
+            parent = worktree
+        try:
+            sides = {"parent": parent.resolve(), "change": ROOT}
+            stale = stale_caches(sides.values())
+            if stale:
+                refuse("remove these bytecode caches before benchmarking:\n"
+                       + "\n".join(str(cache) for cache in stale))
+            commits = {side: describe(path) for side, path in sides.items()}
+            if commits["parent"]["sha"] is None:
+                refuse(f"{parent} is not a git checkout, so the record could not name "
+                       "its commit; pass the parent commit instead, which is checked "
+                       "out as a fresh worktree")
+            yield sides, commits
+        finally:
+            if worktree is not None:
+                git(ROOT, "worktree", "remove", "--force", str(worktree))
+
+
 def run_side(checkout: Path, workload: str, seed: int, seconds: float) -> dict:
     proc = subprocess.run(
         [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed),
@@ -156,29 +190,8 @@ def main(argv=None) -> int:
     if args.pairs < 1:
         ap.error("--pairs must be >= 1")
 
-    with tempfile.TemporaryDirectory(prefix="bench-parent-") as tmp:
-        parent = Path(args.parent)
-        worktree = None
-        if not parent.is_dir():
-            sha = git(ROOT, "rev-parse", "--verify", f"{args.parent}^{{commit}}")
-            worktree = Path(tmp) / "parent"
-            git(ROOT, "worktree", "add", "--detach", str(worktree), sha)
-            parent = worktree
-        try:
-            sides = {"parent": parent.resolve(), "change": ROOT}
-            stale = stale_caches(sides.values())
-            if stale:
-                ap.error("remove these bytecode caches before benchmarking:\n"
-                         + "\n".join(str(cache) for cache in stale))
-            commits = {side: describe(path) for side, path in sides.items()}
-            if commits["parent"]["sha"] is None:
-                ap.error(f"{parent} is not a git checkout, so the record could not name "
-                         "its commit; pass the parent commit instead, which is checked "
-                         "out as a fresh worktree")
-            runs = measure(sides, args.workload, args.pairs, args.seed, args.seconds)
-        finally:
-            if worktree is not None:
-                git(ROOT, "worktree", "remove", "--force", str(worktree))
+    with checkouts(args.parent, ap.error) as (sides, commits):
+        runs = measure(sides, args.workload, args.pairs, args.seed, args.seconds)
 
     out = {
         "pairs": args.pairs,
