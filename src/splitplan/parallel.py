@@ -692,10 +692,12 @@ def solve_p2(net: NetworkInstance, settings: SolverSettings | None = None) -> Al
 
     The search stops once the cuts are settled: when each device's least-share
     cut at the largest refused t is the one at the smallest feasible t, and
-    every device has a finite least share at the refused t. Above both of
-    their arrivals two cuts' share curves r/(t - a) cross at most once, so no
-    device can change its cut inside that bracket. ``settings`` is accepted
-    for a uniform policy signature; no cap applies.
+    every device has a finite least share at the refused t (every probe lies
+    above each device's earliest arrival, so only an overflowing share can
+    fail that). Above both of their arrivals two cuts' share curves
+    r/(t - a) cross at most once, so no device can change its cut inside
+    that bracket. ``settings`` is accepted for a uniform policy signature;
+    no cap applies.
     """
     return _solve_p2(CutTable(net))
 

@@ -142,3 +142,20 @@ def oracle_benchmark_network(rng, devices=2, bandwidth_hz=1.0e5):
     return NetworkInstance(tuple(devs),
                            server_flops=rng.uniform(6e7, 1.8e8),
                            total_bandwidth_hz=bandwidth_hz)
+
+
+def count_target_probes(monkeypatch, module):
+    """Count the ``_least_target`` searches that ``module`` starts and the
+    floor probes they make; returns the live ``{"searches", "probes"}``."""
+    counts = {"searches": 0, "probes": 0}
+    search = module._least_target
+
+    def spy(floor, *args, **kwargs):
+        def counted(t):
+            counts["probes"] += 1
+            return floor(t)
+        counts["searches"] += 1
+        return search(counted, *args, **kwargs)
+
+    monkeypatch.setattr(module, "_least_target", spy)
+    return counts

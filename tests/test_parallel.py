@@ -7,9 +7,9 @@ import math
 import numpy as np
 import pytest
 
-from conftest import (link_with_snr, oracle_benchmark_network, profile_from_lists,
-                      ragged_network, random_network, random_profile, toy_network,
-                      zero_workload_network)
+from conftest import (count_target_probes, link_with_snr, oracle_benchmark_network,
+                      profile_from_lists, ragged_network, random_network, random_profile,
+                      toy_network, zero_workload_network)
 from splitplan import parallel
 from splitplan.delay import Device, NetworkInstance, arrival_delay, residual_workload
 from splitplan.errors import Infeasible, NonConvergence, ValidationError, ZeroRate
@@ -673,22 +673,12 @@ class TestFixedBandwidthPolicy:
         averages at most 12 probes per solve (a full bisection to 1e-9 takes
         about 32). ``test_no_cut_vector_meets_a_lower_target`` shows the
         stop loses nothing."""
-        counts = {"solves": 0, "probes": 0}
-        search = parallel._least_target
-
-        def spy(floor, *args, **kwargs):
-            def counted(t):
-                counts["probes"] += 1
-                return floor(t)
-            counts["solves"] += 1
-            return search(counted, *args, **kwargs)
-
-        monkeypatch.setattr(parallel, "_least_target", spy)
+        counts = count_target_probes(monkeypatch, parallel)
         cfg = ExperimentConfig(devices=k)
         for trial in range(10):
             solve_p2(build_network(cfg, trial))
-        assert counts["solves"] == 10
-        assert counts["probes"] / counts["solves"] <= 12
+        assert counts["searches"] == 10
+        assert counts["probes"] / counts["searches"] <= 12
 
     def test_plans_do_not_depend_on_the_alternation_cap(self):
         rng = np.random.default_rng(18)

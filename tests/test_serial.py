@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from conftest import (link_with_snr, oracle_benchmark_network,
+from conftest import (count_target_probes, link_with_snr, oracle_benchmark_network,
                       profile_from_lists, random_network, toy_network)
 from splitplan import serial
 from splitplan.delay import Device, NetworkInstance, arrival_delay, queue_completions
@@ -305,17 +305,7 @@ class TestSimultaneousArrival:
         """A count, not a timing: on 10 default trials, ``p3`` and
         ``queue-first-layer`` average at most 10 floor probes per
         ``_common_arrival_bandwidth`` call (a bisection took about 46)."""
-        counts = {"searches": 0, "probes": 0}
-        search = serial._least_target
-
-        def spy(floor, *args, **kwargs):
-            def counted(t):
-                counts["probes"] += 1
-                return floor(t)
-            counts["searches"] += 1
-            return search(counted, *args, **kwargs)
-
-        monkeypatch.setattr(serial, "_least_target", spy)
+        counts = count_target_probes(monkeypatch, serial)
         cfg = ExperimentConfig(devices=k)
         for trial in range(10):
             net = build_network(cfg, trial)
