@@ -299,7 +299,6 @@ class TestSimultaneousArrival:
                 for dev, cut, b in zip(net.devices, cuts, bw):
                     assert t * (1 - 5e-9) <= arrival_delay(dev, cut, b) <= t * (1 + 1e-12)
 
-
     @pytest.mark.parametrize("k", [4, 10, 32])
     def test_probes_per_common_arrival_search(self, k, monkeypatch):
         """A count, not a timing: on 10 default trials, ``p3`` and
