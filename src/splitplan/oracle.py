@@ -82,7 +82,7 @@ def _grid_min(net: NetworkInstance, grid: GridSpec | None, score) -> OracleResul
     device gets a zero rate are left out."""
     grid = grid or GridSpec()
     _guard(net, grid)
-    table = CutTable(net)
+    table = CutTable.of(net)
     k = net.num_devices
     bw = _bandwidth_grid(net.total_bandwidth_hz, k, grid.bandwidth_points)
     rates = np.array([_upload_rates(table.snr, point) for point in bw.tolist()]).reshape(-1, k)

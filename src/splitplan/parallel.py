@@ -303,7 +303,23 @@ class CutTable:
     argmin. Every cut uploads, so a link whose rate over the whole spectrum is
     not positive (a zero or NaN SNR, or one that rounds away against the
     bandwidth) raises :class:`ZeroRate`.
+
+    The policies and oracles take their table from :meth:`of`, so one network
+    builds one table; its arrays are read-only, so no caller can change them
+    under another. ``donor_bandwidth`` holds the gap heuristic's donor
+    inverses (:func:`~splitplan.serial.reallocate_once`) by (device, cut,
+    upload seconds), so none is computed twice.
     """
+
+    _last = None  # the table :meth:`of` built last
+
+    @classmethod
+    def of(cls, net: NetworkInstance) -> CutTable:
+        """The table of ``net``: the one built by the last call when that was
+        for this very network object (networks are immutable), else a new one."""
+        if cls._last is None or cls._last.net is not net:
+            cls._last = cls(net)
+        return cls._last
 
     def __init__(self, net: NetworkInstance):
         self.net = net
@@ -326,6 +342,10 @@ class CutTable:
                 raise ZeroRate(f"device {i} gets no upload rate from a link with SNR {snr}")
         self.rate_limit = self.snr / LN2
         self._rows = np.arange(k)
+        for array in (self.local_s, self.bits, self.resid, self.snr, self.rate_limit,
+                      self._rows):
+            array.flags.writeable = False
+        self.donor_bandwidth = {}
 
     @property
     def num_devices(self) -> int:
@@ -558,15 +578,22 @@ def _least_target(floor, budget, t_floor, t_seed=None, settled=None):
     slope)``: the least total meeting t (decreasing in t), an allocation that
     attains it, and the total's slope in t or ``None``. A total with a slope
     must be convex, so each tangent zero is a lower bound on the root.
-    Doubling from a finite ``t_seed`` above ``t_floor`` (else ``2 * t_floor``,
-    or 2e-9 s at a zero floor) finds a feasible t; then each probe goes just
-    above a tangent-zero lower bound (a safeguarded Newton step), or else
-    bisects, until the bracket is ``_BISECT_REL_TOL`` wide or 100 probes
-    pass. For a floor without slope, ``settled(refused, feasible)`` may end
-    the search sooner: it gets the allocations at the largest refused and
-    the smallest feasible target, and returns true once the answer is the
-    feasible one. Returns the least feasible t and its allocation; a
-    non-finite ``t_floor`` raises :class:`Infeasible`.
+    The search starts at a finite ``t_seed`` above ``t_floor`` (else
+    ``2 * t_floor``, or 2e-9 s at a zero floor). Until a probe is feasible,
+    an infeasible probe with a slope is followed by a Newton step from below
+    (the next probe goes just above its tangent zero), one without a slope
+    by doubling t; a seed that is a lower bound on the root therefore never
+    probes far above it. Then each probe goes just above a tangent-zero
+    lower bound (a safeguarded Newton step), or else bisects, until the
+    bracket is ``_BISECT_REL_TOL`` wide or 100 probes pass. "Just above" is
+    half that width, so a tangent zero within it of the root closes the
+    bracket with one probe. For a floor without slope,
+    ``settled(refused, feasible)`` may end the search sooner: it gets the
+    allocations at the largest refused and the smallest feasible target,
+    and returns true once the answer is the feasible one. Returns the least
+    feasible t and its allocation; a non-finite ``t_floor`` raises
+    :class:`Infeasible`, and 200 refused probes before a feasible one raise
+    :class:`NonConvergence`.
     """
     if not math.isfinite(t_floor):
         raise Infeasible(f"no finite target delay: its floor is {t_floor} s")
@@ -589,15 +616,23 @@ def _least_target(floor, budget, t_floor, t_seed=None, settled=None):
             lo, newton = t + gap / slope, True
         return gap >= 0.0
 
-    if t_seed is None or not t_floor < t_seed < math.inf:
-        t_seed = 2.0 * t_floor if t_floor > 0 else 2e-9
-    _grow(feasible, t_seed, 2.0, 200, "no feasible target delay found")
+    def above_tangent_zero():
+        return lo * (1.0 + 0.5 * _BISECT_REL_TOL)
+
+    t = t_seed if t_seed is not None and t_floor < t_seed < math.inf else (
+        2.0 * t_floor if t_floor > 0 else 2e-9)
+    for _ in range(200):
+        if feasible(t):
+            break
+        t = above_tangent_zero() if newton else 2.0 * t
+    else:
+        raise NonConvergence("no feasible target delay found")
     for _ in range(100):
         if hi - lo <= _BISECT_REL_TOL * hi:
             break
         if settled is not None and refused is not None and settled(refused, best):
             break
-        feasible(lo * (1.0 + 1e-3 * _BISECT_REL_TOL) if newton else 0.5 * (lo + hi))
+        feasible(above_tangent_zero() if newton else 0.5 * (lo + hi))
     return hi, best
 
 
@@ -699,7 +734,7 @@ def solve_p2(net: NetworkInstance, settings: SolverSettings | None = None) -> Al
     that bracket. ``settings`` is accepted for a uniform policy signature;
     no cap applies.
     """
-    return _solve_p2(CutTable(net))
+    return _solve_p2(CutTable.of(net))
 
 
 def _solve_p2(table: CutTable) -> AllocationPlan:
@@ -733,7 +768,7 @@ def solve_p1(net: NetworkInstance, settings: SolverSettings | None = None) -> Al
     plan wins. (The all-raw cuts are the ``first-layer`` policy.)
     """
     settings = settings or SolverSettings()
-    table = CutTable(net)
+    table = CutTable.of(net)
     p2 = _solve_p2(table)
     memo = {}
     seed = p2.objective
@@ -778,11 +813,11 @@ def _fixed_cut_policy(name, table, cuts):
 def min_data_layer_policy(net: NetworkInstance,
                           settings: SolverSettings | None = None) -> AllocationPlan:
     """Cut at the first minimum-payload stage, then one convex resource step."""
-    table = CutTable(net)
+    table = CutTable.of(net)
     return _fixed_cut_policy("min-data", table, table.min_data_cuts())
 
 
 def first_layer_policy(net: NetworkInstance,
                        settings: SolverSettings | None = None) -> AllocationPlan:
     """Transmit raw inputs (no local processing), then one convex resource step."""
-    return _fixed_cut_policy("first-layer", CutTable(net), tuple(0 for _ in net.devices))
+    return _fixed_cut_policy("first-layer", CutTable.of(net), tuple(0 for _ in net.devices))

@@ -14,10 +14,11 @@ import math
 
 import numpy as np
 
+from .channel import LN2
 from .delay import AllocationPlan, NetworkInstance, QueueState, serial_total_delay
 from .errors import Infeasible, NoExcess, StalledBreak, ValidationError, ZeroRate
 from .parallel import (CutTable, SolverSettings, _add_upload_slope, _alternate,
-                       _least_target, bandwidth_for_rate)
+                       _arrival_seconds, _least_target, _upload_rates, bandwidth_for_rate)
 
 
 def _serial_eval(table: CutTable, cuts, bandwidth):
@@ -57,6 +58,49 @@ def _serial_plan(policy, table, cuts, bandwidth, history=None):
 # ---------------------------------------------------------------------------
 # simultaneous arrival
 
+def _tangent_seed(view, budget):
+    """A lower bound on the common arrival T from forward rates only; the
+    latest arrival under an equal split where the bound has no slope.
+
+    B_i, the least bandwidth that uploads b_i bits by T, is convex in the rate
+    b_i/(T - l_i), so it lies above its tangent at the equal share W/k:
+    B_i >= W/k + (LN2/D_i)*(b_i/(T - l_i) - R_i(W/k)) with
+    D_i = log1p(u_i) - u_i/(1+u_i) at u_i = snr_i*k/W (the first-order
+    condition of a convex function). B_i is also >= 0, so the root of
+    g(T) = sum_i max(0, tangent_i(T)) = W is at most the root of
+    sum_i B_i(T) = W. g is convex and decreasing on (max l_i, inf); it is
+    infinite at max l_i and at most W at the equal-split arrival, where every
+    rate is at most its equal-split rate, so safeguarded Newton steps find
+    its root in between. Where some D_i rounds to zero the tangent has no
+    finite slope, and the equal-split arrival is returned.
+    """
+    k = len(view.snr)
+    share = budget / k
+    rate = _upload_rates(view.snr, [share] * k)
+    t_eq = float(np.max(_arrival_seconds(view.local_s, view.bits, rate)))
+    u = view.snr / share
+    d = np.log1p(u) - u / (1.0 + u)
+    if not (d > 0.0).all():
+        return t_eq
+    gain = LN2 / d
+    lo, hi, t = float(np.max(view.local_s)), t_eq, t_eq
+    for _ in range(50):
+        room = t - view.local_s
+        tangent = share + gain * (view.bits / room - rate)
+        on = tangent > 0.0
+        excess = float(tangent[on].sum()) - budget
+        slope = -float((gain * view.bits / (room * room))[on].sum())
+        step = -excess / slope  # the latest equal-split arrival keeps slope < 0
+        if excess >= 0.0 and step <= 1e-12 * t:
+            break  # a Newton step from below has settled
+        if excess > 0.0:
+            lo = t
+        else:
+            hi = t
+        t = t + step if lo < t + step < hi else 0.5 * (lo + hi)
+    return t
+
+
 def _common_arrival_bandwidth(table: CutTable, cuts):
     """Smallest common arrival time T and the bandwidth split achieving it.
 
@@ -68,9 +112,9 @@ def _common_arrival_bandwidth(table: CutTable, cuts):
     floor returns its slope (:func:`~splitplan.parallel._add_upload_slope`
     at u_i = snr_i/B_i), and :func:`~splitplan.parallel._least_target` takes
     safeguarded Newton steps in T above the last local finish. The search
-    starts at the latest arrival under an equal split, a feasible T but for
-    the rate bisection's 1e-9 top-of-bracket rounding, which can cost one
-    doubling. The spare spectrum at the returned T goes out pro rata.
+    starts at :func:`_tangent_seed`, a lower bound on T, so its Newton steps
+    come up from below and a probe just above T closes the bracket. The
+    spare spectrum at the returned T goes out pro rata.
     """
     view = table.view(cuts)
     budget = table.net.total_bandwidth_hz
@@ -91,8 +135,8 @@ def _common_arrival_bandwidth(table: CutTable, cuts):
                 slope = _add_upload_slope(slope, b, room, snr / bw)
         return need.sum(), need, slope
 
-    t_seed = float(np.max(view.arrivals(np.full(k, budget / k))))
-    t, need = _least_target(floor, budget, float(np.max(view.local_s)), t_seed)
+    t, need = _least_target(floor, budget, float(np.max(view.local_s)),
+                            _tangent_seed(view, budget))
     return t, need * (budget / need.sum())
 
 
@@ -132,7 +176,7 @@ def solve_p3(net: NetworkInstance, settings: SolverSettings | None = None) -> Al
     re-selection; the reported objective is the exact queue total of the
     returned allocation."""
     settings = settings or SolverSettings()
-    table = CutTable(net)
+    table = CutTable.of(net)
 
     def evaluate(cuts):
         _, bw = _common_arrival_bandwidth(table, cuts)
@@ -148,7 +192,7 @@ def solve_p3(net: NetworkInstance, settings: SolverSettings | None = None) -> Al
 def queue_first_layer_policy(net: NetworkInstance,
                              settings: SolverSettings | None = None) -> AllocationPlan:
     """Raw-input cuts with simultaneous-arrival bandwidth shaping."""
-    table = CutTable(net)
+    table = CutTable.of(net)
     cuts = tuple(0 for _ in range(table.num_devices))
     _, bw = _common_arrival_bandwidth(table, cuts)
     return _serial_plan("queue-first-layer", table, cuts, bw)
@@ -166,7 +210,15 @@ def reallocate_once(table: CutTable, cuts, bandwidth, state: QueueState,
     gap; the freed bandwidth accelerates the device at the last gap, whose
     arrival sets the queue total. Requires at least two gaps so donor and
     receiver are distinct, and ``donor_break`` before the last one; otherwise
-    raises :class:`ValidationError`.
+    raises :class:`ValidationError`. A donor that cannot arrive that late
+    raises :class:`StalledBreak`, one that would not free any bandwidth
+    :class:`NoExcess`.
+
+    The donor's bandwidth is the rate inverse at its (device, cut, upload
+    seconds), kept in the table's ``donor_bandwidth``: the heuristic retries
+    donors whose gap an accepted move already closed, and such a retry reads
+    the settled bandwidth back (and raises :class:`NoExcess`) without
+    inverting the rate again.
 
     Returns ``(objective, new_bandwidth, new_state)`` of the new allocation.
     """
@@ -188,7 +240,11 @@ def reallocate_once(table: CutTable, cuts, bandwidth, state: QueueState,
     if budget_s <= 0:
         raise StalledBreak(
             f"donor {donor} cannot delay its arrival to {target:.6g}s")
-    new_bw = bandwidth_for_rate(table.snr[donor], table.bits[donor, cut] / budget_s)
+    key = (donor, cut, budget_s)
+    new_bw = table.donor_bandwidth.get(key)
+    if new_bw is None:
+        new_bw = table.donor_bandwidth[key] = bandwidth_for_rate(
+            table.snr[donor], table.bits[donor, cut] / budget_s)
     moved = bandwidth[donor] - new_bw
     if moved <= 0:
         raise NoExcess(f"donor {donor} has no spare bandwidth to give")
@@ -203,9 +259,14 @@ def reallocate_once(table: CutTable, cuts, bandwidth, state: QueueState,
 def queue_heuristic(net: NetworkInstance,
                     settings: SolverSettings | None = None) -> AllocationPlan:
     """Outer loop: equal bandwidth, close queue gaps by reallocation, then
-    re-pick cuts; keep the best allocation seen anywhere."""
+    re-pick cuts; keep the best allocation seen anywhere.
+
+    Each pass tries the sub-queue tails as donors in queue order and takes
+    the first move :func:`reallocate_once` accepts, so the donors of earlier
+    moves are tried again on every pass; their bandwidths come from the
+    table's memo, so each (donor, cut, upload seconds) is inverted once."""
     settings = settings or SolverSettings()
-    table = CutTable(net)
+    table = CutTable.of(net)
     k = table.num_devices
     cuts = table.min_data_cuts()
     best = None

@@ -7,9 +7,9 @@ import pytest
 
 from splitplan.arch import (Architecture, BottleneckModule, CutProfile, LayerKind, LayerSpec,
                             TensorShape, propagate, toy_architecture)
-from splitplan.channel import LinkParams
+from splitplan.channel import LinkParams, trial_fading
 from splitplan.delay import Device, NetworkInstance
-from splitplan.harness import ExperimentConfig, build_network
+from splitplan.harness import ExperimentConfig, build_network, load_experiment_architecture
 
 # link whose wide-band capacity is snr_hz/ln2; unit path loss at d = lambda/(4*pi)
 UNIT_DISTANCE = 0.05 / (4.0 * np.pi)
@@ -76,6 +76,24 @@ def ragged_network(rng, devices=2, max_modules=6):
     devs = tuple(replace(dev, profile=random_profile(rng, int(rng.integers(1, max_modules + 1))))
                  for dev in net.devices)
     return NetworkInstance(devs, net.server_flops, net.total_bandwidth_hz)
+
+
+def mixed_network(trial, devices=32, seed=0):
+    """Trial ``trial`` of ``ExperimentConfig(devices=devices, seed=seed)`` with
+    mixed devices: compute drawn from U(5, 60) GFLOP/s and distance from
+    U(20, 150) m. The default fleet is homogeneous, so its serial queue
+    seldom has a gap; about four such fleets in ten have one."""
+    cfg = ExperimentConfig(devices=devices, seed=seed)
+    rng = np.random.default_rng([seed, trial])
+    flops = rng.uniform(5e9, 60e9, devices)
+    dist = rng.uniform(20.0, 150.0, devices)
+    profile = propagate(load_experiment_architecture(cfg))
+    devs = tuple(
+        Device(link=LinkParams.from_config({**cfg.channel, "distance_m": float(d)})
+               .with_fading(float(h)), compute_flops=float(f), profile=profile)
+        for f, d, h in zip(flops, dist, trial_fading(seed, trial, devices)))
+    return NetworkInstance(devs, server_flops=cfg.server_flops,
+                           total_bandwidth_hz=cfg.bandwidth_hz)
 
 
 def zero_workload_architecture():

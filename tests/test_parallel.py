@@ -370,6 +370,17 @@ class TestArrivalKernel:
 
 
 class TestCutTable:
+    def test_one_table_per_network_and_read_only(self):
+        """``CutTable.of`` hands out the last table while it asks for the same
+        network object, and nobody can write into a shared table."""
+        net = build_network(ExperimentConfig(devices=3), 0)
+        table = CutTable.of(net)
+        assert CutTable.of(net) is table
+        assert CutTable.of(build_network(ExperimentConfig(devices=3), 0)) is not table
+        for name in ("local_s", "bits", "resid", "snr", "rate_limit"):
+            with pytest.raises(ValueError, match="read-only"):
+                getattr(table, name)[0] = 0.0
+
     def test_bits_are_the_payload_of_each_cut(self):
         """The one-op payload vectors equal ``payload_bits`` cut by cut, also
         past 2**53 where adding the halves as floats would round differently."""
@@ -514,6 +525,28 @@ class TestLeastTarget:
         probes.clear()
         parallel._least_target(self.floor_from(1e-6, probes), 1.0, 0.0, t_seed=3e-6)
         assert probes[0] == 3e-6
+
+    def test_an_infeasible_seed_with_a_slope_comes_up_from_below(self):
+        """The convex total a/(t - c), with its slope, fits a unit budget from
+        its root c + a on. Seeded below the root, Newton steps come up from
+        below: no probe lies above the root by more than the bracket width,
+        let alone at twice the root, where doubling the seed would land."""
+        rng = np.random.default_rng(72)
+        for _ in range(50):
+            a, c = rng.uniform(1e-6, 1e3, 2)
+            probes = []
+
+            def floor(t):
+                probes.append(t)
+                return None if t <= c else (a / (t - c), t, -a / (t - c) ** 2)
+
+            root = c + a
+            seed = c + a * rng.uniform(0.05, 0.99)
+            t, alloc = parallel._least_target(floor, 1.0, c, seed)
+            assert probes[0] == seed and alloc == t
+            assert probes == sorted(probes)
+            assert max(probes) <= root * (1 + parallel._BISECT_REL_TOL) < 2 * root
+            assert abs(t - root) <= parallel._BISECT_REL_TOL * root
 
     @pytest.mark.parametrize("t_floor", [math.inf, math.nan])
     def test_a_non_finite_floor_raises_infeasible(self, t_floor):
@@ -691,13 +724,28 @@ class TestFixedBandwidthPolicy:
 
 class TestJointPolicy:
     def test_builds_one_cut_table(self, monkeypatch):
-        """``p1`` seeds from ``p2`` on its own table, not on a second one."""
+        """One network builds one table: ``p1`` seeds from ``p2`` on its own
+        table, and all seven policies, then both grid oracles, share it."""
         built = []
-        monkeypatch.setattr(parallel, "CutTable",
-                            lambda net, _cls=CutTable: built.append(net) or _cls(net))
+        init = CutTable.__init__
+
+        def spy(table, net):
+            built.append(net)
+            init(table, net)
+
+        monkeypatch.setattr(CutTable, "__init__", spy)
         net = build_network(ExperimentConfig(devices=4), 0)
         solve_p1(net)
         assert built == [net]
+        for solve in POLICIES.values():
+            solve(net)
+        assert built == [net]
+        toy = oracle_benchmark_network(np.random.default_rng(5))
+        for solve in POLICIES.values():
+            solve(toy)
+        for oracle in (oracle_parallel, oracle_serial):
+            oracle(toy, GridSpec(bandwidth_points=21))
+        assert built == [net, toy]
 
     def test_single_device_gets_everything(self):
         net = _symmetric_net(k=1)
