@@ -78,18 +78,25 @@ def _tangent_seed(view, budget):
     share = budget / k
     rate = _upload_rates(view.snr, [share] * k)
     t_eq = float(np.max(_arrival_seconds(view.local_s, view.bits, rate)))
-    u = view.snr / share
-    d = np.log1p(u) - u / (1.0 + u)
-    if not (d > 0.0).all():
-        return t_eq
-    gain = LN2 / d
-    lo, hi, t = float(np.max(view.local_s)), t_eq, t_eq
+    # per device: the tangent's slope in the rate, bits, local seconds and
+    # equal-split rate, in Python floats, which cost less than numpy at fleet size
+    terms = []
+    for snr, bits, local, r in zip(view.snr.tolist(), view.bits.tolist(),
+                                   view.local_s.tolist(), rate.tolist()):
+        u = snr / share
+        d = math.log1p(u) - u / (1.0 + u)
+        if not d > 0.0:
+            return t_eq
+        terms.append((LN2 / d, bits, local, r))
+    lo, hi, t = max(local for _, _, local, _ in terms), t_eq, t_eq
     for _ in range(50):
-        room = t - view.local_s
-        tangent = share + gain * (view.bits / room - rate)
-        on = tangent > 0.0
-        excess = float(tangent[on].sum()) - budget
-        slope = -float((gain * view.bits / (room * room))[on].sum())
+        excess, slope = -budget, 0.0
+        for gain, bits, local, r in terms:
+            room = t - local
+            tangent = share + gain * (bits / room - r)
+            if tangent > 0.0:
+                excess += tangent
+                slope -= gain * bits / (room * room)
         step = -excess / slope  # the latest equal-split arrival keeps slope < 0
         if excess >= 0.0 and step <= 1e-12 * t:
             break  # a Newton step from below has settled
