@@ -271,7 +271,10 @@ def queue_heuristic(net: NetworkInstance,
     Each pass tries the sub-queue tails as donors in queue order and takes
     the first move :func:`reallocate_once` accepts, so the donors of earlier
     moves are tried again on every pass; their bandwidths come from the
-    table's memo, so each (donor, cut, upload seconds) is inverted once."""
+    table's memo, so each (donor, cut, upload seconds) is inverted once.
+    A pass is a function of the cuts it starts from, so a pass that would
+    start from the cuts of an earlier one is not run: it only repeats the
+    best objective in the history."""
     settings = settings or SolverSettings()
     table = CutTable.of(net)
     k = table.num_devices
@@ -284,7 +287,12 @@ def queue_heuristic(net: NetworkInstance,
         if best is None or obj < best[0]:
             best = (obj, tuple(cuts_now), np.array(bw_now))
 
+    starts = set()  # the cuts each pass started from
     for _ in range(settings.outer_iters):
+        if cuts in starts:  # this pass, and every one after it, replays one made
+            history.append(best[0])
+            continue
+        starts.add(cuts)
         bw = np.full(k, net.total_bandwidth_hz / k)
         obj, state, _, _ = _serial_eval(table, cuts, bw)
         consider(obj, cuts, bw)

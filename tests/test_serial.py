@@ -421,6 +421,25 @@ class TestQueueHeuristic:
             total += len(calls)
         assert total > 0
 
+    @pytest.mark.parametrize("k", [4, 16])
+    def test_runs_no_pass_from_the_same_cuts_twice(self, monkeypatch, k):
+        """A pass is a function of its starting cuts, so one that starts where
+        an earlier pass started would replay it; the heuristic records it in
+        the history instead. Default fleets reach such a fixed point before
+        the last of the 4 passes."""
+        starts = []
+        reselect = serial._reselect_serial
+        monkeypatch.setattr(serial, "_reselect_serial", lambda table, cuts, bw: starts.append(
+            tuple(cuts)) or reselect(table, cuts, bw))
+        passes = 0
+        for trial in range(6):
+            starts.clear()
+            plan = queue_heuristic(build_network(ExperimentConfig(devices=k), trial))
+            assert len(set(starts)) == len(starts)
+            assert plan.iterations == len(plan.objective_history) == 4
+            passes += len(starts)
+        assert passes < 6 * 4
+
     def test_explicit_iteration_override(self):
         rng = np.random.default_rng(32)
         net = random_network(rng, devices=5)
