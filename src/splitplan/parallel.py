@@ -306,9 +306,7 @@ class CutTable:
 
     The policies and oracles take their table from :meth:`of`, so one network
     builds one table; its arrays are read-only, so no caller can change them
-    under another. ``donor_bandwidth`` holds the gap heuristic's donor
-    inverses (:func:`~splitplan.serial.reallocate_once`) by (device, cut,
-    upload seconds), so none is computed twice.
+    under another.
     """
 
     _last = None  # the table :meth:`of` built last
@@ -345,7 +343,6 @@ class CutTable:
         for array in (self.local_s, self.bits, self.resid, self.snr, self.rate_limit,
                       self._rows):
             array.flags.writeable = False
-        self.donor_bandwidth = {}
 
     @property
     def num_devices(self) -> int:

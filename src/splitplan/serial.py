@@ -11,14 +11,14 @@ tail without disturbing earlier sub-queues.
 from __future__ import annotations
 
 import math
+import weakref
 
 import numpy as np
 
-from .channel import LN2
 from .delay import AllocationPlan, NetworkInstance, QueueState, serial_total_delay
 from .errors import Infeasible, NoExcess, StalledBreak, ValidationError, ZeroRate
 from .parallel import (CutTable, SolverSettings, _add_upload_slope, _alternate,
-                       _arrival_seconds, _least_target, _upload_rates, bandwidth_for_rate)
+                       _least_target, bandwidth_for_rate)
 
 
 def _serial_eval(table: CutTable, cuts, bandwidth):
@@ -58,56 +58,6 @@ def _serial_plan(policy, table, cuts, bandwidth, history=None):
 # ---------------------------------------------------------------------------
 # simultaneous arrival
 
-def _tangent_seed(view, budget):
-    """A lower bound on the common arrival T from forward rates only; the
-    latest arrival under an equal split where the bound has no slope.
-
-    B_i, the least bandwidth that uploads b_i bits by T, is convex in the rate
-    b_i/(T - l_i), so it lies above its tangent at the equal share W/k:
-    B_i >= W/k + (LN2/D_i)*(b_i/(T - l_i) - R_i(W/k)) with
-    D_i = log1p(u_i) - u_i/(1+u_i) at u_i = snr_i*k/W (the first-order
-    condition of a convex function). B_i is also >= 0, so the root of
-    g(T) = sum_i max(0, tangent_i(T)) = W is at most the root of
-    sum_i B_i(T) = W. g is convex and decreasing on (max l_i, inf); it is
-    infinite at max l_i and at most W at the equal-split arrival, where every
-    rate is at most its equal-split rate, so safeguarded Newton steps find
-    its root in between. Where some D_i rounds to zero the tangent has no
-    finite slope, and the equal-split arrival is returned.
-    """
-    k = len(view.snr)
-    share = budget / k
-    rate = _upload_rates(view.snr, [share] * k)
-    t_eq = float(np.max(_arrival_seconds(view.local_s, view.bits, rate)))
-    # per device: the tangent's slope in the rate, bits, local seconds and
-    # equal-split rate, in Python floats, which cost less than numpy at fleet size
-    terms = []
-    for snr, bits, local, r in zip(view.snr.tolist(), view.bits.tolist(),
-                                   view.local_s.tolist(), rate.tolist()):
-        u = snr / share
-        d = math.log1p(u) - u / (1.0 + u)
-        if not d > 0.0:
-            return t_eq
-        terms.append((LN2 / d, bits, local, r))
-    lo, hi, t = max(local for _, _, local, _ in terms), t_eq, t_eq
-    for _ in range(50):
-        excess, slope = -budget, 0.0
-        for gain, bits, local, r in terms:
-            room = t - local
-            tangent = share + gain * (bits / room - r)
-            if tangent > 0.0:
-                excess += tangent
-                slope -= gain * bits / (room * room)
-        step = -excess / slope  # the latest equal-split arrival keeps slope < 0
-        if excess >= 0.0 and step <= 1e-12 * t:
-            break  # a Newton step from below has settled
-        if excess > 0.0:
-            lo = t
-        else:
-            hi = t
-        t = t + step if lo < t + step < hi else 0.5 * (lo + hi)
-    return t
-
-
 def _common_arrival_bandwidth(table: CutTable, cuts):
     """Smallest common arrival time T and the bandwidth split achieving it.
 
@@ -119,9 +69,10 @@ def _common_arrival_bandwidth(table: CutTable, cuts):
     floor returns its slope (:func:`~splitplan.parallel._add_upload_slope`
     at u_i = snr_i/B_i), and :func:`~splitplan.parallel._least_target` takes
     safeguarded Newton steps in T above the last local finish. The search
-    starts at :func:`_tangent_seed`, a lower bound on T, so its Newton steps
-    come up from below and a probe just above T closes the bracket. The
-    spare spectrum at the returned T goes out pro rata.
+    starts at the latest arrival under an equal split, a feasible T but for
+    the rate bisection's 1e-9 top-of-bracket rounding; where that refuses
+    it, the next probe goes just above its tangent zero, a Newton step from
+    below. The spare spectrum at the returned T goes out pro rata.
     """
     view = table.view(cuts)
     budget = table.net.total_bandwidth_hz
@@ -142,8 +93,8 @@ def _common_arrival_bandwidth(table: CutTable, cuts):
                 slope = _add_upload_slope(slope, b, room, snr / bw)
         return need.sum(), need, slope
 
-    t, need = _least_target(floor, budget, float(np.max(view.local_s)),
-                            _tangent_seed(view, budget))
+    t_seed = float(np.max(view.arrivals(np.full(k, budget / k))))
+    t, need = _least_target(floor, budget, float(np.max(view.local_s)), t_seed)
     return t, need * (budget / need.sum())
 
 
@@ -208,6 +159,11 @@ def queue_first_layer_policy(net: NetworkInstance,
 # ---------------------------------------------------------------------------
 # gap-elimination heuristic
 
+#: Per table, the donor bandwidths :func:`reallocate_once` has computed, by
+#: (device, cut, upload seconds); :func:`queue_heuristic` drops its table's
+#: entry when it returns.
+_donor_bandwidth = weakref.WeakKeyDictionary()
+
 def reallocate_once(table: CutTable, cuts, bandwidth, state: QueueState,
                     donor_break: int = 0):
     """Move spectrum from one sub-queue tail to the last-gap device.
@@ -222,7 +178,7 @@ def reallocate_once(table: CutTable, cuts, bandwidth, state: QueueState,
     :class:`NoExcess`.
 
     The donor's bandwidth is the rate inverse at its (device, cut, upload
-    seconds), kept in the table's ``donor_bandwidth``: the heuristic retries
+    seconds), kept per table in ``_donor_bandwidth``: the heuristic retries
     donors whose gap an accepted move already closed, and such a retry reads
     the settled bandwidth back (and raises :class:`NoExcess`) without
     inverting the rate again.
@@ -247,10 +203,11 @@ def reallocate_once(table: CutTable, cuts, bandwidth, state: QueueState,
     if budget_s <= 0:
         raise StalledBreak(
             f"donor {donor} cannot delay its arrival to {target:.6g}s")
+    memo = _donor_bandwidth.setdefault(table, {})
     key = (donor, cut, budget_s)
-    new_bw = table.donor_bandwidth.get(key)
+    new_bw = memo.get(key)
     if new_bw is None:
-        new_bw = table.donor_bandwidth[key] = bandwidth_for_rate(
+        new_bw = memo[key] = bandwidth_for_rate(
             table.snr[donor], table.bits[donor, cut] / budget_s)
     moved = bandwidth[donor] - new_bw
     if moved <= 0:
@@ -270,8 +227,9 @@ def queue_heuristic(net: NetworkInstance,
 
     Each pass tries the sub-queue tails as donors in queue order and takes
     the first move :func:`reallocate_once` accepts, so the donors of earlier
-    moves are tried again on every pass; their bandwidths come from the
-    table's memo, so each (donor, cut, upload seconds) is inverted once.
+    moves are tried again on every pass; their bandwidths come from
+    ``_donor_bandwidth``, so each (donor, cut, upload seconds) is inverted
+    once per run.
     A pass is a function of the cuts it starts from, so a pass that would
     start from the cuts of an earlier one is not run: it only repeats the
     best objective in the history."""
@@ -316,5 +274,6 @@ def queue_heuristic(net: NetworkInstance,
         consider(obj, cuts, bw)
         history.append(best[0])
 
+    _donor_bandwidth.pop(table, None)
     _, cuts, bw = best
     return _serial_plan("queue-heuristic", table, cuts, bw, history)
