@@ -164,6 +164,7 @@ def queue_first_layer_policy(net: NetworkInstance,
 #: entry when it returns.
 _donor_bandwidth = weakref.WeakKeyDictionary()
 
+
 def reallocate_once(table: CutTable, cuts, bandwidth, state: QueueState,
                     donor_break: int = 0):
     """Move spectrum from one sub-queue tail to the last-gap device.
@@ -229,10 +230,9 @@ def queue_heuristic(net: NetworkInstance,
     the first move :func:`reallocate_once` accepts, so the donors of earlier
     moves are tried again on every pass; their bandwidths come from
     ``_donor_bandwidth``, so each (donor, cut, upload seconds) is inverted
-    once per run.
-    A pass is a function of the cuts it starts from, so a pass that would
-    start from the cuts of an earlier one is not run: it only repeats the
-    best objective in the history."""
+    once per run. A pass is a function of the cuts it starts from, so a pass
+    that would start from the cuts of an earlier one is not run: it only
+    repeats the best objective in the history."""
     settings = settings or SolverSettings()
     table = CutTable.of(net)
     k = table.num_devices
