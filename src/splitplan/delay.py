@@ -188,6 +188,9 @@ def serial_total_delay(arrivals, residuals, server_flops):
     arrival time); returns ``(objective, state)`` where ``state`` covers the
     queued devices only, under their indices in ``arrivals``.
     """
+    # numpy rows become lists once: indexing Python floats is cheaper
+    arrivals, residuals = (v.tolist() if hasattr(v, "tolist") else v
+                           for v in (arrivals, residuals))
     queued = [k for k in range(len(arrivals)) if residuals[k] > 0]
     local_only = [k for k in range(len(arrivals)) if residuals[k] <= 0]
     state = queue_completions(

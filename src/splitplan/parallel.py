@@ -11,6 +11,7 @@ the fixed-bandwidth variant and the serial shaping alike.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -52,25 +53,35 @@ class SolverSettings:
 # ---------------------------------------------------------------------------
 # one-dimensional monotone searches
 
-def _grow(ok, x, factor, max_iter, what):
+#: The ``window`` of :func:`_grow` and :func:`_bisect` that decides nothing:
+#: every comparison with NaN is false, so every point is probed.
+_NO_WINDOW = (math.nan, math.nan)
+
+
+def _grow(ok, x, factor, max_iter, what, window=_NO_WINDOW):
     """First point of ``x, x*factor, x*factor**2, ...`` at which ``ok`` holds;
-    raises :class:`NonConvergence` with message ``what`` after ``max_iter`` misses."""
+    raises :class:`NonConvergence` with message ``what`` after ``max_iter`` misses.
+    With ``window = (below, above)``, a point at or above ``above`` counts as
+    holding and one at or below ``below`` as failing, without a call to ``ok``."""
+    below, above = window
     for _ in range(max_iter):
-        if ok(x):
+        if x >= above or (not x <= below and ok(x)):
             return x
         x *= factor
     raise NonConvergence(what)
 
 
-def _bisect(ok, lo, hi, rel_tol):
+def _bisect(ok, lo, hi, rel_tol, window=_NO_WINDOW):
     """Narrow ``(lo, hi]`` around the switch of ``ok`` (false below, true above;
     ``hi`` stays the smallest probed point where it holds) to relative width
-    ``rel_tol`` or float resolution, and return ``(lo, hi)``."""
+    ``rel_tol`` or float resolution, and return ``(lo, hi)``. ``window``
+    decides points without a call to ``ok`` as in :func:`_grow`."""
+    below, above = window
     while hi - lo > rel_tol * hi:
         mid = 0.5 * (lo + hi)
         if mid <= lo or mid >= hi:
             break  # interval exhausted at float resolution
-        if ok(mid):
+        if mid >= above or (not mid <= below and ok(mid)):
             hi = mid
         else:
             lo = mid
@@ -202,17 +213,44 @@ def _bisect_rows(r, gap, budget, hi):
 # ---------------------------------------------------------------------------
 # rate inversion
 
+#: Least in-band SNR u = snr/B at the answer above which
+#: :func:`bandwidth_for_rate` decides its probes by comparison with the Newton
+#: estimate. ``1.0 + snr/B`` rounds by up to eps/2, so the computed rate
+#: carries a relative error near 1.1e-16/u, while a relative step of
+#: ``_WINDOW_REL`` in B moves the rate by D(u)/log1p(u) times that, about
+#: u/2 * 1e-10 for small u (D(u) = log1p(u) - u/(1+u) ~ u**2/2). At u = 1e-2
+#: the step outweighs the rounding about 45 times, so the computed rate is
+#: monotone across the window; at u = 1e-3 it no longer is.
+_WINDOW_MIN_SNR = 1e-2
+#: Half-width of that window, relative to the estimate: far above the
+#: estimate's own error, near eps/(1 - rho) < 1e-13 above ``_WINDOW_MIN_SNR``.
+_WINDOW_REL = 1e-10
+
+
 def bandwidth_for_rate(snr_hz: float, required_rate: float,
                        rel_tol: float = _BISECT_REL_TOL) -> float:
     """Minimal bandwidth whose achievable rate at SNR ``snr_hz`` meets
     ``required_rate``; ``inf`` when the rate is out of reach.
 
-    Geometric bracket growth followed by bisection; the rate is strictly
+    The answer is the top of a geometric bracket growth from the rate
+    followed by a bisection to ``rel_tol``, each probe asking whether
+    ``shannon_rate`` (on Python floats) meets the rate. The rate is strictly
     increasing in bandwidth with supremum ``snr_hz / ln 2``, and a rate
     within 1e-12 of that limit counts as unreachable, as in
-    :func:`_required_bandwidth_u`. The probes evaluate ``shannon_rate`` in
-    Python floats: numpy-scalar arithmetic costs several times more per
-    probe and gives the same values.
+    :func:`_required_bandwidth_u`.
+
+    Most probes are decided without evaluating the rate. The Newton kernel
+    :func:`_inband_snr` gives the in-band SNR u at the exact answer, so
+    est = snr/u. The growth and the bisection run their usual sequence, but
+    a point at or above est*(1 + ``_WINDOW_REL``) meets the rate and one at
+    or below est*(1 - ``_WINDOW_REL``) misses it by comparison; only points
+    inside that window probe ``shannon_rate``. The answer stays bit for bit
+    the probed one because, for u above ``_WINDOW_MIN_SNR``, the computed
+    rate's rounding is far below its change across the window, so each
+    comparison gives the probe's own verdict. The window is taken only there,
+    with a settled Newton solve and a normal window well below the float
+    maximum (the growth must not double into ``inf``); elsewhere every point
+    is probed.
     """
     if required_rate < 0:
         raise ValidationError("required rate must be >= 0")
@@ -226,26 +264,27 @@ def bandwidth_for_rate(snr_hz: float, required_rate: float,
     def meets(bandwidth):
         return shannon_rate(snr, bandwidth) >= rate
 
+    window = _NO_WINDOW
+    u = _inband_snr(rate * LN2 / snr)
+    if u is not None and u > _WINDOW_MIN_SNR:
+        est = snr / u
+        below, above = est * (1.0 - _WINDOW_REL), est * (1.0 + _WINDOW_REL)
+        if below >= sys.float_info.min and above < 0.25 * sys.float_info.max:
+            window = (below, above)
     # R(B) >= B exactly when in-band SNR >= 1
-    hi = _grow(meets, rate, 2.0, 200, "bracket growth failed in bandwidth_for_rate")
-    return _bisect(meets, 0.0, hi, rel_tol)[1]
+    hi = _grow(meets, rate, 2.0, 200, "bracket growth failed in bandwidth_for_rate", window)
+    return _bisect(meets, 0.0, hi, rel_tol, window)[1]
 
 
-def _required_bandwidth_u(snr_hz: float, rate: float):
-    """Rate inverse; returns (bandwidth, in-band SNR).
+def _inband_snr(rho):
+    """The root u > 0 of log1p(u) = rho*u, for 0 < rho < 1, or ``None`` when
+    the Newton steps do not settle (a NaN, underflowed or overflowing start).
 
-    Solves B*log2(1 + snr/B) = rate as log1p(u) = rho*u with u = snr/B and
-    rho = rate*ln2/snr. h(u) = log1p(u) - rho*u is concave, so Newton steps
-    from a start above the root fall onto it monotonically. The start is
-    1/rho**2 - 1 for rho > 1/4 (above the root since log1p(u) <=
-    u/sqrt(1+u)) and 2*ln(1/rho)/rho below. The relative error stays near
-    eps/(1 - rho). Infinite bandwidth signals an unreachable rate.
+    h(u) = log1p(u) - rho*u is concave, so Newton steps from a start above
+    the root fall onto it monotonically. The start is 1/rho**2 - 1 for
+    rho > 1/4 (above the root since log1p(u) <= u/sqrt(1+u)) and
+    2*ln(1/rho)/rho below. The relative error stays near eps/(1 - rho).
     """
-    if rate <= 0.0:
-        return 0.0, math.inf
-    rho = rate * LN2 / snr_hz
-    if rho >= 1.0 - 1e-12:
-        return math.inf, 0.0
     if rho > 0.25:
         u = 1.0 / (rho * rho) - 1.0
     else:  # a NaN (or an underflowed rho) runs into the step cap below
@@ -254,8 +293,28 @@ def _required_bandwidth_u(snr_hz: float, rate: float):
         step = (math.log1p(u) - rho * u) / (1.0 / (1.0 + u) - rho)
         u -= step
         if step <= 4e-16 * u:  # at the root, or rounding turned the step back
-            return snr_hz / u, u
-    raise NonConvergence(f"rate inverse did not settle for rho = {rho!r}")
+            return u
+    return None
+
+
+def _required_bandwidth_u(snr_hz: float, rate: float):
+    """Rate inverse; returns (bandwidth, in-band SNR).
+
+    Solves B*log2(1 + snr/B) = rate as log1p(u) = rho*u with u = snr/B and
+    rho = rate*ln2/snr, by the Newton kernel :func:`_inband_snr` that
+    :func:`bandwidth_for_rate` shares. Infinite bandwidth signals an
+    unreachable rate (rho within 1e-12 of 1); a solve that does not settle
+    raises :class:`NonConvergence`.
+    """
+    if rate <= 0.0:
+        return 0.0, math.inf
+    rho = rate * LN2 / snr_hz
+    if rho >= 1.0 - 1e-12:
+        return math.inf, 0.0
+    u = _inband_snr(rho)
+    if u is None:
+        raise NonConvergence(f"rate inverse did not settle for rho = {rho!r}")
+    return snr_hz / u, u
 
 
 def _add_upload_slope(slope, bits, seconds, u):
@@ -326,14 +385,18 @@ class CutTable:
         self.local_s = np.full((k, width), math.inf)
         self.bits = np.full((k, width), math.inf)
         self.resid = np.zeros((k, width))
+        flops = np.array([dev.compute_flops for dev in net.devices], dtype=float)
+        rows = {}  # the devices of each distinct profile object
         for i, dev in enumerate(net.devices):
-            prof = dev.profile
+            rows.setdefault(id(dev.profile), (dev.profile, []))[1].append(i)
+        for prof, idx in rows.values():
             cum = np.asarray(prof.cum_workload, dtype=float)
-            cut = slice(0, cum.size)
-            self.local_s[i, cut] = cum / dev.compute_flops
+            idx = np.array(idx)
+            at = (idx, slice(0, cum.size))
+            self.local_s[at] = cum / flops[idx, None]
             # payload_bits of every cut: integer sums first, as payload_bits adds
-            self.bits[i, cut] = np.add(prof.transmit_bits, prof.index_bits).astype(float)
-            self.resid[i, cut] = prof.total_workload - cum
+            self.bits[at] = np.add(prof.transmit_bits, prof.index_bits).astype(float)
+            self.resid[at] = prof.total_workload - cum
         self.snr = np.array([dev.link.snr_hz() for dev in net.devices])
         for i, snr in enumerate(self.snr.tolist()):
             if not shannon_rate(snr, net.total_bandwidth_hz) > 0:  # NaN included

@@ -64,15 +64,18 @@ def _common_arrival_bandwidth(table: CutTable, cuts):
     A target T is feasible when every device's least bandwidth B_i(T) that
     uploads its payload by T is finite and their sum fits the budget.
     Each B_i comes from :func:`~splitplan.parallel.bandwidth_for_rate` at the
-    rate b_i/(T - l_i), which is convex and decreasing in T, and B is convex
-    and increasing in the rate, so the sum is convex and decreasing: the
-    floor returns its slope (:func:`~splitplan.parallel._add_upload_slope`
-    at u_i = snr_i/B_i), and :func:`~splitplan.parallel._least_target` takes
+    rate b_i/(T - l_i): the top of a 1e-9 bisection bracket, whose points
+    it mostly decides by comparison with a Newton estimate of the exact
+    inverse, so a device costs one Newton solve and seldom a rate
+    evaluation. The rate is convex and decreasing in T, and B is convex and
+    increasing in the rate, so the sum is convex and decreasing: the floor
+    returns its slope (:func:`~splitplan.parallel._add_upload_slope` at
+    u_i = snr_i/B_i), and :func:`~splitplan.parallel._least_target` takes
     safeguarded Newton steps in T above the last local finish. The search
     starts at the latest arrival under an equal split, a feasible T but for
-    the rate bisection's 1e-9 top-of-bracket rounding; where that refuses
-    it, the next probe goes just above its tangent zero, a Newton step from
-    below. The spare spectrum at the returned T goes out pro rata.
+    the inverse's top-of-bracket rounding; where that refuses it, the next
+    probe goes just above its tangent zero, a Newton step from below. The
+    spare spectrum at the returned T goes out pro rata.
     """
     view = table.view(cuts)
     budget = table.net.total_bandwidth_hz

@@ -316,6 +316,70 @@ class TestBandwidthForRate:
                         got = bandwidth_for_rate(link.snr_hz(), given, rel_tol=tol)
                         assert type(got) is float and got == want
 
+    @staticmethod
+    def by_shannon_rate(snr, rate, rel_tol):
+        """The rate inverse with every point probed: ``shannon_rate`` at the
+        same Python floats, through ``_grow`` and ``_bisect`` with no window."""
+        snr, rate = float(snr), float(rate)
+        if rate == 0.0:
+            return 0.0
+        if rate >= snr / math.log(2.0) * (1.0 - 1e-12):
+            return math.inf
+
+        def meets(bandwidth):
+            return shannon_rate(snr, bandwidth) >= rate
+
+        hi = _grow(meets, rate, 2.0, 200, "bracket growth failed")
+        return _bisect(meets, 0.0, hi, rel_tol)[1]
+
+    @staticmethod
+    def dense_pairs(rng):
+        """24k (SNR, rate) pairs: SNR over 21 decades, in-band SNR u at the
+        answer over 20 decades (rate fractions of the limit up to
+        1 - 1e-12), a dense band u in [1e-3, 1e-2] just below the window's
+        threshold, and subnormal and smallest-normal rates."""
+        ln2 = math.log(2.0)
+        snr = 10.0 ** rng.uniform(-9.0, 12.0, 24000)
+        u = 10.0 ** np.concatenate([rng.uniform(-12.0, 8.0, 12000),
+                                    rng.uniform(-3.0, -2.0, 8000),
+                                    rng.uniform(-2.0, -1.0, 3000)])
+        rate = list(snr[:u.size] / u * np.log1p(u) / ln2)
+        limit = snr[u.size:u.size + 500] / ln2
+        rate += list(limit * (1.0 - 10.0 ** rng.uniform(-12.5, -1.0, limit.size)))
+        rate += [r for r in (5e-324, 1e-310, 2.2250738585072014e-308, 1e-300)
+                 for _ in range(125)]
+        return list(zip(snr.tolist(), rate))
+
+    def test_window_gives_the_probed_answer_bit_for_bit(self):
+        """The windowed inverse against the probe-everything bisection on a
+        dense sweep, at three tolerances, for float and numpy inputs. The
+        band below the threshold fails this when the threshold is 1e-3."""
+        rng = np.random.default_rng(25)
+        for snr, rate in self.dense_pairs(rng):
+            for tol in (1e-9, 1e-12, 1e-14):
+                want = self.by_shannon_rate(snr, rate, tol)
+                for s, r in ((snr, rate), (np.float64(snr), np.float64(rate))):
+                    got = bandwidth_for_rate(s, r, rel_tol=tol)
+                    assert type(got) is float and got == want, (snr, rate, tol)
+
+    def test_probes_only_inside_the_window(self, monkeypatch):
+        """Above the threshold every probe lies within 1e-10 of the Newton
+        estimate, and most calls at the default tolerance make none."""
+        probes = []
+        monkeypatch.setattr(parallel, "shannon_rate",
+                            lambda snr, bw: probes.append(bw) or shannon_rate(snr, bw))
+        rng = np.random.default_rng(26)
+        snrs, us = 10.0 ** rng.uniform(-6, 12, 2000), 10.0 ** rng.uniform(-1.9, 6, 2000)
+        total = 0
+        for snr, u in zip(snrs.tolist(), us.tolist()):
+            rate = snr / u * math.log1p(u) / math.log(2.0)
+            est = _required_bandwidth_u(snr, rate)[0]
+            probes.clear()
+            bandwidth_for_rate(snr, rate)
+            assert all(abs(bw - est) <= 1e-10 * est for bw in probes)
+            total += len(probes)
+        assert total / len(snrs) <= 1.0
+
 
 @pytest.mark.filterwarnings("error")
 class TestArrivalKernel:
@@ -492,6 +556,18 @@ class TestMonotoneSearch:
         for at in (0.3, 1e-200, 5e-324):
             lo, hi = _bisect(self.step(at, []), 0.0, 1.0, 0.0)
             assert hi == at and lo == np.nextafter(at, 0.0)
+
+    def test_window_decides_without_probing(self):
+        """Points at or above ``above`` pass and points at or below ``below``
+        fail without a call; only the points between them are probed, and
+        the bracket is the one the unwindowed search finds."""
+        probes = []
+        window = (0.3 - 1e-3, 0.3 + 1e-3)
+        assert _grow(self.step(0.3, probes), 1e-3, 2.0, 20, "unused", window) == 0.512
+        assert probes == []
+        plain = _bisect(self.step(0.3, []), 0.0, 1.0, 1e-9)
+        assert _bisect(self.step(0.3, probes), 0.0, 1.0, 1e-9, window) == plain
+        assert probes and all(window[0] < x < window[1] for x in probes)
 
 
 class TestLeastTarget:

@@ -8,7 +8,7 @@ import pytest
 from conftest import (count_target_probes, link_with_snr, mixed_network,
                       oracle_benchmark_network, profile_from_lists, random_network,
                       toy_network)
-from splitplan import serial
+from splitplan import parallel, serial
 from splitplan.delay import Device, NetworkInstance, arrival_delay, queue_completions
 from splitplan.errors import ValidationError
 from splitplan.harness import ExperimentConfig, build_network
@@ -425,6 +425,37 @@ class TestQueueHeuristic:
         four = queue_heuristic(net, SolverSettings(outer_iters=4))
         assert four.objective <= one.objective * (1 + 1e-12)
         assert one.iterations == 1 and four.iterations == 4
+
+
+def test_serial_rate_inversions_seldom_probe_the_rate(monkeypatch):
+    """The serial policies' rate inversions evaluate ``shannon_rate`` less
+    than once per call on average (about 35 times when every bracket point
+    is probed): on default 10-device fleets and on mixed 32-device fleets
+    with queue gaps, which exercise the heuristic's donor inverse."""
+    counts = {"calls": 0, "probes": 0, "inside": False}
+    inverse, rate = serial.bandwidth_for_rate, parallel.shannon_rate
+
+    def counted_inverse(*args):
+        counts["calls"] += 1
+        counts["inside"] = True
+        try:
+            return inverse(*args)
+        finally:
+            counts["inside"] = False
+
+    def counted_rate(*args):
+        counts["probes"] += counts["inside"]
+        return rate(*args)
+
+    monkeypatch.setattr(serial, "bandwidth_for_rate", counted_inverse)
+    monkeypatch.setattr(parallel, "shannon_rate", counted_rate)
+    nets = [build_network(ExperimentConfig(devices=10), t) for t in range(4)]
+    nets += [mixed_network(t) for t in range(4, 7)]
+    for net in nets:
+        for policy in (solve_p3, queue_first_layer_policy, queue_heuristic):
+            policy(net)
+    assert counts["calls"] > 1000
+    assert counts["probes"] <= counts["calls"]
 
 
 class TestQueueFirstLayer:
