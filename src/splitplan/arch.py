@@ -333,6 +333,17 @@ def _parse_json(text: str):
         raise ParseError(f"config is not valid JSON: {exc}") from None
 
 
+def read_config(path):
+    """The JSON value of the config file at ``path``. The file is decoded as
+    UTF-8, the JSON encoding, whatever the locale; bytes that are not UTF-8
+    raise ``ParseError``, as malformed JSON does."""
+    try:
+        text = Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"config {path} is not UTF-8 text: {exc}") from None
+    return _parse_json(text)
+
+
 def _known_keys(obj, keys, where: str) -> dict:
     """``obj`` itself, once it is a JSON object holding only ``keys``."""
     if not isinstance(obj, dict):
@@ -442,23 +453,6 @@ def load_architecture(config_text: str) -> Architecture:
     return architecture_from_dict(_parse_json(config_text))
 
 
-def architecture_to_dict(arch: Architecture) -> dict:
-    def layer(l: LayerSpec) -> dict:
-        return {"kind": l.kind.value, **{key: getattr(l, key) for key in _LAYER_NUMBERS}}
-
-    return {
-        "bits_per_element": arch.bits_per_element,
-        "input": {key: getattr(arch.input_shape, key) for key in _INPUT_KEYS},
-        "modules": [
-            {"id": m.id, "sampling": m.sampling,
-             "pool_bits_per_element": m.pool_bits_per_element,
-             "main_branch": [layer(l) for l in m.main_branch],
-             "skip_branch": [layer(l) for l in m.skip_branch]}
-            for m in arch.modules
-        ],
-    }
-
-
 _BUNDLED = {"reference": "enet_reference.json", "toy": "toy_arch.json"}
 
 
@@ -482,7 +476,7 @@ def resolve_architecture(spec) -> Architecture:
             f"arch must be a bundled name or a file path, got {spec!r}")
     if spec in _BUNDLED:
         return _bundled_architecture(spec)
-    return load_architecture(Path(spec).read_text())
+    return architecture_from_dict(read_config(spec))
 
 
 def reference_architecture() -> Architecture:

@@ -13,9 +13,8 @@ import argparse
 import json
 import sys
 from dataclasses import replace
-from pathlib import Path
 
-from .arch import _parse_json, propagate, resolve_architecture
+from .arch import propagate, read_config, resolve_architecture
 from .errors import SplitPlanError, ValidationError
 from .harness import (ALL_POLICIES, SWEEP_PARAMS, ExperimentConfig, bench_scaling,
                       build_network, run_sweep, write_tables)
@@ -35,7 +34,7 @@ def _number_list(text: str, convert, option: str) -> list:
 
 def _config_from_args(args, **defaults) -> ExperimentConfig:
     """The config file over ``defaults``, and the command-line flags over both."""
-    raw = _parse_json(Path(args.config).read_text()) if getattr(args, "config", None) else {}
+    raw = read_config(args.config) if getattr(args, "config", None) else {}
     if isinstance(raw, dict):  # anything else is refused by from_dict
         raw = {**defaults, **raw}
     base = ExperimentConfig.from_dict(raw)

@@ -6,12 +6,14 @@ a dense scan certifying the equal-delay root bracket. Guarded to toy sizes.
 The grid is one ``(P, k)`` array, built once with one upload rate per point
 and device. The cut vectors are grouped by busy pattern (the devices left
 with residual work), and each group crossed with the grid becomes one stack
-of arrival rows with one residual row each, scored in one call: the parallel
-oracle through the stacked form of
+of arrival rows with one residual row each, scored in one call (at most
+2**k <= 8 calls; numpy's per-call overhead would dominate a call per cut
+vector): the parallel oracle through the stacked form of
 :func:`~splitplan.parallel.equal_delay_split`, the serial one through the
 queue recursion run down the columns. A group too big for one call of at
 most ``_MAX_GRID_POINTS`` rows is scored in chunks of whole cut vectors. Both
-oracles keep the first minimum in cut order and then grid order.
+oracles keep the first minimum in cut order and then grid order, so they
+return what a walk over one cut vector and grid point at a time would.
 """
 
 from __future__ import annotations
@@ -22,6 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .arch import _number
 from .delay import NetworkInstance
 from .errors import NoBracket, TooLarge, ValidationError
 from .parallel import CutTable, _arrival_seconds, _upload_rates, equal_delay_split
@@ -36,11 +39,17 @@ _MAX_GRID_POINTS = 10 ** 5
 
 @dataclass(frozen=True)
 class GridSpec:
+    """Points per axis of the bandwidth-simplex grid, a whole number >= 2 (a
+    whole float such as 41.0 is stored as the int 41); anything else raises
+    :class:`ValidationError`."""
+
     bandwidth_points: int = 101
 
     def __post_init__(self):
-        if self.bandwidth_points < 2:
+        points = _number(self.bandwidth_points, "bandwidth_points", whole=True)
+        if points < 2:
             raise ValidationError("the bandwidth grid needs at least 2 points")
+        object.__setattr__(self, "bandwidth_points", points)
 
 
 @dataclass(frozen=True)
@@ -58,6 +67,10 @@ def _guard(net: NetworkInstance, grid: GridSpec):
     if layers > _MAX_CUT_LAYERS:
         raise TooLarge(f"{layers} layers exceeds the brute-force guard ({_MAX_CUT_LAYERS})")
     points = 1 if k == 1 else math.comb(grid.bandwidth_points - 2, k - 1)
+    if points == 0:  # every point leaves some device without spectrum
+        raise ValidationError(
+            f"a bandwidth grid of {grid.bandwidth_points} points gives no point with "
+            f"spectrum for all {k} devices; it needs at least {k + 1} points")
     if points > _MAX_GRID_POINTS:
         raise TooLarge(
             f"{points} grid points exceeds the brute-force guard ({_MAX_GRID_POINTS})")
@@ -93,7 +106,9 @@ def _grid_min(net: NetworkInstance, grid: GridSpec | None, score) -> OracleResul
     vectors = list(itertools.product(*(range(d.profile.num_cuts + 1) for d in net.devices)))
     at = (np.arange(k), np.array(vectors).reshape(-1, k))
     local_s, bits, resid = table.local_s[at], table.bits[at], table.resid[at]
-    groups = {}  # busy pattern -> its cut vectors' indices, in cut order
+    # busy pattern -> its cut vectors' indices, in cut order; a plain dict,
+    # since np.unique would import numpy.ma (about 6 MB of resident memory)
+    groups = {}
     for c, busy in enumerate((resid > 0).tolist()):
         groups.setdefault(tuple(busy), []).append(c)
     points = len(bw)

@@ -91,6 +91,13 @@ def _bisect(ok, lo, hi, rel_tol, window=_NO_WINDOW):
 # ---------------------------------------------------------------------------
 # equal-delay server split (fixed bandwidth)
 
+#: Relative width at which the equal-delay split's bisection stops. The
+#: single-row search (:func:`_bisect`) and the stacked one
+#: (:func:`_bisect_rows`) must stop at the same width, since that is what
+#: keeps every row of a stack bit-identical to the single-row call on it.
+_SPLIT_REL_TOL = 1e-13
+
+
 def equal_delay_split(arrivals, residuals, budget):
     """Server-compute split that equalizes the delay of every busy device.
 
@@ -109,11 +116,13 @@ def equal_delay_split(arrivals, residuals, budget):
     ``r_i / (y + gap_i)`` with ``gap_i = max(a) - a_i >= 0``. Every share is
     positive and decreasing in y, so sum(shares) = budget has exactly one
     root in (0, sum(r)/budget], which a bisection finds to relative width
-    1e-13. A single row bisects on Python floats, which is cheapest for one
-    row; a stack bisects all its rows in one numpy pass per step. A row
-    whose server seconds overflow gets shares in proportion to its work and
-    T = inf; server seconds that underflow to 0 in any row raise
-    :class:`Infeasible`.
+    ``_SPLIT_REL_TOL``; no share has a pole there, so the search needs no
+    pole or sign test. A single row bisects on Python floats: the stacked
+    search on one row costs 3.7-5.6 times more (k = 2-32), and ``p2`` calls
+    this once, on a single row. A stack bisects all its rows in one numpy
+    pass per step, as the grid oracles need. A row whose server seconds
+    overflow gets shares in proportion to its work and T = inf; server
+    seconds that underflow to 0 in any row raise :class:`Infeasible`.
     """
     arrivals = np.asarray(arrivals, dtype=float)
     residuals = np.asarray(residuals, dtype=float)
@@ -172,7 +181,7 @@ def _busy_split(a, r, budget):
         else:
             gap0 = gap[0]
             lo0, hi0 = _bisect(lambda y: float((r / (y + gap0)).sum()) <= budget,
-                               0.0, hi, 1e-13)
+                               0.0, hi, _SPLIT_REL_TOL)
             y = 0.5 * (lo0 + hi0)
             if not y > 0.0:
                 raise Infeasible("the latest busy device's server time underflows to 0")
@@ -202,7 +211,7 @@ def _bisect_rows(r, gap, budget, hi):
     lo = np.zeros_like(hi)
     while True:
         mid = 0.5 * (lo + hi)
-        live = (hi - lo > 1e-13 * hi) & (mid > lo) & (mid < hi)
+        live = (hi - lo > _SPLIT_REL_TOL * hi) & (mid > lo) & (mid < hi)
         if not live.any():
             return mid
         up = live & (np.add.reduce(r / (mid[:, None] + gap), axis=1) <= budget)
@@ -251,6 +260,12 @@ def bandwidth_for_rate(snr_hz: float, required_rate: float,
     with a settled Newton solve and a normal window well below the float
     maximum (the growth must not double into ``inf``); elsewhere every point
     is probed.
+
+    The answer is the top of the bracket, not the exact inverse's, on
+    purpose: the gap-elimination heuristic's plans depend on its donor
+    landing a hair early (see :func:`~splitplan.serial.reallocate_once`),
+    and in the simultaneous-arrival search the exact inverse moves plans by
+    up to 2.8e-9 relative.
     """
     if required_rate < 0:
         raise ValidationError("required rate must be >= 0")
@@ -284,6 +299,12 @@ def _inband_snr(rho):
     the root fall onto it monotonically. The start is 1/rho**2 - 1 for
     rho > 1/4 (above the root since log1p(u) <= u/sqrt(1+u)) and
     2*ln(1/rho)/rho below. The relative error stays near eps/(1 - rho).
+
+    It is not a name the benchmark traces, so its solves inside
+    :func:`bandwidth_for_rate` do not count as ``_required_bandwidth_u``
+    calls: the zero count of those on serial-mixed-k32
+    (``perfbench/test_perfbench.py``) shows that the serial policies call
+    only :func:`bandwidth_for_rate`.
     """
     if rho > 0.25:
         u = 1.0 / (rho * rho) - 1.0
@@ -359,9 +380,10 @@ class CutTable:
 
     A device with fewer cuts is padded with ``inf`` local seconds and bits and
     zero residual, so a padded cut arrives at ``inf`` and never wins an
-    argmin. Every cut uploads, so a link whose rate over the whole spectrum is
-    not positive (a zero or NaN SNR, or one that rounds away against the
-    bandwidth) raises :class:`ZeroRate`.
+    argmin; the oracles enumerate each device's own cut range, so they never
+    read the padding. Every cut uploads, so a link whose rate over the whole
+    spectrum is not positive (a zero or NaN SNR, or one that rounds away
+    against the bandwidth) raises :class:`ZeroRate`.
 
     The policies and oracles take their table from :meth:`of`, so one network
     builds one table; its arrays are read-only, so no caller can change them
@@ -386,7 +408,9 @@ class CutTable:
         self.bits = np.full((k, width), math.inf)
         self.resid = np.zeros((k, width))
         flops = np.array([dev.compute_flops for dev in net.devices], dtype=float)
-        rows = {}  # the devices of each distinct profile object
+        # the devices of each distinct profile object: each profile converts
+        # once and fills its rows in one division, so a build grows little with k
+        rows = {}
         for i, dev in enumerate(net.devices):
             rows.setdefault(id(dev.profile), (dev.profile, []))[1].append(i)
         for prof, idx in rows.values():
@@ -825,7 +849,8 @@ def solve_p1(net: NetworkInstance, settings: SolverSettings | None = None) -> Al
 
     The alternation can stall in a local optimum, so the fixed-bandwidth
     solution's cuts are also priced through the convex step and the better
-    plan wins. (The all-raw cuts are the ``first-layer`` policy.)
+    plan wins. The all-raw cuts (the ``first-layer`` policy) are not priced:
+    that extra convex step per call never won.
     """
     settings = settings or SolverSettings()
     table = CutTable.of(net)

@@ -5,14 +5,33 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from splitplan.arch import (Architecture, BottleneckModule, CutProfile, LayerKind, LayerSpec,
-                            TensorShape, propagate, toy_architecture)
+from splitplan.arch import (_INPUT_KEYS, _LAYER_NUMBERS, Architecture, BottleneckModule,
+                            CutProfile, LayerKind, LayerSpec, TensorShape, propagate,
+                            toy_architecture)
 from splitplan.channel import LinkParams, trial_fading
 from splitplan.delay import Device, NetworkInstance
 from splitplan.harness import ExperimentConfig, build_network, load_experiment_architecture
 
 # link whose wide-band capacity is snr_hz/ln2; unit path loss at d = lambda/(4*pi)
 UNIT_DISTANCE = 0.05 / (4.0 * np.pi)
+
+
+def architecture_to_dict(arch: Architecture) -> dict:
+    """The JSON config of ``arch``, in the keys ``arch.load_architecture`` reads."""
+    def layer(l: LayerSpec) -> dict:
+        return {"kind": l.kind.value, **{key: getattr(l, key) for key in _LAYER_NUMBERS}}
+
+    return {
+        "bits_per_element": arch.bits_per_element,
+        "input": {key: getattr(arch.input_shape, key) for key in _INPUT_KEYS},
+        "modules": [
+            {"id": m.id, "sampling": m.sampling,
+             "pool_bits_per_element": m.pool_bits_per_element,
+             "main_branch": [layer(l) for l in m.main_branch],
+             "skip_branch": [layer(l) for l in m.skip_branch]}
+            for m in arch.modules
+        ],
+    }
 
 
 def link_with_snr(snr_hz: float) -> LinkParams:

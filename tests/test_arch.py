@@ -4,9 +4,10 @@ import json
 
 import pytest
 
+from conftest import architecture_to_dict
 from splitplan.arch import (Architecture, BottleneckModule, CutProfile,
                             LayerKind, LayerSpec, TensorShape,
-                            architecture_to_dict, layer_flops, load_architecture,
+                            layer_flops, load_architecture,
                             output_dim, packaged_config_text, propagate,
                             reference_architecture, toy_architecture)
 from splitplan.errors import (NonPositiveOutput, ParseError, ShapeMismatch,

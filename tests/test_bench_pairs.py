@@ -1,10 +1,12 @@
-"""The aggregation and the bytecode-cache check of ``tools/bench_pairs.py``, run on
-synthetic ``run.py`` output and ``tmp_path`` checkouts without starting a process,
-and ``tools/scaling_pairs.py``, which reuses its checkouts: once on synthetic
-results and once for real, with one run per side."""
+"""The aggregation and the refusals of ``tools/bench_pairs.py``, run on synthetic
+``run.py`` output and ``tmp_path`` checkouts without starting a benchmark run (the
+uncommitted-change check runs ``git`` on throwaway repositories), and
+``tools/scaling_pairs.py``, which reuses its checkouts: once on synthetic results and
+once for real, with one run per side."""
 
 import importlib.util
 import json
+import subprocess
 import sys
 from pathlib import Path
 
@@ -144,6 +146,54 @@ def test_main_refuses_before_the_first_run(tmp_path, monkeypatch, capsys):
     err = capsys.readouterr().err
     assert str(parent / "src/splitplan/__pycache__") in err
     assert str(change / "perfbench/__pycache__") in err
+    assert not out.exists()
+
+
+def git_checkout(root):
+    """A committed checkout skeleton under ``root``, with one tracked file in
+    ``src/`` and one in ``perfbench/``."""
+    checkout(root)
+    for name in ("src/splitplan/solver.py", "perfbench/run.py"):
+        (root / name).write_text("x = 1\n")
+    git = ["git", "-C", str(root), "-c", "user.name=t", "-c", "user.email=t@t",
+           "-c", "commit.gpgsign=false"]
+    for args in (["init", "-q"], ["add", "-A"], ["commit", "-q", "-m", "skeleton"]):
+        subprocess.run(git + args, check=True, capture_output=True)
+    return root
+
+
+def test_describe_counts_tracked_changes_under_measured_code_only(tmp_path):
+    root = git_checkout(tmp_path / "side")
+    assert bench_pairs.describe(root)["dirty"] is False
+    (root / "BENCH_9.json").write_text("{}")  # an earlier record
+    (root / "src/splitplan/scratch.py").write_text("")
+    (root / "tests/test_new.py").write_text("")
+    assert bench_pairs.describe(root)["dirty"] is False
+    (root / "perfbench/run.py").write_text("x = 2\n")
+    assert bench_pairs.describe(root)["dirty"] is True
+
+
+def test_main_refuses_a_side_with_uncommitted_changes(tmp_path, monkeypatch, capsys):
+    parent = git_checkout(tmp_path / "parent")
+    change = git_checkout(tmp_path / "change")
+    (parent / "src/splitplan/solver.py").write_text("x = 2\n")
+    (change / "BENCH_9.json").write_text("{}")  # untracked: does not count
+    (change / "BENCHMARK.json").write_text(json.dumps(
+        {"workloads": [{"name": "w"}], **BENCHMARK}))
+    monkeypatch.setattr(bench_pairs, "ROOT", change)
+
+    def no_runs(*args):
+        raise AssertionError("a side ran with uncommitted changes")
+
+    monkeypatch.setattr(bench_pairs, "measure", no_runs)
+    out = tmp_path / "out.json"
+    with pytest.raises(SystemExit) as exit_info:
+        bench_pairs.main(["--parent", str(parent), "--workload", "w", "--pairs", "1",
+                          "--seed", "1", "--seconds", "1", "--out", str(out)])
+    assert exit_info.value.code == 2
+    err = capsys.readouterr().err
+    assert "commit the changes under src/ and perfbench/" in err
+    assert str(parent.resolve()) in err and str(change) not in err
     assert not out.exists()
 
 

@@ -5,8 +5,9 @@ import math
 
 import pytest
 
+from conftest import architecture_to_dict
 from splitplan import cli, harness, oracle
-from splitplan.arch import architecture_to_dict, toy_architecture
+from splitplan.arch import toy_architecture
 from splitplan.cli import main
 from splitplan.errors import Infeasible
 
@@ -229,6 +230,22 @@ class TestSimulate:
         err = json.loads(capsys.readouterr().err)
         assert err["error"] == "IsADirectoryError"
 
+    @pytest.mark.parametrize("argv", [
+        ["profile", "--arch", "{bad}"],
+        ["simulate", "--config", "{bad}"],
+        ["simulate", "--config", "{cfg}"],
+    ], ids=["arch-flag", "config-flag", "config-arch"])
+    def test_file_that_is_not_utf8_exits_2(self, capsys, tmp_path, argv):
+        bad = tmp_path / "latin1.json"
+        bad.write_bytes(b"\xff" + json.dumps({"trials": 1}).encode())
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"arch": str(bad), "trials": 1, "devices": 2,
+                                   "policies": ["p2"]}))
+        assert main([a.format(bad=bad, cfg=cfg) for a in argv]) == 2
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"] == "ParseError"
+        assert "not UTF-8" in err["message"]
+
 
 class TestSweep:
     def test_writes_tables(self, capsys, tmp_path):
@@ -292,6 +309,13 @@ class TestOracle:
         err = json.loads(capsys.readouterr().err)
         assert err["error"] == "TooLarge"
         assert "grid points" in err["message"]
+
+    def test_grid_without_a_point_for_every_device_exits_2(self, capsys):
+        code = main(["oracle", "--devices", "2", "--grid-points", "2"])
+        assert code == 2
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"] == "ValidationError"
+        assert "at least 3 points" in err["message"]
 
     def test_reference_arch_exceeds_guard(self, capsys):
         code = main(["oracle", "--mode", "serial", "--devices", "2",

@@ -87,6 +87,33 @@ class TestGuards:
             oracle_parallel(net, GridSpec(bandwidth_points=points))
 
 
+    @pytest.mark.parametrize("devices", [2, 3])
+    def test_grid_with_no_point_for_every_device(self, monkeypatch, devices):
+        # k devices need k + 1 points before one point gives each some spectrum
+        def refuse(*args):
+            raise NotBuilt
+
+        monkeypatch.setattr(oracle, "_bandwidth_grid", refuse)
+        net = toy_network(np.random.default_rng(0), devices=devices)
+        with pytest.raises(ValidationError, match=f"at least {devices + 1} points"):
+            oracle_parallel(net, GridSpec(bandwidth_points=devices))
+        with pytest.raises(NotBuilt):
+            oracle_serial(net, GridSpec(bandwidth_points=devices + 1))
+
+    @pytest.mark.parametrize("points", [2.5, math.nan, math.inf, "5", True, None])
+    def test_grid_points_must_be_whole(self, points):
+        with pytest.raises(ValidationError, match="bandwidth_points takes integers"):
+            GridSpec(bandwidth_points=points)
+
+    def test_whole_float_grid_points_are_stored_as_int(self):
+        grid = GridSpec(bandwidth_points=41.0)
+        assert grid.bandwidth_points == 41 and type(grid.bandwidth_points) is int
+        assert type(GridSpec(bandwidth_points=np.int64(7)).bandwidth_points) is int
+        assert GridSpec(bandwidth_points=1e6).bandwidth_points == 10 ** 6
+        with pytest.raises(ValidationError, match="at least 2 points"):
+            GridSpec(bandwidth_points=1.0)
+
+
 class TestParallelOracle:
     def test_single_device_matches_solver(self):
         net = toy_network(np.random.default_rng(40), devices=1)

@@ -14,7 +14,9 @@ workload, one process at a time, and alternates which side runs first.
 The tool refuses to start while either side has a ``__pycache__`` directory
 under ``src/`` or ``perfbench/``: a cache compiled from other sources, or
 present on one side only, moves ``peak_rss_mb`` and ``instance_cost_cal`` of
-code that did not change.
+code that did not change. It also refuses while a tracked file under either
+side's ``src/`` or ``perfbench/`` differs from its commit, since the record
+names each side by its commit alone; untracked files do not count.
 
 Nothing here defines a metric. The names, units, directions and bounds are
 the ``end_to_end`` list of this checkout's ``BENCHMARK.json``, and the values
@@ -39,6 +41,8 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 SIDES = ("parent", "change")
+#: The directories whose code a benchmark run executes.
+MEASURED = ("src", "perfbench")
 
 
 def pair_order(pair: int) -> tuple[str, str]:
@@ -100,10 +104,13 @@ def git(checkout: Path, *args) -> str:
 
 
 def describe(checkout: Path) -> dict:
-    """Commit and uncommitted-change flag of a checkout (``None`` outside git)."""
+    """Commit of a checkout, and whether a tracked file under its ``src/`` or
+    ``perfbench/`` differs from that commit (both ``None`` outside git).
+    Untracked files, such as an earlier benchmark record, do not count."""
     try:
         return {"sha": git(checkout, "rev-parse", "HEAD"),
-                "dirty": bool(git(checkout, "status", "--porcelain"))}
+                "dirty": bool(git(checkout, "status", "--porcelain", "--untracked-files=no",
+                                  "--", *MEASURED))}
     except (subprocess.CalledProcessError, FileNotFoundError):
         return {"sha": None, "dirty": None}
 
@@ -111,7 +118,7 @@ def describe(checkout: Path) -> dict:
 def stale_caches(checkouts) -> list:
     """Every ``__pycache__`` directory under the ``src/`` or ``perfbench/`` of
     the given checkouts, sorted."""
-    return sorted(cache for root in checkouts for sub in ("src", "perfbench")
+    return sorted(cache for root in checkouts for sub in MEASURED
                   for cache in (Path(root) / sub).rglob("__pycache__") if cache.is_dir())
 
 
@@ -122,7 +129,8 @@ def checkouts(parent_arg: str, refuse):
     directory names a commit, which is checked out into a temporary detached
     ``git worktree`` and removed on exit. ``refuse(message)`` must raise; it
     is called before anything runs when either side has a bytecode cache
-    (:func:`stale_caches`) or the parent is not a git checkout."""
+    (:func:`stale_caches`), the parent is not a git checkout, or either
+    side has uncommitted changes to its measured code (:func:`describe`)."""
     with tempfile.TemporaryDirectory(prefix="bench-parent-") as tmp:
         parent = Path(parent_arg)
         worktree = None
@@ -142,6 +150,10 @@ def checkouts(parent_arg: str, refuse):
                 refuse(f"{parent} is not a git checkout, so the record could not name "
                        "its commit; pass the parent commit instead, which is checked "
                        "out as a fresh worktree")
+            dirty = [str(sides[side]) for side in SIDES if commits[side]["dirty"]]
+            if dirty:
+                refuse("commit the changes under src/ and perfbench/ before benchmarking, "
+                       "so the record names the code it measured: " + ", ".join(dirty))
             yield sides, commits
         finally:
             if worktree is not None:

@@ -11,7 +11,8 @@ ordering fails over many runs on both sides. Each run here is a fresh
 checkout and prints the result as JSON. Runs go one process at a time; run i
 measures both sides, and which side goes first alternates from run to run.
 The parent checkout, its temporary worktree for a commit, and the refusals
-(bytecode caches, a parent outside git) are ``bench_pairs.checkouts``'s.
+(bytecode caches, a parent outside git, uncommitted changes to ``src/`` or
+``perfbench/``) are ``bench_pairs.checkouts``'s.
 
 Per side, the output holds how many runs failed each ordering of
 ``bench_scaling``'s ``ordering`` map, and each policy's median, min and max
