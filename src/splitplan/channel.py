@@ -117,9 +117,12 @@ def shannon_rate(snr_hz: float, bandwidth_hz: float) -> float:
 
 
 def achievable_rate(bandwidth_hz: float, link: LinkParams) -> float:
-    """Shannon rate of ``link`` over ``bandwidth_hz``; negative bandwidth raises."""
-    if bandwidth_hz < 0:
-        raise DomainError("bandwidth must be >= 0")
+    """Shannon rate of ``link`` over ``bandwidth_hz``; a negative, infinite or
+    NaN bandwidth raises :class:`DomainError`. :func:`shannon_rate` itself
+    does not check: it is the solvers' per-probe kernel, and they pass finite
+    bandwidths."""
+    if not 0 <= bandwidth_hz < math.inf:
+        raise DomainError(f"bandwidth must be finite and >= 0, not {bandwidth_hz}")
     return shannon_rate(float(link.snr_hz()), float(bandwidth_hz))
 
 

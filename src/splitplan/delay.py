@@ -73,9 +73,17 @@ class AllocationPlan:
         return len(self.objective_history)
 
 
+def _check_cut(profile: CutProfile, cut: int) -> None:
+    if not 0 <= cut <= profile.num_cuts:
+        raise ValidationError(f"cut {cut} is outside 0..{profile.num_cuts}")
+
+
 def arrival_delay(device: Device, cut: int, bandwidth_hz: float) -> float:
-    """Local processing time plus transmission time of the cut payload."""
+    """Local processing time plus transmission time of the cut payload; an
+    out-of-range cut raises :class:`ValidationError`, a negative or
+    non-finite bandwidth :class:`~splitplan.errors.DomainError`."""
     profile = device.profile
+    _check_cut(profile, cut)
     bits = profile.payload_bits(cut)
     local = profile.cum_workload[cut] / device.compute_flops
     rate = achievable_rate(bandwidth_hz, device.link)
@@ -86,6 +94,7 @@ def arrival_delay(device: Device, cut: int, bandwidth_hz: float) -> float:
 
 def residual_workload(profile: CutProfile, cut: int) -> int:
     """FLOPs left for the server after splitting at ``cut``."""
+    _check_cut(profile, cut)
     return profile.total_workload - profile.cum_workload[cut]
 
 
@@ -96,9 +105,9 @@ def parallel_delay(device: Device, cut: int, bandwidth_hz: float,
     base = arrival_delay(device, cut, bandwidth_hz)
     if residual == 0:
         return base
-    if server_flops <= 0:
+    if not server_flops > 0:
         raise MissingServerCompute(
-            f"cut {cut} leaves {residual} FLOPs for the server but no compute share")
+            f"cut {cut} leaves {residual} FLOPs for the server but its share is {server_flops}")
     return base + residual / server_flops
 
 
@@ -140,7 +149,7 @@ def queue_completions(arrivals, residuals, server_flops, ids=None) -> QueueState
     residuals = [float(f) for f in residuals]
     if len(arrivals) != len(residuals):
         raise ValidationError("arrivals and residuals must have equal length")
-    if server_flops <= 0:
+    if not server_flops > 0:  # NaN included
         raise ValidationError("server compute must be positive")
     ids = list(range(len(arrivals))) if ids is None else list(ids)
     order = sorted(range(len(arrivals)), key=lambda i: (arrivals[i], ids[i]))

@@ -3,9 +3,10 @@
 Covers the joint problem (cut selection + bandwidth + server-compute split,
 alternating a convex resource step with per-device cut re-selection), the
 fixed-bandwidth variant (optimal cuts and server shares from one
-target-delay search), and the min-data / raw-input baselines.
-:func:`_least_target` is the one target-delay search, for the convex step,
-the fixed-bandwidth variant and the serial shaping alike.
+target-delay search), and the min-data / raw-input baselines. The convex
+step at fixed cuts is one damped Newton solve of its KKT system
+(:func:`resource_subproblem`); :func:`_least_target` is the one target-delay
+search, for the fixed-bandwidth variant and the serial shaping.
 """
 
 from __future__ import annotations
@@ -88,6 +89,71 @@ def _bisect(ok, lo, hi, rel_tol, window=_NO_WINDOW):
     return lo, hi
 
 
+def _least_target(floor, budget, t_floor, t_seed=None, settled=None):
+    """Least target delay t > ``t_floor`` at which ``floor(t)`` fits ``budget``.
+
+    ``floor(t)`` is ``None`` when nothing meets t, else ``(total, allocation,
+    slope)``: the least total meeting t (decreasing in t), an allocation that
+    attains it, and the total's slope in t or ``None``. A total with a slope
+    must be convex, so each tangent zero is a lower bound on the root.
+    The search starts at a finite ``t_seed`` above ``t_floor`` (else
+    ``2 * t_floor``, or 2e-9 s at a zero floor). Until a probe is feasible,
+    an infeasible probe with a slope is followed by a Newton step from below
+    (the next probe goes just above its tangent zero), one without a slope
+    by doubling t; a seed that is a lower bound on the root therefore never
+    probes far above it. Then each probe goes just above a tangent-zero
+    lower bound (a safeguarded Newton step), or else bisects, until the
+    bracket is ``_BISECT_REL_TOL`` wide or 100 probes pass. "Just above" is
+    half that width, so a tangent zero within it of the root closes the
+    bracket with one probe. For a floor without slope,
+    ``settled(refused, feasible)`` may end the search sooner: it gets the
+    allocations at the largest refused and the smallest feasible target,
+    and returns true once the answer is the feasible one. Returns the least
+    feasible t and its allocation; a non-finite ``t_floor`` raises
+    :class:`Infeasible`, and 200 refused probes before a feasible one raise
+    :class:`NonConvergence`.
+    """
+    if not math.isfinite(t_floor):
+        raise Infeasible(f"no finite target delay: its floor is {t_floor} s")
+    # lower bound on the root and whether it is a tangent zero; the
+    # allocation of the largest refused target; smallest feasible target and
+    # its allocation
+    lo, newton, refused, hi, best = t_floor, False, None, math.inf, None
+
+    def feasible(t):
+        nonlocal lo, newton, refused, hi, best
+        total, alloc, slope = floor(t) or (math.inf, None, None)  # None: t is infeasible
+        gap = budget - total
+        if gap < 0.0:
+            if t > lo:
+                refused = alloc
+            lo, newton = max(lo, t), False
+        elif t < hi:
+            hi, best = t, alloc
+        if slope is not None and lo < t + gap / slope < hi:
+            lo, newton = t + gap / slope, True
+        return gap >= 0.0
+
+    def above_tangent_zero():
+        return lo * (1.0 + 0.5 * _BISECT_REL_TOL)
+
+    t = t_seed if t_seed is not None and t_floor < t_seed < math.inf else (
+        2.0 * t_floor if t_floor > 0 else 2e-9)
+    for _ in range(200):
+        if feasible(t):
+            break
+        t = above_tangent_zero() if newton else 2.0 * t
+    else:
+        raise NonConvergence("no feasible target delay found")
+    for _ in range(100):
+        if hi - lo <= _BISECT_REL_TOL * hi:
+            break
+        if settled is not None and refused is not None and settled(refused, best):
+            break
+        feasible(above_tangent_zero() if newton else 0.5 * (lo + hi))
+    return hi, best
+
+
 # ---------------------------------------------------------------------------
 # equal-delay server split (fixed bandwidth)
 
@@ -133,8 +199,8 @@ def equal_delay_split(arrivals, residuals, budget):
                               "(residuals: one row, or one row per arrival row)")
     if not (residuals >= 0).all():
         raise ValidationError("residual work must be >= 0")
-    if not budget > 0:
-        raise ValidationError("server budget must be positive")
+    if not 0 < budget < math.inf:
+        raise ValidationError("server budget must be positive and finite")
     rows = np.atleast_2d(arrivals)
     if not np.isfinite(rows).all():
         p, i = np.argwhere(~np.isfinite(rows))[0]
@@ -425,10 +491,8 @@ class CutTable:
         for i, snr in enumerate(self.snr.tolist()):
             if not shannon_rate(snr, net.total_bandwidth_hz) > 0:  # NaN included
                 raise ZeroRate(f"device {i} gets no upload rate from a link with SNR {snr}")
-        self.rate_limit = self.snr / LN2
         self._rows = np.arange(k)
-        for array in (self.local_s, self.bits, self.resid, self.snr, self.rate_limit,
-                      self._rows):
+        for array in (self.local_s, self.bits, self.resid, self.snr, self._rows):
             array.flags.writeable = False
 
     @property
@@ -438,7 +502,7 @@ class CutTable:
     def view(self, cuts):
         at = (self._rows, np.asarray(cuts))
         return _CutView(local_s=self.local_s[at], bits=self.bits[at], resid=self.resid[at],
-                        snr=self.snr, rate_limit=self.rate_limit)
+                        snr=self.snr)
 
     def min_data_cuts(self) -> tuple[int, ...]:
         """Per device, the first cut with the smallest transmit payload."""
@@ -457,7 +521,6 @@ class _CutView:
     bits: np.ndarray
     resid: np.ndarray
     snr: np.ndarray
-    rate_limit: np.ndarray
 
     def arrivals(self, bandwidth) -> np.ndarray:
         """Local seconds plus upload seconds; ``inf`` at a zero rate."""
@@ -465,12 +528,12 @@ class _CutView:
 
 
 # ---------------------------------------------------------------------------
-# convex resource subproblem (fixed cuts): safeguarded Newton steps on the
-# epigraph's target delay, with a water-filling multiplier equalizing the
-# bandwidth/compute marginals
+# convex resource subproblem (fixed cuts): one damped Newton solve of its KKT
+# system in the busy shares, the log compute price and the target delay
 
 def _marginal(snr, bits, resid, slack, f):
-    """-d(bandwidth)/d(compute share) at share ``f`` for one device."""
+    """-d(bandwidth)/d(compute share) at share ``f`` for one device. Only the
+    tests call it, for the KKT certificate of :func:`resource_subproblem`."""
     s = slack - resid / f
     if s <= 0.0:
         return math.inf
@@ -495,7 +558,7 @@ def _root_decreasing(fn, lo, hi, target):
     return 0.5 * (lo + hi)
 
 
-def _share_for_price(snr, bits, resid, slack, f_lo, f_hi, mu, warm=None):
+def _share_for_price(snr, bits, resid, slack, f_lo, f_hi, mu):
     """Compute share at which the bandwidth marginal equals ``mu``.
 
     The stationarity condition rearranges to a fixed point
@@ -503,14 +566,15 @@ def _share_for_price(snr, bits, resid, slack, f_lo, f_hi, mu, warm=None):
     spectral-efficiency factor D depends (weakly) on f, so the iteration
     contracts in a few steps. Falls back to bracketed root-finding if not.
 
-    Only the tests call it, as a per-device reference for :func:`_water_fill`.
-    It stays here because the benchmark's tracing table
-    ``perfbench.tracing.COUNTED`` names it, and ``Tracer.install`` fails on a
-    name the module lacks.
+    Only the tests call it, as a per-device reference for
+    :func:`resource_subproblem`: each busy share of its plans is the share
+    for their common marginal. It stays here because the benchmark's tracing
+    table ``perfbench.tracing.COUNTED`` names it, and ``Tracer.install``
+    fails on a name the module lacks.
     """
     amp = LN2 * bits * resid
     lo = f_lo * (1.0 + 1e-13) + 1e-300
-    f = warm if warm is not None and lo < warm < f_hi else min(2.0 * lo, 0.5 * (lo + f_hi))
+    f = min(2.0 * lo, 0.5 * (lo + f_hi))
     for _ in range(40):
         s = slack - resid / f
         bw, u = _required_bandwidth_u(snr, bits / s)
@@ -526,214 +590,126 @@ def _share_for_price(snr, bits, resid, slack, f_lo, f_hi, mu, warm=None):
     return _root_decreasing(lambda x: _marginal(snr, bits, resid, slack, x), lo, f_hi, mu)
 
 
-def _step_inside(f, df, lo):
-    """Largest of 1, 1/2, 1/4, ... at which every ``f + step*df`` stays above
-    its floor ``lo``."""
-    step = 1.0
-    while any(fi + step * dfi <= lo_i for fi, dfi, lo_i in zip(f, df, lo)):
-        step *= 0.5
-    return step
-
-
-def _water_fill(view, game, slack, f_lo, target, warm):
-    """Shares of the ``game`` devices at one common marginal price, or ``None``.
-
-    Stationarity gives f_i = r_i/S_i + A_i*L with L = 1/sqrt(mu) and
-    A_i = sqrt(LN2*b_i*r_i / D_i) / S_i, where only the spectral-efficiency
-    factor D_i depends (weakly) on f_i: KKT water-filling (Boyd &
-    Vandenberghe, Convex Optimization, 5.5.3). Newton steps solve
-    g_i = f_i - r_i/S_i - A_i*L = 0 together with sum(f) = target; each A_i
-    depends on its own share only, so the Jacobian is diagonal bordered by
-    one row and one column and the step is closed form. The first L is the
-    closed form at the warm shares; a warm share at which the rate inverse
-    reports an infinite bandwidth gives way to the even start. A step is
-    halved until every share stays above its floor, and the rounds stop once
-    no share moves by more than 1e-11 relative.
-
-    No share is clamped at its cap f_lo + (target - sum(f_lo)): a capped
-    device leaves the others no more than their floors, where the bandwidth
-    is infinite. Returns ``None`` when some share's bandwidth is infinite
-    (the capacity edge).
-    """
-    snr, bits, resid = (view.snr[game].tolist(), view.bits[game].tolist(),
-                        view.resid[game].tolist())
-    slack = slack[game].tolist()
-    lo = [v * (1.0 + 1e-13) + 1e-300 for v in f_lo[game].tolist()]
-    base = [r / s for r, s in zip(resid, slack)]
-    even = (target - f_lo[game].sum()) / len(lo)
-    start = [lo_i + even for lo_i in lo]
-    f = [w if w is not None and w > lo_i else s0
-         for w, lo_i, s0 in zip(map(warm.get, game.tolist()), lo, start)]
-    level = None
-    for _ in range(40):
-        amp, kappa = [], []
-        for j, (sn, b, r, s) in enumerate(zip(snr, bits, resid, slack)):
-            fi = f[j]
-            t = s - r / fi
-            bw, u = _required_bandwidth_u(sn, b / t)
-            if not math.isfinite(bw) and level is None and fi != start[j]:
-                # a warm share just above its floor can put the rate inside
-                # the inverse's guard band below the link's limit: start
-                # this device from the even share instead
-                fi = f[j] = start[j]
-                t = s - r / fi
-                bw, u = _required_bandwidth_u(sn, b / t)
-            if not math.isfinite(bw):
+def _bandwidth_floor(view, slack, shares):
+    """Per device at deadline ``slack`` and compute share: the least bandwidth
+    B that uploads its payload in s = slack - r/f seconds (the whole slack
+    without residual work), its price q = -dB/ds, which is minus the
+    :func:`_add_upload_slope` term, and d ln q/ds = -(D'/D + 2/s) with
+    D' = dD/ds = u**3 * q / ((1+u)**2 * snr) at the in-band SNR u. Three
+    lists, or ``None`` outside the domain: a busy share or an upload time
+    that is not positive, or a rate beyond the link (u = 0, where D = 0)."""
+    bandwidth, price, curve = [], [], []
+    for snr, b, r, s, f in zip(view.snr.tolist(), view.bits.tolist(),
+                               view.resid.tolist(), slack, shares):
+        if r > 0:
+            if not f > 0.0:
                 return None
-            d = math.log1p(u) - u / (1.0 + u)
-            a = math.sqrt(LN2 * b * r / d) / s
-            amp.append(a)
-            kappa.append(0.5 * a * LN2 * b * r * u ** 3
-                         / ((1.0 + u) ** 2 * d * d * (t * fi) ** 2 * sn))
-        if level is None:
-            level = (target - sum(base)) / sum(amp)
-        g = [fi - b - a * level for fi, b, a in zip(f, base, amp)]
-        c = [1.0 + level * k for k in kappa]
-        d_level = ((sum(gi / ci for gi, ci in zip(g, c)) - (sum(f) - target))
-                   / sum(a / ci for a, ci in zip(amp, c)))
-        df = [(a * d_level - gi) / ci for a, gi, ci in zip(amp, g, c)]
-        step = _step_inside(f, df, lo)
-        move = max(abs(dfi) / fi for dfi, fi in zip(df, f))
-        f = [fi + step * dfi for fi, dfi in zip(f, df)]
-        if move <= 1e-11:
-            return f
-        level += step * d_level
-    raise NonConvergence("water-filling Newton steps did not settle in 40 rounds")
-
-
-def _bandwidth_floor(view, budget, slack, warm):
-    """Minimal total bandwidth meeting per-device deadlines ``slack``.
-
-    Splits the compute budget so that all marginal bandwidth savings agree
-    (:func:`_water_fill`), then prices the resulting per-device rates.
-    Returns ``(total, (B, f), slope)`` or ``None`` when no compute split fits.
-    ``warm`` maps each device to its share from the previous call.
-
-    ``slope`` is the derivative of the total in a common shift t of every
-    deadline. By the envelope theorem (Boyd & Vandenberghe, Convex
-    Optimization, 5.6.3) the shares stay put to first order, so each device
-    adds its :func:`_add_upload_slope` term at its upload time
-    s_i = slack_i - r_i/f_i. ``slope`` is ``None`` when some term is.
-    """
-    k = len(slack)
-    bw = np.zeros(k)
-    f = np.zeros(k)
-    active = view.resid > 0
-
-    if np.any(slack <= 0):
-        return None
-    # transmission can never take less than bits/limit seconds (capacity
-    # ceiling), so that much of the slack is off the table for the server
-    room = slack - view.bits / view.rate_limit
-    if np.any(room <= 0):
-        return None
-    f_lo = np.zeros(k)
-    f_lo[active] = view.resid[active] / room[active]
-    if f_lo.sum() >= budget * (1.0 - 1e-12):
-        return None
-
-    game = np.flatnonzero(active)
-    if game.size == 1:
-        f[game[0]] = f_lo[game[0]] + (budget - f_lo[game[0]])
-    elif game.size:
-        shares = _water_fill(view, game, slack, f_lo, budget, warm)
-        if shares is None:
+            s -= r / f
+        if not s > 0.0:
             return None
-        f[game] = shares
-        warm.update(zip(game.tolist(), shares))
-
-    s = slack - _server_seconds(view.resid, f)
-    if np.any(s <= 0):
-        return None
-    slope = 0.0
-    for i, (snr, b, si) in enumerate(zip(view.snr.tolist(), view.bits.tolist(), s.tolist())):
-        bw[i], u = _required_bandwidth_u(snr, b / si)
-        if not math.isfinite(bw[i]):
+        need, u = _required_bandwidth_u(snr, b / s)
+        slope = _add_upload_slope(0.0, b, s, u)
+        if slope is None:
             return None
-        if slope is not None:
-            slope = _add_upload_slope(slope, b, si, u)
-    return bw.sum(), (bw, f), slope
+        w = u / (1.0 + u)
+        bandwidth.append(need)
+        price.append(-slope)
+        curve.append(-(u * w * w * slope * slope * s * s / (snr * LN2 * b) + 2.0 / s))
+    return bandwidth, price, curve
 
 
-def _least_target(floor, budget, t_floor, t_seed=None, settled=None):
-    """Least target delay t > ``t_floor`` at which ``floor(t)`` fits ``budget``.
+def resource_subproblem(view, bandwidth_budget, compute_budget):
+    """Min-max delay over joint (bandwidth, compute) splits for fixed cuts.
+    Returns ``(objective, bandwidth, shares)`` with both budgets spent exactly.
 
-    ``floor(t)`` is ``None`` when nothing meets t, else ``(total, allocation,
-    slope)``: the least total meeting t (decreasing in t), an allocation that
-    attains it, and the total's slope in t or ``None``. A total with a slope
-    must be convex, so each tangent zero is a lower bound on the root.
-    The search starts at a finite ``t_seed`` above ``t_floor`` (else
-    ``2 * t_floor``, or 2e-9 s at a zero floor). Until a probe is feasible,
-    an infeasible probe with a slope is followed by a Newton step from below
-    (the next probe goes just above its tangent zero), one without a slope
-    by doubling t; a seed that is a lower bound on the root therefore never
-    probes far above it. Then each probe goes just above a tangent-zero
-    lower bound (a safeguarded Newton step), or else bisects, until the
-    bracket is ``_BISECT_REL_TOL`` wide or 100 probes pass. "Just above" is
-    half that width, so a tangent zero within it of the root closes the
-    bracket with one probe. For a floor without slope,
-    ``settled(refused, feasible)`` may end the search sooner: it gets the
-    allocations at the largest refused and the smallest feasible target,
-    and returns true once the answer is the feasible one. Returns the least
-    feasible t and its allocation; a non-finite ``t_floor`` raises
-    :class:`Infeasible`, and 200 refused probes before a feasible one raise
-    :class:`NonConvergence`.
+    The least target T that both budgets meet solves the KKT system (Boyd &
+    Vandenberghe, Convex Optimization, 5.5.3) in the busy shares f, the log
+    compute price nu and T: E_i = ln(q_i * r_i / f_i**2) - nu = 0 on every
+    busy device, sum(f) = F and sum(B) = W, with B, q and g = d ln q/ds from
+    :func:`_bandwidth_floor` at the deadlines T - l_i. The Jacobian is
+    diagonal in f, dE_i/df_i = a_i = g_i*r_i/f_i**2 - 2/f_i < 0, bordered by
+    the nu and T columns and the budget rows, so a Newton step eliminates df
+    and solves a 2x2 Schur complement in (dnu, dT) (ibid., App. C.4). A step
+    is halved until the point lies in the domain and the scaled residual norm
+    sum(E**2) + ((sum(f) - F)/F)**2 + ((sum(B) - W)/W)**2 falls (the
+    infeasible-start Newton method, ibid., 10.3); the solve stops once a step
+    moves T and every share by at most 1e-13 relative.
+
+    It starts at the equal bandwidth W/k, shares in proportion to the work,
+    T = max(arrival) + sum(r)/F (so each upload may take at least its
+    equal-bandwidth time, inside the domain when those arrivals are finite)
+    and nu at the mean of the logs. A floor max(l_i + r_i/F) that is not
+    finite raises :class:`Infeasible`; a start outside the domain or 100
+    rounds without settling raise :class:`NonConvergence`.
     """
+    W, F = float(bandwidth_budget), float(compute_budget)
+    t_floor = float(np.max(view.local_s + _server_seconds(view.resid, F)))
     if not math.isfinite(t_floor):
         raise Infeasible(f"no finite target delay: its floor is {t_floor} s")
-    # lower bound on the root and whether it is a tangent zero; the
-    # allocation of the largest refused target; smallest feasible target and
-    # its allocation
-    lo, newton, refused, hi, best = t_floor, False, None, math.inf, None
+    local, resid = view.local_s.tolist(), view.resid.tolist()
+    busy = [i for i, r in enumerate(resid) if r > 0]
+    work = sum(resid)
+    equal = view.arrivals(np.full(len(resid), W / len(resid)))
+    # the unknowns x = f + [nu, T]; nu is set once the start's logs are known
+    x = [F * r / work if r > 0 else 0.0 for r in resid] + [0.0, float(np.max(equal)) + work / F]
 
-    def feasible(t):
-        nonlocal lo, newton, refused, hi, best
-        total, alloc, slope = floor(t) or (math.inf, None, None)  # None: t is infeasible
-        gap = budget - total
-        if gap < 0.0:
-            if t > lo:
-                refused = alloc
-            lo, newton = max(lo, t), False
-        elif t < hi:
-            hi, best = t, alloc
-        if slope is not None and lo < t + gap / slope < hi:
-            lo, newton = t + gap / slope, True
-        return gap >= 0.0
+    def gaps(x, at):
+        """``(at, E, norm)`` at ``x = f + [nu, T]``, whose floor is ``at``."""
+        e = {i: math.log(at[1][i]) + math.log(resid[i]) - 2.0 * math.log(x[i]) - x[-2]
+             for i in busy}
+        share = (sum(x[:-2]) - F) / F if busy else 0.0
+        return at, e, sum(v * v for v in e.values()) + share ** 2 + ((sum(at[0]) - W) / W) ** 2
 
-    def above_tangent_zero():
-        return lo * (1.0 + 0.5 * _BISECT_REL_TOL)
+    def evaluate(x):
+        at = _bandwidth_floor(view, [x[-1] - l for l in local], x[:-2])
+        return None if at is None else gaps(x, at)
 
-    t = t_seed if t_seed is not None and t_floor < t_seed < math.inf else (
-        2.0 * t_floor if t_floor > 0 else 2e-9)
-    for _ in range(200):
-        if feasible(t):
-            break
-        t = above_tangent_zero() if newton else 2.0 * t
-    else:
-        raise NonConvergence("no feasible target delay found")
+    point = evaluate(x)
+    if point is None:
+        raise NonConvergence("convex step: the equal-bandwidth start is outside the domain")
+    if busy:
+        x[-2] = sum(point[1].values()) / len(busy)
+        point = gaps(x, point[0])
     for _ in range(100):
-        if hi - lo <= _BISECT_REL_TOL * hi:
+        (bw, q, g), e, norm = point
+        a = {i: g[i] * resid[i] / x[i] ** 2 - 2.0 / x[i] for i in busy}
+        h = {i: -q[i] * resid[i] / x[i] ** 2 for i in busy}  # d sum(B) / df_i
+        # df_i = (dnu - g_i*dT - E_i)/a_i into the rows sum(df) = F - sum(f)
+        # and sum(h*df) - sum(q)*dT = W - sum(B): a 2x2 system in (dnu, dT)
+        sa = sum(1.0 / a[i] for i in busy)
+        sg = sum(g[i] / a[i] for i in busy)
+        sh = sum(h[i] / a[i] for i in busy)
+        c_t = -sum(q) - sum(h[i] * g[i] / a[i] for i in busy)
+        share = sum(e[i] / a[i] for i in busy) - (sum(x[:-2]) - F)
+        spectrum = sum(h[i] * e[i] / a[i] for i in busy) - (sum(bw) - W)
+        det = sa * c_t + sg * sh
+        d_nu = (share * c_t + sg * spectrum) / det if busy else 0.0
+        d_t = (sa * spectrum - sh * share) / det if busy else spectrum / c_t
+        d = [(d_nu - g[i] * d_t - e[i]) / a[i] if i in a else 0.0
+             for i in range(len(resid))] + [d_nu, d_t]
+        move = max(abs(d[i]) / x[i] for i in busy + [-1])
+        if not move < math.inf:
+            raise NonConvergence("convex step: a Newton step is not finite")
+        step = 1.0
+        while True:
+            done = step * move <= 1e-13
+            trial = [xi + step * di for xi, di in zip(x, d)]
+            got = evaluate(trial)
+            if got is not None and (done or got[2] < norm):
+                x, point = trial, got
+                break
+            if done:  # a step at rounding level that fails: keep the point
+                break
+            step *= 0.5
+        if done:
             break
-        if settled is not None and refused is not None and settled(refused, best):
-            break
-        feasible(above_tangent_zero() if newton else 0.5 * (lo + hi))
-    return hi, best
-
-
-def resource_subproblem(view, bandwidth_budget, compute_budget, t_seed=None):
-    """Min-max delay over joint (bandwidth, compute) splits for fixed cuts:
-    the least target delay whose minimal total bandwidth (convex, decreasing,
-    :func:`_bandwidth_floor`) fits the spectrum, by :func:`_least_target` with
-    warm-started compute splits. Returns ``(objective, bandwidth, shares)``
-    with both budgets spent exactly."""
-    t_floor = float(np.max(view.local_s + _server_seconds(view.resid, compute_budget)))
-    warm = {}
-    _, (bw, f) = _least_target(lambda t: _bandwidth_floor(
-        view, compute_budget, t - view.local_s, warm), bandwidth_budget, t_floor, t_seed)
-    bw *= bandwidth_budget / bw.sum()
-    busy = f > 0
-    if busy.any():
-        f[busy] *= compute_budget / f[busy].sum()
+    else:
+        raise NonConvergence("convex step: Newton rounds did not settle in 100")
+    bw = np.array(point[0][0])
+    bw *= W / bw.sum()
+    f = np.array(x[:-2])
+    if busy:
+        f *= F / f.sum()
     _, totals = _plan_delays(view, bw, f)
     return float(np.max(totals)), bw, f
 
@@ -856,24 +832,17 @@ def solve_p1(net: NetworkInstance, settings: SolverSettings | None = None) -> Al
     table = CutTable.of(net)
     p2 = _solve_p2(table)
     memo = {}
-    seed = p2.objective
 
     def price(cuts):
-        """Convex resource step for one cut vector (memoized). The first one
-        seeds its target-delay bracket with p2's objective, each later
-        one with the objective priced before it: re-selection leaves every
-        device's delay at the frozen resources no higher, so the previous
-        round's objective is a feasible target for the next cut vector. A cut
-        vector without a finite target delay prices at inf, with no allocation."""
-        nonlocal seed
+        """Convex resource step for one cut vector (memoized). A cut vector
+        without a finite target delay prices at inf, with no allocation."""
         if cuts not in memo:
             try:
                 obj, bw, f = resource_subproblem(
-                    table.view(cuts), net.total_bandwidth_hz, net.server_flops, t_seed=seed)
+                    table.view(cuts), net.total_bandwidth_hz, net.server_flops)
                 memo[cuts] = (obj, (bw, f))
             except Infeasible:
                 memo[cuts] = (math.inf, None)
-        seed = memo[cuts][0]
         return memo[cuts]
 
     best, history = _alternate(

@@ -1,10 +1,12 @@
 """Shared test fixtures and instance generators."""
 
+import math
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
+from splitplan import parallel
 from splitplan.arch import (_INPUT_KEYS, _LAYER_NUMBERS, Architecture, BottleneckModule,
                             CutProfile, LayerKind, LayerSpec, TensorShape, propagate,
                             toy_architecture)
@@ -196,3 +198,26 @@ def count_target_probes(monkeypatch, module):
 
     monkeypatch.setattr(module, "_least_target", spy)
     return counts
+
+
+def assert_kkt(view, obj, f, budget):
+    """The KKT certificate of a convex step's plan with two or more busy
+    devices, at deadlines ``obj - l``: their bandwidth marginals take one
+    value within 1e-9 (seen: 1.2e-14), each busy share is ``_share_for_price``
+    at the mean marginal within 1e-9 (seen: 1.3e-12), and no share sits at
+    its cap, whose marginal lies below the common one."""
+    slack = obj - view.local_s
+    game = np.flatnonzero(view.resid > 0)
+    if game.size < 2:  # a lone busy device takes the whole budget
+        return
+    args = [(view.snr[i], view.bits[i], view.resid[i], slack[i]) for i in game]
+    marg = np.array([parallel._marginal(*a, f[i]) for a, i in zip(args, game)])
+    assert marg.max() <= marg.min() * (1 + 1e-9)
+    # a share's floor: the least share whose upload may take the link's limit rate
+    f_lo = view.resid[game] / (slack[game] - view.bits[game] * math.log(2) / view.snr[game])
+    f_hi = f_lo + (budget - f_lo.sum())
+    m_hi = np.array([parallel._marginal(*a, fh) for a, fh in zip(args, f_hi)])
+    assert np.all(f[game] < f_hi) and np.all(m_hi < marg.min())
+    mu = float(marg.mean())
+    alone = [parallel._share_for_price(*a, lo, hi, mu) for a, lo, hi in zip(args, f_lo, f_hi)]
+    np.testing.assert_allclose(f[game], alone, rtol=1e-9, atol=0.0)

@@ -10,7 +10,8 @@ from splitplan.delay import (Device, NetworkInstance, arrival_delay,
                              broken_queue_total, parallel_delay,
                              queue_completions, residual_workload,
                              serial_total_delay)
-from splitplan.errors import MissingServerCompute, ValidationError, ZeroRate
+from splitplan.channel import achievable_rate
+from splitplan.errors import DomainError, MissingServerCompute, ValidationError, ZeroRate
 
 
 def _device_with_exact_rate(rate, profile):
@@ -181,3 +182,39 @@ class TestNetworkValidation:
             dev = Device(link=link_with_snr(1e8), compute_flops=budgets["compute_flops"],
                          profile=profile_from_lists([1e9], [1e6]))
             NetworkInstance((dev,), budgets["server_flops"], budgets["total_bandwidth_hz"])
+
+
+class TestMalformedInputs:
+    """The delay algebra raises typed errors where it would otherwise price
+    a wrong cut, raise a raw ``IndexError`` or return NaN."""
+
+    @staticmethod
+    def device():
+        prof = profile_from_lists([3e9], [1e8], raw_bits=2e8)  # cuts 0 and 1
+        return _device_with_exact_rate(1e8, prof)
+
+    @pytest.mark.parametrize("cut", [-1, -2, 2, 99])
+    def test_out_of_range_cut_raises_validation_error(self, cut):
+        """Cut -1 priced cut L and -2 cut L - 1; cut 99 raised ``IndexError``."""
+        dev = self.device()
+        for call in (lambda: arrival_delay(dev, cut, 1e7),
+                     lambda: residual_workload(dev.profile, cut),
+                     lambda: parallel_delay(dev, cut, 1e7, 1e9)):
+            with pytest.raises(ValidationError, match="outside 0..1"):
+                call()
+
+    @pytest.mark.parametrize("bandwidth", [math.nan, math.inf, -math.inf, -1.0])
+    def test_bad_bandwidth_raises_domain_error(self, bandwidth):
+        dev = self.device()
+        for call in (lambda: arrival_delay(dev, 0, bandwidth),
+                     lambda: achievable_rate(bandwidth, dev.link)):
+            with pytest.raises(DomainError, match="bandwidth"):
+                call()
+
+    def test_nan_server_compute_raises(self):
+        with pytest.raises(ValidationError, match="server compute"):
+            queue_completions([1.0], [1.0], math.nan)
+        with pytest.raises(ValidationError, match="server compute"):
+            serial_total_delay([1.0, 2.0], [1.0, 0.0], math.nan)
+        with pytest.raises(MissingServerCompute, match="nan"):
+            parallel_delay(self.device(), 0, 1e8, math.nan)
