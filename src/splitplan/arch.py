@@ -234,8 +234,15 @@ class CutProfile:
         return self.cum_workload[-1]
 
     def payload_bits(self, cut: int) -> int:
-        """Activation plus index bits transmitted when splitting at ``cut``."""
+        """Activation plus index bits transmitted when splitting at ``cut``;
+        a cut outside 0..``num_cuts`` raises :class:`ValidationError`."""
+        _check_cut(self, cut)
         return self.transmit_bits[cut] + self.index_bits[cut]
+
+
+def _check_cut(profile: CutProfile, cut: int) -> None:
+    if not 0 <= cut <= profile.num_cuts:
+        raise ValidationError(f"cut {cut} is outside 0..{profile.num_cuts}")
 
 
 def _run_branch(layers, shape, module_id):

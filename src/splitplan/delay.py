@@ -10,7 +10,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .arch import CutProfile
+from .arch import CutProfile, _check_cut
 from .channel import LinkParams, achievable_rate
 from .errors import MissingServerCompute, ValidationError, ZeroRate
 
@@ -73,18 +73,12 @@ class AllocationPlan:
         return len(self.objective_history)
 
 
-def _check_cut(profile: CutProfile, cut: int) -> None:
-    if not 0 <= cut <= profile.num_cuts:
-        raise ValidationError(f"cut {cut} is outside 0..{profile.num_cuts}")
-
-
 def arrival_delay(device: Device, cut: int, bandwidth_hz: float) -> float:
     """Local processing time plus transmission time of the cut payload; an
     out-of-range cut raises :class:`ValidationError`, a negative or
     non-finite bandwidth :class:`~splitplan.errors.DomainError`."""
     profile = device.profile
-    _check_cut(profile, cut)
-    bits = profile.payload_bits(cut)
+    bits = profile.payload_bits(cut)  # checks the cut
     local = profile.cum_workload[cut] / device.compute_flops
     rate = achievable_rate(bandwidth_hz, device.link)
     if rate <= 0.0:

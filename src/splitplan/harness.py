@@ -181,6 +181,9 @@ def run_trial(cfg: ExperimentConfig, trial_index: int, profile=None) -> TrialRec
     """Run every requested policy on one seeded network realization.
 
     A policy failure is recorded and does not abort the other policies.
+    All policies share the network's :class:`~splitplan.parallel.CutTable`
+    and its memo, so work one policy repeats from another (``p2`` and the
+    min-data convex step, both done inside ``p1``) is solved once per trial.
     """
     net = build_network(cfg, trial_index, profile=profile)
     records = []

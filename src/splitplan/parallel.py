@@ -453,7 +453,11 @@ class CutTable:
 
     The policies and oracles take their table from :meth:`of`, so one network
     builds one table; its arrays are read-only, so no caller can change them
-    under another.
+    under another. The table is also the one home of the network's memos,
+    each a pure function of the network: the convex step per cut vector
+    (:meth:`step`), ``p2``'s plan (``p2_plan``, kept by :func:`solve_p2`
+    and ``p1``) and the gap heuristic's donor bandwidths
+    (``donor_bandwidth``, kept by :func:`~splitplan.serial.reallocate_once`).
     """
 
     _last = None  # the table :meth:`of` built last
@@ -494,6 +498,9 @@ class CutTable:
         self._rows = np.arange(k)
         for array in (self.local_s, self.bits, self.resid, self.snr, self._rows):
             array.flags.writeable = False
+        self._steps = {}  # cut vector -> (objective, bandwidth, shares) or Infeasible
+        self.p2_plan = None
+        self.donor_bandwidth = {}  # (device, cut, upload seconds) -> bandwidth
 
     @property
     def num_devices(self) -> int:
@@ -503,6 +510,27 @@ class CutTable:
         at = (self._rows, np.asarray(cuts))
         return _CutView(local_s=self.local_s[at], bits=self.bits[at], resid=self.resid[at],
                         snr=self.snr)
+
+    def step(self, cuts) -> tuple[float, np.ndarray, np.ndarray]:
+        """:func:`resource_subproblem` at the cut tuple ``cuts`` under the
+        network's budgets, solved once per cut vector: ``(objective,
+        bandwidth, shares)`` with read-only arrays. An :class:`Infeasible`
+        step is kept too and raised again, with the same type and message, on
+        every later call; any other error propagates and is not kept."""
+        got = self._steps.get(cuts)
+        if got is None:
+            try:
+                got = resource_subproblem(
+                    self.view(cuts), self.net.total_bandwidth_hz, self.net.server_flops)
+            except Infeasible as exc:
+                self._steps[cuts] = type(exc)(*exc.args)  # kept without its traceback
+                raise
+            for array in got[1:]:
+                array.flags.writeable = False
+            self._steps[cuts] = got
+        elif isinstance(got, Infeasible):
+            raise type(got)(*got.args)
+        return got
 
     def min_data_cuts(self) -> tuple[int, ...]:
         """Per device, the first cut with the smallest transmit payload."""
@@ -798,6 +826,14 @@ def solve_p2(net: NetworkInstance, settings: SolverSettings | None = None) -> Al
 
 
 def _solve_p2(table: CutTable) -> AllocationPlan:
+    """``p2``'s plan on ``table``, solved once per table and kept as
+    ``table.p2_plan``, so ``p1`` and ``p2`` on one network share it."""
+    if table.p2_plan is None:
+        table.p2_plan = _p2_plan(table)
+    return table.p2_plan
+
+
+def _p2_plan(table: CutTable) -> AllocationPlan:
     net = table.net
     k = table.num_devices
     bw = np.full(k, net.total_bandwidth_hz / k)
@@ -823,27 +859,27 @@ def _solve_p2(table: CutTable) -> AllocationPlan:
 def solve_p1(net: NetworkInstance, settings: SolverSettings | None = None) -> AllocationPlan:
     """Joint cut + bandwidth + compute optimization by alternation.
 
-    The alternation can stall in a local optimum, so the fixed-bandwidth
-    solution's cuts are also priced through the convex step and the better
-    plan wins. The all-raw cuts (the ``first-layer`` policy) are not priced:
-    that extra convex step per call never won.
+    The alternation starts at the min-data cuts and can stall in a local
+    optimum, so the fixed-bandwidth solution's cuts are also priced through
+    the convex step and the better plan wins. The all-raw cuts (the
+    ``first-layer`` policy) are not priced: that extra convex step per call
+    never won. The convex steps (:meth:`CutTable.step`) and the ``p2``
+    solve go through the network's table memo, so ``p2`` and ``min-data``
+    on the same network reuse ``p1``'s work, and it theirs.
     """
     settings = settings or SolverSettings()
     table = CutTable.of(net)
     p2 = _solve_p2(table)
-    memo = {}
 
     def price(cuts):
-        """Convex resource step for one cut vector (memoized). A cut vector
-        without a finite target delay prices at inf, with no allocation."""
-        if cuts not in memo:
-            try:
-                obj, bw, f = resource_subproblem(
-                    table.view(cuts), net.total_bandwidth_hz, net.server_flops)
-                memo[cuts] = (obj, (bw, f))
-            except Infeasible:
-                memo[cuts] = (math.inf, None)
-        return memo[cuts]
+        """``(objective, (bandwidth, shares))`` of the convex step at ``cuts``;
+        a cut vector without a finite target delay prices at inf, with no
+        allocation."""
+        try:
+            obj, bw, f = table.step(cuts)
+        except Infeasible:
+            return math.inf, None
+        return obj, (bw, f)
 
     best, history = _alternate(
         table.min_data_cuts(), price,
@@ -858,9 +894,7 @@ def solve_p1(net: NetworkInstance, settings: SolverSettings | None = None) -> Al
 
 
 def _fixed_cut_policy(name, table, cuts):
-    net = table.net
-    obj, bw, f = resource_subproblem(
-        table.view(cuts), net.total_bandwidth_hz, net.server_flops)
+    obj, bw, f = table.step(cuts)
     return _parallel_plan(name, table, cuts, bw, f, [obj])
 
 

@@ -11,7 +11,6 @@ tail without disturbing earlier sub-queues.
 from __future__ import annotations
 
 import math
-import weakref
 
 import numpy as np
 
@@ -162,12 +161,6 @@ def queue_first_layer_policy(net: NetworkInstance,
 # ---------------------------------------------------------------------------
 # gap-elimination heuristic
 
-#: Per table, the donor bandwidths :func:`reallocate_once` has computed, by
-#: (device, cut, upload seconds); :func:`queue_heuristic` drops its table's
-#: entry when it returns.
-_donor_bandwidth = weakref.WeakKeyDictionary()
-
-
 def reallocate_once(table: CutTable, cuts, bandwidth, state: QueueState,
                     donor_break: int = 0):
     """Move spectrum from one sub-queue tail to the last-gap device.
@@ -188,10 +181,10 @@ def reallocate_once(table: CutTable, cuts, bandwidth, state: QueueState,
     gap open. The heuristic's plans depend on that margin: with the exact
     inverse here, 40 of the 66 ``queue-heuristic`` plans of a 338-plan
     ``tests/plan_digest.py`` moved, 24 of them worse, by up to 17.4%. The
-    bandwidth is kept per table in ``_donor_bandwidth``: the heuristic
-    retries donors whose gap an accepted move already closed, and such a
-    retry reads the settled bandwidth back (and raises :class:`NoExcess`)
-    without inverting the rate again.
+    bandwidth is kept on the table, in ``table.donor_bandwidth``: the
+    heuristic retries donors whose gap an accepted move already closed, and
+    such a retry reads the settled bandwidth back (and raises
+    :class:`NoExcess`) without inverting the rate again.
 
     Returns ``(objective, new_bandwidth, new_state)`` of the new allocation.
     """
@@ -213,7 +206,7 @@ def reallocate_once(table: CutTable, cuts, bandwidth, state: QueueState,
     if budget_s <= 0:
         raise StalledBreak(
             f"donor {donor} cannot delay its arrival to {target:.6g}s")
-    memo = _donor_bandwidth.setdefault(table, {})
+    memo = table.donor_bandwidth
     key = (donor, cut, budget_s)
     new_bw = memo.get(key)
     if new_bw is None:
@@ -237,11 +230,11 @@ def queue_heuristic(net: NetworkInstance,
 
     Each pass tries the sub-queue tails as donors in queue order and takes
     the first move :func:`reallocate_once` accepts, so the donors of earlier
-    moves are tried again on every pass; their bandwidths come from
-    ``_donor_bandwidth``, so each (donor, cut, upload seconds) is inverted
-    once per run. A pass is a function of the cuts it starts from, so a pass
-    that would start from the cuts of an earlier one is not run: it only
-    repeats the best objective in the history."""
+    moves are tried again on every pass; their bandwidths come from the
+    table's ``donor_bandwidth`` memo, so each (donor, cut, upload seconds)
+    is inverted once per network. A pass is a function of the cuts it
+    starts from, so a pass that would start from the cuts of an earlier one
+    is not run: it only repeats the best objective in the history."""
     settings = settings or SolverSettings()
     table = CutTable.of(net)
     k = table.num_devices
@@ -283,6 +276,5 @@ def queue_heuristic(net: NetworkInstance,
         consider(obj, cuts, bw)
         history.append(best[0])
 
-    _donor_bandwidth.pop(table, None)
     _, cuts, bw = best
     return _serial_plan("queue-heuristic", table, cuts, bw, history)

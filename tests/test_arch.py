@@ -270,3 +270,10 @@ class TestCutProfile:
     def test_payload_is_data_plus_index(self):
         prof = CutProfile((0, 4), (10, 6), (0, 3))
         assert prof.payload_bits(1) == 9
+
+    @pytest.mark.parametrize("cut", [-1, 2])
+    def test_payload_of_a_cut_out_of_range_is_a_validation_error(self, cut):
+        """Cut -1 read cut L's payload and cut L + 1 raised ``IndexError``."""
+        prof = CutProfile((0, 4), (10, 6), (0, 3))
+        with pytest.raises(ValidationError, match="outside 0..1"):
+            prof.payload_bits(cut)

@@ -13,7 +13,7 @@ from conftest import (assert_kkt, count_target_probes, link_with_snr,
 from splitplan import parallel
 from splitplan.delay import Device, NetworkInstance, arrival_delay, residual_workload
 from splitplan.errors import Infeasible, NonConvergence, ValidationError, ZeroRate
-from splitplan.harness import POLICIES, ExperimentConfig, build_network
+from splitplan.harness import ALL_POLICIES, POLICIES, ExperimentConfig, build_network
 from splitplan.oracle import GridSpec, dense_root_scan, oracle_parallel, oracle_serial
 from splitplan.parallel import (CutTable, SolverSettings, bandwidth_for_rate,
                                 equal_delay_split, first_layer_policy, min_data_layer_policy,
@@ -464,6 +464,64 @@ class TestCutTable:
             np.testing.assert_array_equal(got, want)
 
 
+class TestCutTableMemo:
+    """The table solves each convex step and ``p2`` once per network."""
+
+    @pytest.mark.parametrize("k", [4, 10])
+    def test_one_step_per_cut_vector_and_one_p2_solve(self, monkeypatch, k):
+        """All seven policies in ``ALL_POLICIES`` order: ``min-data`` and
+        ``p2`` repeat ``p1``'s work, so only the table's misses reach the
+        solvers."""
+        asked, steps, p2 = [], [], []
+        for module, name, log in ((CutTable, "step", asked),
+                                  (parallel, "resource_subproblem", steps),
+                                  (parallel, "_p2_plan", p2)):
+            def spy(*args, _fn=getattr(module, name), _log=log):
+                _log.append(args)
+                return _fn(*args)
+            monkeypatch.setattr(module, name, spy)
+        for trial in range(3):
+            for log in (asked, steps, p2):
+                log.clear()
+            net = build_network(ExperimentConfig(devices=k), trial)
+            for name in ALL_POLICIES:
+                POLICIES[name](net)
+            cuts = [c for _, c in asked]
+            assert len(steps) == len(set(cuts)) < len(cuts)
+            assert len(p2) == 1
+
+    @pytest.mark.parametrize("order", [ALL_POLICIES, ALL_POLICIES[::-1]],
+                             ids=["forward", "reverse"])
+    def test_plans_equal_those_on_a_fresh_network(self, order):
+        for k in (4, 10):
+            cfg = ExperimentConfig(devices=k)
+            for trial in range(2):
+                net = build_network(cfg, trial)
+                shared = {name: POLICIES[name](net) for name in order}
+                for name, plan in shared.items():
+                    assert plan == POLICIES[name](build_network(cfg, trial)), (name, k)
+
+    @pytest.mark.parametrize("policy", ["min-data", "first-layer"])
+    def test_infeasible_step_raises_alike_on_a_hit(self, monkeypatch, policy):
+        """Under a vanishing server budget the fixed-cut steps are
+        ``Infeasible``; the table keeps that and raises it again."""
+        net = build_network(ExperimentConfig(server_flops=1e-300, devices=3), 0)
+        errors = []
+        for _ in range(2):
+            with pytest.raises(Infeasible) as err:
+                POLICIES[policy](net)
+            errors.append((type(err.value), str(err.value)))
+            monkeypatch.setattr(parallel, "resource_subproblem", None)  # a hit solves nothing
+        assert errors[0] == errors[1]
+
+    def test_step_arrays_are_read_only(self):
+        table = CutTable.of(build_network(ExperimentConfig(devices=3), 0))
+        _, bandwidth, shares = table.step(table.min_data_cuts())
+        for array in (bandwidth, shares):
+            with pytest.raises(ValueError, match="read-only"):
+                array[0] = 0.0
+
+
 def reselect_by_device(table, bandwidth, shares):
     """The parallel cut re-selection as it was: one row per device over its
     own cuts, each with its own server term."""
@@ -899,11 +957,16 @@ class TestWaterFill:
 
     @staticmethod
     def nets():
+        """Random and oracle fleets, then default 16-device trials: the table
+        memo solves each cut vector of a network once, and the small fleets
+        alone give 23 distinct steps."""
         rng = np.random.default_rng(31)
         for _ in range(4):
             yield random_network(rng, devices=int(rng.integers(3, 9)))
         for _ in range(4):
             yield oracle_benchmark_network(rng)
+        for trial in range(4):
+            yield build_network(ExperimentConfig(devices=16), trial)
 
     @staticmethod
     def solve_all(net, policies=(solve_p1, min_data_layer_policy, first_layer_policy)):
@@ -922,7 +985,7 @@ class TestWaterFill:
         """From the equal-bandwidth start, full Newton steps leave the domain
         (a share or an upload time below zero, or a rate beyond its link) on
         these nets, so the line search rejects trial points; the halved steps
-        still reach plans that pass the certificate (seen: 6 of 221 trial
+        still reach plans that pass the certificate (seen: 4 of 271 trial
         points outside the domain)."""
         refused = []
         floor = parallel._bandwidth_floor

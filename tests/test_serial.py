@@ -383,8 +383,8 @@ class TestQueueHeuristic:
     def test_inverts_each_donor_rate_once(self, monkeypatch):
         """On mixed 32-device fleets the heuristic keeps retrying donors whose
         bandwidth it already settled (about 14 retries per inverse); each
-        (SNR, rate) still goes through the rate inverse once per network, and
-        the memo goes when the heuristic returns, though the table stays."""
+        (SNR, rate) still goes through the rate inverse once per network, also
+        over a second run, since the network's table keeps the memo."""
         calls = []
         inverse = serial.bandwidth_for_rate
         monkeypatch.setattr(serial, "bandwidth_for_rate", lambda snr, rate: calls.append(
@@ -393,10 +393,12 @@ class TestQueueHeuristic:
         for trial in range(4, 8):  # each of these fleets has queue gaps
             calls.clear()
             net = mixed_network(trial)
-            queue_heuristic(net)
-            assert len(set(calls)) == len(calls)
-            assert CutTable.of(net) not in serial._donor_bandwidth
-            total += len(calls)
+            first = queue_heuristic(net)
+            once = len(calls)
+            assert queue_heuristic(net) == first
+            assert len(calls) == once == len(set(calls))
+            assert len(CutTable.of(net).donor_bandwidth) == once
+            total += once
         assert total > 0
 
     @pytest.mark.parametrize("k", [4, 16])
